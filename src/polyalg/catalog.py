@@ -14,6 +14,8 @@ deletion deltas).
 
 import csv
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from .prims import BOOL, INT, STRING
@@ -132,10 +134,20 @@ class Catalog:
     def save(self):
         if self.manifest_path is None:
             return
-        payload = {"relations": self.entries}
-        self.manifest_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        path = self.manifest_path
+        text = json.dumps({"relations": self.entries}, indent=2, sort_keys=True) + "\n"
+        # write beside the manifest, then rename over it: a failed write
+        # leaves the previous manifest whole
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def add_csv(self, name: str, path, schema_text: str, ring_name: str) -> Relation:
         sch = parse_schema(schema_text)

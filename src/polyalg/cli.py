@@ -20,8 +20,8 @@ from . import metrics
 from .catalog import Catalog, CatalogError
 from .normal import STAR
 from .prims import PrimSet
-from .query import QueryError, run as run_query
-from .relational import Relation, RelationError, type_name
+from .query import run as run_query
+from .relational import Relation, type_name
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +96,7 @@ def _stats_table(counters) -> str:
 
 def _cmd_load(args) -> int:
     cat = Catalog.open(args.catalog)
-    try:
-        r = cat.add_csv(args.name, args.csv, args.schema, args.ring)
-    except (CatalogError, RelationError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    r = cat.add_csv(args.name, args.csv, args.schema, args.ring)
     cat.save()
     print(
         f"loaded {args.name}: {len(r.rows())} rows, "
@@ -112,13 +108,9 @@ def _cmd_load(args) -> int:
 def _cmd_query(args) -> int:
     cat = Catalog.open(args.catalog)
     view = _CatalogView(cat)
-    try:
-        with metrics.fresh() as m:
-            r = run_query(args.expr, view)
-            out = render_relation(r, args.format)
-    except (QueryError, CatalogError, RelationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with metrics.fresh() as m:
+        r = run_query(args.expr, view)
+        out = render_relation(r, args.format)
     print(out)
     if args.stats:
         print()
@@ -135,16 +127,10 @@ class _CatalogView:
 
 
 def _cmd_show(args) -> int:
-    cat = Catalog.open(args.catalog)
-    try:
-        r = cat.get(args.name)
-        if r is None:
-            print(f"error: unknown relation {args.name!r}", file=sys.stderr)
-            return 2
-        print(render_relation(r, args.format))
-    except (CatalogError, RelationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    r = Catalog.open(args.catalog).get(args.name)
+    if r is None:
+        raise CatalogError(f"unknown relation {args.name!r}")
+    print(render_relation(r, args.format))
     return 0
 
 
@@ -158,7 +144,7 @@ def _cmd_bench(args) -> int:
         return 1
     try:
         report = bench_triangle(sizes, repeats=args.repeats, with_naive=args.with_naive)
-    except (ValueError, AssertionError) as e:
+    except AssertionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     print(f"{'k':>5} {'n':>8} {'rows':>10} {'seconds':>9} {'trie_edges':>12} {'ring_mults':>12}")
@@ -224,7 +210,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as e:  # CatalogError, QueryError, RelationError, InfiniteSupport
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ structure: `free_prod` backward turns a product of sums into a
 quadratically larger sum over pairs. Forward directions are linear.
 """
 
-from .normal import normalize
+from .normal import force_product, normalize
 from .prims import Prod, Sum, Unit, left, right
 from .spaces import (
     Biproduct,
@@ -54,11 +54,7 @@ def _lin(t: Term, gen_fn, out_space) -> Term:
     parts = []
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            from .normal import readback
-            from .product import nf_product
-
-            expanded = readback(nf_product([normalize(f) for f in g.factors]))
-            img = _lin(expanded, gen_fn, out_space)
+            img = _lin(force_product(g), gen_fn, out_space)
         else:
             img = gen_fn(g)
         parts.append(scaled(c, img))

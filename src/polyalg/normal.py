@@ -254,6 +254,8 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
     ring = space.ring
     if ring.is_zero(r):
         return zero_nf(space)
+    if ring.eq(r, ring.one):  # forms are immutable; skips rebuilding the tries
+        return x
     if isinstance(x, ScalarNF):
         return ScalarNF(space, ring.mul(r, x.value))
     if isinstance(x, FreeNF):
@@ -344,7 +346,7 @@ def normalize(t: Term) -> NormalForm:
                     continue
                 summands.append((l, r))
             elif isinstance(g, MulGen):
-                nf = nf_scale(c, _product_nf(g, space))
+                nf = nf_scale(c, _product_nf(g))
                 summands.extend(nf.summands)
             else:
                 raise SpaceError(f"unexpected generator in {space}")
@@ -358,10 +360,16 @@ def normalize(t: Term) -> NormalForm:
     return acc if acc is not None else zero_nf(space)
 
 
-def _product_nf(g: MulGen, space) -> NormalForm:
+def _product_nf(g: MulGen) -> NormalForm:
     from .product import nf_product
 
     return nf_product([normalize(f) for f in g.factors])
+
+
+def force_product(g: MulGen) -> Term:
+    """A symbolic product evaluated by the product engine and read back as
+    a term, for linear maps that act generator by generator."""
+    return readback(_product_nf(g))
 
 
 def _gen_nf(c, g, space) -> NormalForm:
@@ -384,7 +392,7 @@ def _gen_nf(c, g, space) -> NormalForm:
     if isinstance(g, PairGen):
         return PairNF(space, nf_scale(c, normalize(g.lhs)), nf_scale(c, normalize(g.rhs)))
     if isinstance(g, MulGen):
-        return nf_scale(c, _product_nf(g, space))
+        return nf_scale(c, _product_nf(g))
     raise SpaceError(f"unexpected generator in {space}")
 
 

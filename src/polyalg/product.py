@@ -29,11 +29,11 @@ from .normal import (
     ScalarNF,
     TensorNF,
     compact_summands,
+    force_product,
     nf_add,
     nf_scale,
     nf_sub,
     normalize,
-    readback,
     ring_vops,
     zero_nf,
 )
@@ -229,11 +229,7 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
             if not is_zero(dv):
                 entries.append((key, dv))
 
-    trie = None
-    for key, v in entries:
-        s = tries.single(prim, key, v, vops)
-        trie = s if trie is None else tries.merge(prim, trie, s, vops)
-    return trie, base_out
+    return tries.from_items(prim, entries, vops), base_out
 
 
 # conversions between tensor chains and keyed views ---------------------------
@@ -251,24 +247,16 @@ def _to_keyed(nf: TensorNF, nested_space) -> MapNF:
     Honest cost: a summand with a compacted left factor of k keys fans out
     into k scaled copies of its right factor.
     """
-    prim = nested_space.prim
     ring = nested_space.ring
-    acc = MapNF(nested_space, None, None)
+    entries = []
+    base = zero_nf(nested_space.value)
     for l, r in nf.summands:
-        trie = None
         for key, c in tries.items(l.space.prim, l.trie):
-            sub = nf_scale(c, r) if not ring.eq(c, ring.one) else r
-            if sub.is_zero():
-                continue
-            s = tries.single(prim, key, sub, NF_VOPS)
-            trie = s if trie is None else tries.merge(prim, trie, s, NF_VOPS)
-        base = None
+            entries.append((key, r if ring.eq(c, ring.one) else nf_scale(c, r)))
         if not ring.is_zero(l.base):
-            base = nf_scale(l.base, r)
-            if base.is_zero():
-                base = None
-        acc = nf_add(acc, MapNF(nested_space, trie, base))
-    return acc
+            base = nf_add(base, nf_scale(l.base, r))
+    trie = tries.from_items(nested_space.prim, entries, NF_VOPS)
+    return MapNF(nested_space, trie, None if base.is_zero() else base)
 
 
 def _from_keyed(nf: MapNF, space: Tensor) -> TensorNF:
@@ -318,11 +306,9 @@ def _naive_term(x: Term, y: Term) -> Term:
 
 def _gen_pair(gx, gy, space):
     if isinstance(gx, MulGen):
-        t = readback(nf_product([normalize(f) for f in gx.factors]))
-        return _naive_term(t, GenTerm(space, gy))
+        return _naive_term(force_product(gx), GenTerm(space, gy))
     if isinstance(gy, MulGen):
-        t = readback(nf_product([normalize(f) for f in gy.factors]))
-        return _naive_term(GenTerm(space, gx), t)
+        return _naive_term(GenTerm(space, gx), force_product(gy))
     if isinstance(gx, OneGen):
         return GenTerm(space, gy)
     if isinstance(gy, OneGen):
@@ -395,8 +381,7 @@ def _embed(t, src, tgt):
     out_space = None
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            sub = readback(nf_product([normalize(f) for f in g.factors]))
-            img = _embed(sub, src, tgt)
+            img = _embed(force_product(g), src, tgt)
         elif isinstance(g, TensorGen):
             img = tensor(_widen(g.lhs), _embed(g.rhs, src[1:], tgt[1:]))
         else:
@@ -423,8 +408,7 @@ def _widen(t: Term) -> Term:
             if isinstance(g, InjGen):
                 parts.append(scaled(c, inject(g.value, out)))
             elif isinstance(g, MulGen):
-                sub = readback(nf_product([normalize(f) for f in g.factors]))
-                parts.append(scaled(c, _widen(sub)))
+                parts.append(scaled(c, _widen(force_product(g))))
             else:
                 raise SpaceError("not a free chain factor")
         return sum_terms(out, parts)
@@ -435,8 +419,7 @@ def _widen(t: Term) -> Term:
             if isinstance(g, TensorGen):
                 img = tensor(_widen(g.lhs), _widen(g.rhs))
             elif isinstance(g, MulGen):
-                sub = readback(nf_product([normalize(f) for f in g.factors]))
-                img = _widen(sub)
+                img = _widen(force_product(g))
             else:
                 raise SpaceError("not a chain term")
             out = img.space

@@ -14,6 +14,7 @@ from . import normal, product, terms
 from .normal import (
     InfiniteSupport,
     enumerate_nf,
+    force_product,
     has_baseline,
     nf_equal,
     normalize,
@@ -179,10 +180,6 @@ def _row_gen(row, space):
 
 # chain plumbing ---------------------------------------------------------------
 
-def _expand_mul(t_space, g):
-    return readback(product.nf_product([normalize(f) for f in g.factors]))
-
-
 def _is_chain(space) -> bool:
     while isinstance(space, Tensor):
         if not isinstance(space.lhs, (Free, CompactFree)):
@@ -203,7 +200,7 @@ def _to_chain(t: Term) -> Term:
     out = None
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            img = _to_chain(_expand_mul(space, g))
+            img = _to_chain(force_product(g))
         else:
             img = _chain_append(_to_chain(g.lhs), _to_chain(g.rhs))
         out = img.space
@@ -224,7 +221,7 @@ def _chain_append(u: Term, w: Term) -> Term:
     out = None
     for c, g in linear_combination(u):
         if isinstance(g, MulGen):
-            img = _chain_append(_expand_mul(space, g), w)
+            img = _chain_append(force_product(g), w)
         else:
             img = tensor(g.lhs, _chain_append(g.rhs, w))
         out = img.space
@@ -263,7 +260,7 @@ def _map_position(t: Term, pos: int, leaf_fn) -> Term:
     out = None
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            img = _map_position(_expand_mul(space, g), pos, leaf_fn)
+            img = _map_position(force_product(g), pos, leaf_fn)
         elif pos == 0:
             img = tensor(leaf_fn(g.lhs), g.rhs)
         else:
@@ -301,7 +298,7 @@ def _swap_adjacent(t: Term, d: int) -> Term:
     out = None
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            img = _swap_adjacent(_expand_mul(space, g), d)
+            img = _swap_adjacent(force_product(g), d)
         elif d > 0:
             img = tensor(g.lhs, _swap_adjacent(g.rhs, d - 1))
         elif not isinstance(space.rhs, Tensor):
@@ -310,7 +307,7 @@ def _swap_adjacent(t: Term, d: int) -> Term:
             inner_parts = []
             for c2, g2 in linear_combination(g.rhs):
                 if isinstance(g2, MulGen):
-                    for c3, g3 in linear_combination(_expand_mul(space.rhs, g2)):
+                    for c3, g3 in linear_combination(force_product(g2)):
                         inner_parts.append(
                             scale(c3, tensor(g3.lhs, tensor(g.lhs, g3.rhs)))
                         )
@@ -471,7 +468,7 @@ def _project_term(t: Term, mask) -> Term:
     out = None
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            img = _project_term(_expand_mul(space, g), mask)
+            img = _project_term(force_product(g), mask)
         elif head and any(rest):
             img = tensor(g.lhs, _project_term(g.rhs, rest))
         elif head:

@@ -7,6 +7,12 @@ slot, and pair keys curry into a trie of tries. All structures are
 immutable and persistent: merges share unchanged subtrees, lookup cost is
 linear in the key size and independent of population.
 
+There is one build path: `single` makes a one-entry trie, `merge` adds two
+tries, and `from_items` builds every multi-entry trie by balanced pairwise
+merges; `map_values` is `from_items` over the mapped entries. Radix merge
+and enumeration keep explicit stacks, so no operation's Python stack depth
+grows with key length (Patricia recursion is bounded by the 64 key bits).
+
 Payloads are opaque. Callers pass a `ValueOps` describing how payloads
 add, when they vanish, and how many keys a payload stands for (one, except
 for the curried inner tries of pair keys). The empty trie is `None`.
@@ -156,16 +162,6 @@ def _p_items(t):
             stack.append(n.left)
 
 
-def _p_map(t, fn, vops):
-    metrics.current.trie_edges += 1
-    if isinstance(t, PLeaf):
-        v = fn(t.val)
-        if v is None or vops.is_zero(v):
-            return None
-        return PLeaf(t.ukey, v, vops.count(v))
-    return _p_branch(t.prefix, t.bit, _p_map(t.left, fn, vops), _p_map(t.right, fn, vops))
-
-
 # ---------------------------------------------------------------------------
 # Radix trie on utf-8 bytes
 
@@ -215,39 +211,52 @@ def _r_node(val, edges, vops):
 
 
 def _r_merge(a, b, vops):
-    metrics.current.trie_edges += 1
-    val = _add_opt(a.val, b.val, vops)
-    ea, eb = a.edges, b.edges
-    i = j = 0
-    out = []
-    while i < len(ea) and j < len(eb):
-        la, ca = ea[i]
-        lb, cb = eb[j]
-        if la[0] < lb[0]:
-            out.append(ea[i])
-            i += 1
-        elif lb[0] < la[0]:
-            out.append(eb[j])
-            j += 1
-        else:
-            p = _common_prefix_len(la, lb)
-            if p == len(la) == len(lb):
-                child = _r_merge(ca, cb, vops)
-            elif p == len(la):
-                child = _r_merge(ca, RNode(None, ((lb[p:], cb),), 0), vops)
-            elif p == len(lb):
-                child = _r_merge(RNode(None, ((la[p:], ca),), 0), cb, vops)
+    """Additive union of radix tries, without recursion: node pairs are
+    merged top-down into frames (parent, slot, label, payload, edges), where
+    a slot waits for the merge of a shared child, then nodes are built
+    bottom-up, so key length costs heap rather than Python stack."""
+    m = metrics.current
+    frames = []
+    todo = [(None, None, None, a, b)]
+    while todo:
+        parent, slot, label, x, y = todo.pop()
+        m.trie_edges += 1
+        me = len(frames)
+        ea, eb = x.edges, y.edges
+        i = j = 0
+        out = []
+        while i < len(ea) and j < len(eb):
+            la, ca = ea[i]
+            lb, cb = eb[j]
+            if la[0] < lb[0]:
+                out.append(ea[i])
+                i += 1
+            elif lb[0] < la[0]:
+                out.append(eb[j])
+                j += 1
             else:
-                sub = [(la[p:], ca), (lb[p:], cb)]
-                sub.sort(key=lambda e: e[0])
-                child = RNode(None, tuple(sub), 0)
-            if child is not None:
-                out.append(_r_compress(la[:p], child))
-            i += 1
-            j += 1
-    out.extend(ea[i:])
-    out.extend(eb[j:])
-    return _r_node(val, out, vops)
+                p = _common_prefix_len(la, lb)
+                if p < len(la) and p < len(lb):
+                    sub = sorted(((la[p:], ca), (lb[p:], cb)), key=lambda e: e[0])
+                    out.append((la[:p], RNode(None, tuple(sub), 0)))
+                else:
+                    if p < len(lb):
+                        cb = RNode(None, ((lb[p:], cb),), 0)
+                    elif p < len(la):
+                        ca = RNode(None, ((la[p:], ca),), 0)
+                    todo.append((me, len(out), la[:p], ca, cb))
+                    out.append(None)
+                i += 1
+                j += 1
+        out.extend(ea[i:])
+        out.extend(eb[j:])
+        frames.append((parent, slot, label, _add_opt(x.val, y.val, vops), out))
+    for parent, slot, label, val, out in reversed(frames):
+        node = _r_node(val, [e for e in out if e is not None], vops)
+        if parent is None:
+            return node
+        if node is not None:
+            frames[parent][4][slot] = _r_compress(label, node)
 
 
 def _r_lookup(t, key: bytes):
@@ -275,27 +284,16 @@ def _r_lookup(t, key: bytes):
         node = child
 
 
-def _r_items(t, prefix=b""):
-    metrics.current.trie_edges += 1
-    if t.val is not None:
-        yield prefix.decode("utf-8"), t.val
-    for label, child in t.edges:
-        yield from _r_items(child, prefix + label)
-
-
-def _r_map(t, fn, vops):
-    metrics.current.trie_edges += 1
-    val = t.val
-    if val is not None:
-        val = fn(val)
-        if val is not None and vops.is_zero(val):
-            val = None
-    out = []
-    for label, child in t.edges:
-        c = _r_map(child, fn, vops)
-        if c is not None:
-            out.append(_r_compress(label, c))
-    return _r_node(val, out, vops)
+def _r_items(t):
+    m = metrics.current
+    stack = [(b"", t)]
+    while stack:
+        prefix, node = stack.pop()
+        m.trie_edges += 1
+        if node.val is not None:
+            yield prefix.decode("utf-8"), node.val
+        for label, child in reversed(node.edges):
+            stack.append((prefix + label, child))
 
 
 # ---------------------------------------------------------------------------
@@ -488,67 +486,29 @@ def items(prim, t):
         raise TypeError(f"no trie for {prim}")
 
 
-def map_values(prim, t, fn, vops):
-    """Apply fn to every payload; entries whose image vanishes are dropped."""
-    if t is None:
-        return None
-    if isinstance(prim, Int64):
-        return _p_map(t, fn, vops)
-    if isinstance(prim, Str):
-        return _r_map(t, fn, vops)
-    if isinstance(prim, Unit):
-        metrics.current.trie_edges += 1
-        v = fn(t.val)
-        if v is None or vops.is_zero(v):
-            return None
-        return UNode(v, vops.count(v))
-    if isinstance(prim, Bool):
-        metrics.current.trie_edges += 1
-
-        def app(v):
-            if v is None:
-                return None
-            w = fn(v)
-            return None if (w is None or vops.is_zero(w)) else w
-
-        f, tt = app(t.f), app(t.t)
-        if f is None and tt is None:
-            return None
-        c = (vops.count(f) if f is not None else 0) + (vops.count(tt) if tt is not None else 0)
-        return BNode(f, tt, c)
-    if isinstance(prim, Sum):
-        metrics.current.trie_edges += 1
-        l = map_values(prim.lhs, t.left, fn, vops)
-        r = map_values(prim.rhs, t.right, fn, vops)
-        if l is None and r is None:
-            return None
-        return SNode(l, r)
-    if isinstance(prim, Prod):
-        ov = _outer_vops(prim, vops)
-        return map_values(prim.fst, t, lambda inner: map_values(prim.snd, inner, fn, vops), ov)
-    if isinstance(prim, Adjoined):
-        metrics.current.trie_edges += 1
-        mk = t.mark
-        if mk is not None:
-            mk = fn(mk)
-            if mk is not None and vops.is_zero(mk):
-                mk = None
-        base = map_values(prim.base, t.base, fn, vops)
-        if mk is None and base is None:
-            return None
-        return ANode(mk, base, vops.count(mk) if mk is not None else 0)
-    raise TypeError(f"no trie for {prim}")
-
-
 def count(t) -> int:
     return 0 if t is None else t.count
 
 
 def from_items(prim, pairs, vops):
-    """Build a trie from (key, payload) pairs, adding collisions together."""
-    t = None
-    for k, v in pairs:
-        if vops.is_zero(v):
-            continue
-        t = merge(prim, t, single(prim, k, v, vops), vops)
-    return t
+    """Build a trie from (key, payload) pairs; the one multi-entry builder.
+
+    One-entry tries are merged pairwise in balanced rounds, about log2(n) of
+    them, so colliding keys add through `merge` and no family needs its own
+    builder or a sort. Vanishing payloads are skipped."""
+    level = [single(prim, k, v, vops) for k, v in pairs if not vops.is_zero(v)]
+    if not level:
+        return None
+    while len(level) > 1:
+        paired = [merge(prim, level[i], level[i + 1], vops) for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
+def map_values(prim, t, fn, vops):
+    """Apply fn to every payload; entries whose image is None or vanishes are
+    dropped."""
+    mapped = ((k, w) for k, v in items(prim, t) if (w := fn(v)) is not None)
+    return from_items(prim, mapped, vops)

@@ -156,18 +156,22 @@ def test_gf2_ring_load(tmp_path):
 PACKAGE_ROOT = str(Path(polyalg.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT] + [e for e in env.get("PYTHONPATH", "").split(os.pathsep) if e]
     )
     return subprocess.run(
-        [sys.executable, "-m", "polyalg.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(args, cwd):
+    return run_python(["-m", "polyalg.cli", *args], cwd)
 
 
 def load_ok(cwd, path, name, schema):
@@ -258,6 +262,55 @@ def test_cli_exit_codes(tmp_path):
         ["load", "x.csv", "--as", "x2", "--schema", "A:int,B:int"], tmp_path
     )
     assert bad_load.returncode == 2
+    missing = run_cli(["show", "nosuch"], tmp_path)
+    assert missing.returncode == 2
+    assert missing.stderr == "error: unknown relation 'nosuch'\n"
+    (tmp_path / "broken.json").write_text("{not json")
+    broken = run_cli(["--catalog", "broken.json", "show", "x"], tmp_path)
+    assert broken.returncode == 2
+    assert broken.stderr.startswith("error: cannot read catalog broken.json"), broken.stderr
+
+
+def test_cli_nested_prefix_keys(tmp_path):
+    # each key is a prefix of the next, so the string trie is 1,499 nodes deep
+    keys = ["a" * i for i in range(1, 1500)]
+    (tmp_path / "p.csv").write_text("A\n" + "\n".join(keys) + "\n")
+    load_ok(tmp_path, "p.csv", "p", "A:str")
+    shown = run_cli(["show", "p", "--format", "csv"], tmp_path)
+    assert shown.returncode == 0, shown.stderr[-2000:]
+    lines = shown.stdout.splitlines()
+    assert lines[0] == "A,#weight"
+    assert lines[1:] == [f"{k},1" for k in keys]
+
+
+# Saves a manifest that has grown by one relation under a file-size limit
+# equal to the previous manifest's size, so the write stops partway through.
+SAVE_PAST_FSIZE_LIMIT = """
+import resource, signal, sys
+from polyalg.catalog import Catalog
+cat = Catalog.open(sys.argv[1])
+cat.add_csv("y", sys.argv[2], "B:int,C:str", "z")
+limit = cat.manifest_path.stat().st_size
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+cat.save()
+"""
+
+
+def test_catalog_failed_save_keeps_previous_manifest(tmp_path):
+    (tmp_path / "x.csv").write_text(X_CSV)
+    (tmp_path / "y.csv").write_text(Y_CSV)
+    manifest = tmp_path / "cat.json"
+    cat = Catalog.open(manifest)
+    cat.add_csv("x", tmp_path / "x.csv", "A:str,B:int", "z")
+    cat.save()
+    before = manifest.read_bytes()
+    r = run_python(["-c", SAVE_PAST_FSIZE_LIMIT, str(manifest), "y.csv"], tmp_path)
+    assert r.returncode != 0
+    assert "File too large" in r.stderr, r.stderr
+    assert manifest.read_bytes() == before
+    assert Catalog.open(manifest).names() == ["x"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.json", "x.csv", "y.csv"]
 
 
 def test_cli_bench_small(tmp_path):

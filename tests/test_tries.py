@@ -1,6 +1,7 @@
 """Trie behaviour against a dict model, per key family."""
 
 import random
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,10 +33,25 @@ def check_same(prim, trie, mapping, probes):
         assert lookup(prim, trie, k) == mapping.get(k)
 
 
-@given(
-    st.dictionaries(st.integers(INT64_MIN, INT64_MAX), st.integers(-5, 5).filter(bool)),
-    st.dictionaries(st.integers(INT64_MIN, INT64_MAX), st.integers(-5, 5).filter(bool)),
+COEFFS = st.integers(-5, 5).filter(bool)
+
+INT_KEYS = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
 )
+
+STR_KEYS = st.one_of(
+    st.text(max_size=6),
+    # a two-letter alphabet makes keys that are prefixes of each other, "" too
+    st.text(alphabet="ab", max_size=8),
+    st.text(alphabet=st.characters(min_codepoint=0x10000), max_size=4),
+    st.builds(lambda n: "a" * n, st.integers(0, 60)),
+    # about 2,000 characters, often sharing a long stem
+    st.builds(lambda s, n: (s * n)[:n], st.text(min_size=1, max_size=2), st.integers(1900, 2100)),
+)
+
+
+@given(st.dictionaries(INT_KEYS, COEFFS), st.dictionaries(INT_KEYS, COEFFS))
 def test_int_trie_merge_matches_dict(da, db):
     t = merge(INT, build(INT, da), build(INT, db), VOPS)
     m = model_merge(da, db)
@@ -43,14 +59,12 @@ def test_int_trie_merge_matches_dict(da, db):
     check_same(INT, t, m, probes)
 
 
-@given(
-    st.dictionaries(st.text(max_size=6), st.integers(-5, 5).filter(bool)),
-    st.dictionaries(st.text(max_size=6), st.integers(-5, 5).filter(bool)),
-)
+@given(st.dictionaries(STR_KEYS, COEFFS), st.dictionaries(STR_KEYS, COEFFS))
 def test_str_trie_merge_matches_dict(da, db):
     t = merge(STRING, build(STRING, da), build(STRING, db), VOPS)
     m = model_merge(da, db)
-    probes = list(da) + list(db) + ["", "zz", "a"]
+    probes = list(da) + list(db) + ["", "zz", "a", "aa", "\U0001f600"]
+    probes += [k[:-1] for k in probes if k] + [k + "a" for k in probes]
     check_same(STRING, t, m, probes)
 
 
@@ -92,12 +106,41 @@ def test_cancellation_prunes_structure():
     assert both is None
 
 
+MAP_FAMILIES = [
+    (INT, [1, 2, 3]),
+    (STRING, ["a", "ab", "b"]),
+    (BOOL, [False, True]),
+    (Sum(STRING, INT), [("L", "p"), ("R", -1), ("R", 3)]),
+    (Prod(STRING, INT), [("a", 1), ("a", 2), ("b", 0)]),
+]
+
+
 def test_map_values_drops_zero_images():
-    t = build(INT, {1: 2, 2: 3, 3: 2})
-    halved = map_values(INT, t, lambda v: v - 2, VOPS)
-    assert list(items(INT, halved)) == [(2, 1)]
-    gone = map_values(INT, t, lambda v: 0, VOPS)
-    assert gone is None
+    # one test over the families, not parametrised, so its id stays the same
+    for prim, keys in MAP_FAMILIES:
+        t = build(prim, {k: 3 if i == 1 else 2 for i, k in enumerate(keys)})
+        halved = map_values(prim, t, lambda v: v - 2, VOPS)
+        assert list(items(prim, halved)) == [(keys[1], 1)], prim
+        assert count(halved) == 1, prim
+        assert map_values(prim, t, lambda v: 0, VOPS) is None, prim
+        assert map_values(prim, t, lambda v: None, VOPS) is None, prim
+
+
+def test_nested_prefix_keys_deeper_than_the_recursion_limit():
+    # each key is a prefix of the next: the radix trie is one node per key
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    keys = ["a" * i for i in range(1, n + 1)]
+    evens = from_items(STRING, [(k, 1) for k in keys[1::2]], VOPS)
+    odds = from_items(STRING, [(k, 1) for k in keys[0::2]], VOPS)
+    t = merge(STRING, evens, odds, VOPS)
+    assert count(t) == n
+    assert list(items(STRING, t)) == [(k, 1) for k in keys]
+    assert lookup(STRING, t, keys[-1]) == 1
+    assert lookup(STRING, t, keys[-1] + "a") is None
+    doubled = map_values(STRING, t, lambda v: 2 * v, VOPS)
+    assert list(items(STRING, doubled)) == [(k, 2) for k in keys]
+    assert merge(STRING, t, map_values(STRING, t, lambda v: -v, VOPS), VOPS) is None
 
 
 def test_merge_shares_subtrees():
