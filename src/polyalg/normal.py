@@ -6,12 +6,16 @@ order. Compact spaces keep their wildcard component out of band, in a
 dedicated baseline slot next to the key trie, so lookups are baseline plus
 per-key deviation.
 
-Tensor factors are the deliberate exception to full expansion: a tensor
-normal form is a list of factor-pair summands, compacted by grouping
-summands with a common right factor and then a common left factor, and it
-is only ever expanded to atomic pairs by `enumerate_nf`, where the
-quadratic cost is explicit and opt-in.
+A relation chain, a tensor whose left factor is free, is keyed as well:
+by F[A] ⊗ U ≅ A ⇒ U it is a `MapNF` over the left factor's keys whose
+values are forms of the right factor, so a relation is one nested trie in
+attribute order and products join it level by level. Only a tensor with
+another left factor is a `TensorNF`, a list of factor-pair summands
+compacted by grouping common factors and expanded to atomic pairs only by
+`enumerate_nf`, where the quadratic cost is explicit and opt-in.
 """
+
+from functools import reduce
 
 from . import metrics, tries
 from .spaces import (
@@ -211,7 +215,7 @@ def zero_nf(space: Space) -> NormalForm:
         return ScalarNF(space, space.ring.zero)
     if isinstance(space, (Free, CompactFree)):
         return FreeNF(space, None, space.ring.zero)
-    if isinstance(space, (FinMap, CompactMap)):
+    if _is_keyed(space):
         return MapNF(space, None, None)
     if isinstance(space, Biproduct):
         return PairNF(space, zero_nf(space.lhs), zero_nf(space.rhs))
@@ -324,40 +328,80 @@ def compact_summands(raw):
 def normalize(t: Term) -> NormalForm:
     """Simplify a term to its canonical form.
 
-    Additions merge through the key tries, scalars are pushed to the
-    leaves, biproducts add pointwise, tensor summands are collected without
-    expansion and symbolic products are evaluated by the product engine.
-    Idempotent: normalising a read-back form reproduces it.
+    Free, map and chain spaces become keyed forms (`_keyed_nf`), scalars
+    are pushed to the leaves, biproducts add pointwise, other tensors keep
+    unexpanded summands, and symbolic products are evaluated by the product
+    engine. Idempotent: normalising a read-back form reproduces it.
     """
     space = t.space
     ring = space.ring
+    if _is_keyed(space):
+        return _keyed_nf(t)
     if isinstance(space, Tensor):
         summands = []
         for c, g in linear_combination(t):
             if ring.is_zero(c):
                 continue
             if isinstance(g, TensorGen):
-                l = normalize(g.lhs)
-                r = normalize(g.rhs)
-                if l.is_zero() or r.is_zero():
-                    continue
-                l = nf_scale(c, l)
-                if l.is_zero():
-                    continue
-                summands.append((l, r))
+                summands.append((nf_scale(c, normalize(g.lhs)), normalize(g.rhs)))
             elif isinstance(g, MulGen):
-                nf = nf_scale(c, _product_nf(g))
-                summands.extend(nf.summands)
+                summands.extend(nf_scale(c, _product_nf(g)).summands)
             else:
                 raise SpaceError(f"unexpected generator in {space}")
         return TensorNF(space, compact_summands(summands))
-    acc = None
+    pieces = (_gen_nf(c, g, space) for c, g in linear_combination(t) if not ring.is_zero(c))
+    return reduce(nf_add, pieces, zero_nf(space))
+
+
+def _is_keyed(space: Space) -> bool:
+    """Free and map spaces, and chains: a tensor with a free left factor is
+    keyed by that factor's keys, F[A] ⊗ U ≅ A ⇒ U and F*[A] ⊗ U ≅ A ⇒* U."""
+    if isinstance(space, Tensor):
+        return isinstance(space.lhs, (Free, CompactFree))
+    return isinstance(space, (Free, CompactFree, FinMap, CompactMap))
+
+
+def _keyed_nf(t: Term) -> NormalForm:
+    """Free, map and chain forms alike: every generator gives (key, payload)
+    entries or a share of the wildcard baseline, and the key trie is built
+    by one `tries.from_items` call, so repeated keys add in balanced merges.
+    A chain generator `lhs ⊗ rhs` maps each key of `lhs` to `rhs` scaled by
+    that key's coefficient, and the unit's share of `lhs` to the baseline."""
+    space = t.space
+    ring = space.ring
+    prim = space.prim
+    entries = []
+    bases = []
     for c, g in linear_combination(t):
         if ring.is_zero(c):
             continue
-        piece = _gen_nf(c, g, space)
-        acc = piece if acc is None else nf_add(acc, piece)
-    return acc if acc is not None else zero_nf(space)
+        if isinstance(g, InjGen):
+            entries.append((g.value, c))
+        elif isinstance(g, WildOneGen):
+            bases.append(c)
+        elif isinstance(g, MapsToGen):
+            entries.append((g.key, nf_scale(c, normalize(g.body))))
+        elif isinstance(g, WildMapsToGen):
+            bases.append(nf_scale(c, normalize(g.body)))
+        elif isinstance(g, TensorGen):
+            l = normalize(g.lhs)
+            r = normalize(g.rhs)
+            entries.extend((k, nf_scale(ring.mul(c, a), r)) for k, a in tries.items(prim, l.trie))
+            if not ring.is_zero(l.base):
+                bases.append(nf_scale(ring.mul(c, l.base), r))
+        elif isinstance(g, MulGen):
+            nf = nf_scale(c, _product_nf(g))
+            entries.extend(tries.items(prim, nf.trie))
+            if nf.base is not None:
+                bases.append(nf.base)
+        else:
+            raise SpaceError(f"unexpected generator in {space}")
+    if isinstance(space, (Free, CompactFree)):
+        base = reduce(ring.add, bases, ring.zero)
+        return FreeNF(space, tries.from_items(prim, entries, ring_vops(ring)), base)
+    # wildcard generators are few, so the baseline's shares are simply added
+    base = reduce(nf_add, bases, zero_nf(space.value))
+    return MapNF(space, tries.from_items(prim, entries, NF_VOPS), None if base.is_zero() else base)
 
 
 def _product_nf(g: MulGen) -> NormalForm:
@@ -373,22 +417,8 @@ def force_product(g: MulGen) -> Term:
 
 
 def _gen_nf(c, g, space) -> NormalForm:
-    ring = space.ring
     if isinstance(g, OneGen):
         return ScalarNF(space, c)
-    if isinstance(g, InjGen):
-        trie = tries.single(space.prim, g.value, c, ring_vops(ring))
-        return FreeNF(space, trie, ring.zero)
-    if isinstance(g, WildOneGen):
-        return FreeNF(space, None, c)
-    if isinstance(g, MapsToGen):
-        sub = nf_scale(c, normalize(g.body))
-        if sub.is_zero():
-            return zero_nf(space)
-        return MapNF(space, tries.single(space.prim, g.key, sub, NF_VOPS), None)
-    if isinstance(g, WildMapsToGen):
-        sub = nf_scale(c, normalize(g.body))
-        return MapNF(space, None, None if sub.is_zero() else sub)
     if isinstance(g, PairGen):
         return PairNF(space, nf_scale(c, normalize(g.lhs)), nf_scale(c, normalize(g.rhs)))
     if isinstance(g, MulGen):
@@ -407,6 +437,12 @@ def readback(nf: NormalForm) -> Term:
         parts = [scaled(c, inject(k, space)) for k, c in tries.items(space.prim, nf.trie)]
         if not space.ring.is_zero(nf.base):
             parts.append(scale(nf.base, wild_one(space)))
+        return sum_terms(space, parts)
+    if isinstance(nf, MapNF) and isinstance(space, Tensor):  # a chain
+        lhs = space.lhs
+        parts = [tensor(inject(k, lhs), readback(v)) for k, v in tries.items(space.prim, nf.trie)]
+        if nf.base is not None:
+            parts.append(tensor(wild_one(lhs), readback(nf.base)))
         return sum_terms(space, parts)
     if isinstance(nf, MapNF):
         parts = [maps_to(k, readback(v), space) for k, v in tries.items(space.prim, nf.trie)]

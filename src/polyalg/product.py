@@ -27,11 +27,8 @@ from .normal import (
     NormalForm,
     PairNF,
     ScalarNF,
-    TensorNF,
-    compact_summands,
     force_product,
     nf_add,
-    nf_scale,
     nf_sub,
     normalize,
     ring_vops,
@@ -40,8 +37,6 @@ from .normal import (
 from .spaces import (
     Biproduct,
     CompactFree,
-    CompactMap,
-    FinMap,
     Free,
     Scalar,
     Space,
@@ -123,7 +118,7 @@ def nf_product(nfs) -> NormalForm:
             vops=ring_vops(ring),
         )
         return FreeNF(space, trie, base)
-    if isinstance(space, (FinMap, CompactMap)):
+    if isinstance(nfs[0], MapNF):  # maps, and chains keyed by their free left factor
         zsub = zero_nf(space.value)
         trie, base = _level(
             space.prim,
@@ -143,12 +138,8 @@ def nf_product(nfs) -> NormalForm:
             nf_product([nf.rhs for nf in nfs]),
         )
     if isinstance(space, Tensor):
-        if not isinstance(space.lhs, (Free, CompactFree)):
-            raise SpaceError(f"products over {space} are not supported; "
-                             "the left tensor factor must be a free module")
-        nested_space = _keyed_view_space(space)
-        p = nf_product([_to_keyed(nf, nested_space) for nf in nfs])
-        return _from_keyed(p, space)
+        raise SpaceError(f"products over {space} are not supported; "
+                         "the left tensor factor must be a free module")
     raise SpaceError(f"{space} has no product")
 
 
@@ -230,46 +221,6 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
                 entries.append((key, dv))
 
     return tries.from_items(prim, entries, vops), base_out
-
-
-# conversions between tensor chains and keyed views ---------------------------
-
-def _keyed_view_space(space: Tensor) -> Space:
-    lhs = space.lhs
-    if isinstance(lhs, CompactFree):
-        return CompactMap(space.ring, lhs.prim, space.rhs)
-    return FinMap(space.ring, lhs.prim, space.rhs)
-
-
-def _to_keyed(nf: TensorNF, nested_space) -> MapNF:
-    """View a tensor form with a free left factor as a keyed form.
-
-    Honest cost: a summand with a compacted left factor of k keys fans out
-    into k scaled copies of its right factor.
-    """
-    ring = nested_space.ring
-    entries = []
-    base = zero_nf(nested_space.value)
-    for l, r in nf.summands:
-        for key, c in tries.items(l.space.prim, l.trie):
-            entries.append((key, r if ring.eq(c, ring.one) else nf_scale(c, r)))
-        if not ring.is_zero(l.base):
-            base = nf_add(base, nf_scale(l.base, r))
-    trie = tries.from_items(nested_space.prim, entries, NF_VOPS)
-    return MapNF(nested_space, trie, None if base.is_zero() else base)
-
-
-def _from_keyed(nf: MapNF, space: Tensor) -> TensorNF:
-    """Inverse view: entries become generator-by-value summands."""
-    lhs = space.lhs
-    ring = space.ring
-    summands = []
-    for key, sub in tries.items(nf.space.prim, nf.trie):
-        l = FreeNF(lhs, tries.single(lhs.prim, key, ring.one, ring_vops(ring)), ring.zero)
-        summands.append((l, sub))
-    if nf.base is not None:
-        summands.append((FreeNF(lhs, None, ring.one), nf.base))
-    return TensorNF(space, compact_summands(summands))
 
 
 # the blunt oracle -------------------------------------------------------------

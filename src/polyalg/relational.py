@@ -649,8 +649,15 @@ def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Rela
         f = fn
         cod = out_prim or prim
 
+    def checked(a):
+        b = f(a)
+        if not cod.contains(b):
+            raise RelationError(f"{fn if isinstance(fn, str) else 'function'} maps {a!r} "
+                                f"in column {name!r} outside {type_name(cod)}")
+        return b
+
     def leaf(u):
-        return fmap(u, f, target_index=cod)
+        return fmap(u, checked, target_index=cod)
 
     t = _map_position(r.chain_term(), pos, leaf)
     cols = list(r.schema.columns)

@@ -107,6 +107,15 @@ class Tensor(Space):
     def ring(self):
         return self.lhs.ring
 
+    # keyed like a map when the left factor is free, F[A] ⊗ U ≅ A ⇒ U
+    @property
+    def prim(self):
+        return self.lhs.prim
+
+    @property
+    def value(self):
+        return self.rhs
+
     def __str__(self):
         return f"({self.lhs} ⊗ {self.rhs})"
 

@@ -366,24 +366,19 @@ def _gen_weight(g, space, ring):
     if isinstance(g, TensorGen):
         return ring.mul(weight(g.lhs), weight(g.rhs))
     # product: weigh its simplified value
-    from .normal import nf_weight
-    from .product import nf_product
-    from . import normal
+    from .normal import _product_nf, nf_weight
 
-    return nf_weight(nf_product([normal.normalize(f) for f in g.factors]))
+    return nf_weight(_product_nf(g))
 
 
 def _expand_products(t: Term) -> Term:
     """Replace product generators by their simplified values."""
-    from . import normal
-    from .product import nf_product
+    from .normal import force_product
 
     parts = []
-    ring = t.space.ring
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            nf = nf_product([normal.normalize(f) for f in g.factors])
-            parts.append(scaled(c, normal.readback(nf)))
+            parts.append(scaled(c, force_product(g)))
         else:
             parts.append(scaled(c, GenTerm(t.space, g)))
     return sum_terms(t.space, parts)

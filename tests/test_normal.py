@@ -241,6 +241,33 @@ def test_linear_time_trie_work():
     assert e2 <= 400 * 70
 
 
+def test_nested_prefix_keys_normalize_in_balanced_merges():
+    # each key is a prefix of the next; adding one key at a time to the
+    # growing trie walks the whole prefix chain, about n * n / 2 edges
+    keys = ["a" * i for i in range(1, 2001)]
+    t = sum_terms(FS, [inject(k, FS) for k in keys])
+    with metrics.fresh() as m:
+        nf = normalize(t)
+    assert m.trie_edges <= 50_000
+    assert [k for (k,), _ in enumerate_nf(nf)] == keys
+
+
+def test_relation_chain_normalizes_to_nested_trie():
+    from polyalg import relation_from_rows, schema
+    from polyalg.normal import FreeNF, MapNF
+
+    rows = [(("a", 1), 2), (("a", 2), 1), (("b", 1), -1), (("a", 1), 1)]
+    r = relation_from_rows(schema(("A", STRING), ("B", INT)), Z, rows)
+    nf = normalize(r.chain_term())
+    assert isinstance(nf, MapNF)
+    assert trie_count(nf.trie) == 2  # one entry per A value
+    at_a = nf_lookup(nf, "a")
+    assert isinstance(at_a, FreeNF)
+    assert enumerate_nf(at_a) == [((1,), 3), ((2,), 1)]
+    assert enumerate_nf(nf) == [(("a", 1), 3), (("a", 2), 1), (("b", 1), -1)]
+    assert nf.sort_key() == normalize(readback(nf)).sort_key()
+
+
 def test_deep_sums_do_not_overflow_stack():
     t = zero(FI)
     for i in range(30000):

@@ -283,3 +283,31 @@ def test_product_requires_free_left_tensor_factor():
     x = tensor(entry, inject("a", FS))
     with pytest.raises(SpaceError):
         multiply([x, x])
+
+
+def test_random_two_way_join_edges_grow_near_linearly():
+    # (A,B) ⋈ (B,C) on seeded random ints: chains are nested tries joined
+    # level by level, so trie edges grow about linearly with the input
+    import random
+
+    from polyalg import INT, natural_join, relation_from_rows, schema
+    from polyalg.bench import fit_slope
+
+    def edges(n):
+        rng = random.Random(n)
+        ab = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        bc = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        r = relation_from_rows(schema(("A", INT), ("B", INT)), Z, [(t, 1) for t in ab])
+        s = relation_from_rows(schema(("B", INT), ("C", INT)), Z, [(t, 1) for t in bc])
+        with metrics.fresh() as m:
+            got = dict(natural_join([r, s]).rows())
+        want = {}
+        for a, b in ab:
+            for b2, c in bc:
+                if b == b2:
+                    want[(a, b, c)] = want.get((a, b, c), 0) + 1
+        assert got == want
+        return m.trie_edges
+
+    slope = fit_slope([(n, edges(n)) for n in (125, 250, 500, 1000)])
+    assert slope <= 1.3, f"edge slope {slope:.3f}"

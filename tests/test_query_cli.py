@@ -265,6 +265,12 @@ def test_cli_exit_codes(tmp_path):
     missing = run_cli(["show", "nosuch"], tmp_path)
     assert missing.returncode == 2
     assert missing.stderr == "error: unknown relation 'nosuch'\n"
+    (tmp_path / "k.csv").write_text("K\n-9223372036854775808\n5\n")
+    load_ok(tmp_path, "k.csv", "k", "K:int")
+    overflow = run_cli(["query", "(map abs K k)"], tmp_path)
+    assert overflow.returncode == 2
+    assert overflow.stderr.startswith("error: abs maps -9223372036854775808"), overflow.stderr
+    assert len(overflow.stderr.splitlines()) == 1
     (tmp_path / "broken.json").write_text("{not json")
     broken = run_cli(["--catalog", "broken.json", "show", "x"], tmp_path)
     assert broken.returncode == 2

@@ -17,6 +17,7 @@ from polyalg import (
     STRING,
     Z,
     Compare,
+    RelationError,
     aggregate,
     cartesian,
     clamp_nonneg,
@@ -138,14 +139,19 @@ def agree(r, m: Model):
     assert dict(r.rows()) == m.rows
 
 
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+# small values plus adversarial ones: the int64 ends, the empty string, a
+# prefix of another key and a character outside the basic multilingual plane
+INT_KEYS = [0, 1, 2, 3, INT64_MIN, INT64_MAX]
+STR_KEYS = ["p", "q", "r", "", "pp", "\U0001F600"]
+
+
 def _base_pool(rng, ring):
     """Small base relations over disjoint-ish schemas with some shared names."""
     def mk(names, prims, n):
         rows = {}
         for _ in range(n):
-            k = tuple(
-                rng.randint(0, 3) if p is INT else rng.choice("pqr") for p in prims
-            )
+            k = tuple(rng.choice(INT_KEYS if p is INT else STR_KEYS) for p in prims)
             c = (rng.randint(-2, 2) or 1) if ring is Z else True
             rows[k] = c
         return Model(names, prims, rows, ring)
@@ -190,13 +196,19 @@ def _random_step(rng, pool, ring):
         if m.prims[m.names.index(col)] is INT:
             op, lit = rng.choice(["=", "<", ">"]), rng.randint(0, 3)
         else:
-            op, lit = "=", rng.choice("pqr")
+            op, lit = "=", rng.choice(STR_KEYS)
         return m.select(col, op, lit), select(to_engine(m), Compare(op, col, lit))
     if kind == "map":
         cols = [c for c, p in zip(m.names, m.prims) if p is INT]
         if not cols:
             return m, to_engine(m)
         col = rng.choice(cols)
+        i = m.names.index(col)
+        if any(k[i] == INT64_MIN for k in m.rows):
+            # abs(INT64_MIN) is not an int64
+            with pytest.raises(RelationError, match="abs"):
+                map_col(to_engine(m), col, "abs")
+            return m, to_engine(m)
         return m.map_col(col, abs), map_col(to_engine(m), col, "abs")
     if kind == "sum":
         if ring is GF2 or len(m.names) < 2:
