@@ -6,6 +6,10 @@ keyed forms for sums and pairs of keys decompose level by level (the
 generic-trie pattern), free modules over pairs trade for tensor products,
 and compact spaces split into their finite part plus the baseline.
 
+Each direction names its output space and the image of one generator;
+`terms.linear_map` extends that to every term, forcing symbolic products
+first, so a zero term maps to the zero of the output space.
+
 The three rows of the catalogue involving the trivial one-point module
 have no term-level content here, since the zero term of any space plays
 that role; they are deliberately unhoused.
@@ -15,7 +19,7 @@ structure: `free_prod` backward turns a product of sums into a
 quadratically larger sum over pairs. Forward directions are linear.
 """
 
-from .normal import force_product, normalize
+from .normal import normalize
 from .prims import Prod, Sum, Unit, left, right
 from .spaces import (
     Biproduct,
@@ -28,37 +32,22 @@ from .spaces import (
     Tensor,
 )
 from .terms import (
-    MulGen,
     Term,
     WildMapsToGen,
     WildOneGen,
     inject,
-    linear_combination,
+    linear_map,
     maps_to,
     one,
     pair,
     proj1,
     proj2,
     scale,
-    scaled,
-    sum_terms,
     tensor,
     wild_maps_to,
     wild_one,
     zero,
 )
-
-
-def _lin(t: Term, gen_fn, out_space) -> Term:
-    """Apply a generator action linearly; symbolic products are expanded."""
-    parts = []
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            img = _lin(force_product(g), gen_fn, out_space)
-        else:
-            img = gen_fn(g)
-        parts.append(scaled(c, img))
-    return sum_terms(out_space, parts)
 
 
 def _expect(cond, space, name):
@@ -72,14 +61,14 @@ def _free_unit_fwd(t):
     s = t.space
     _expect(isinstance(s, Free) and isinstance(s.prim, Unit), s, "free_unit")
     out = Scalar(s.ring)
-    return _lin(t, lambda g: one(s.ring), out)
+    return linear_map(t, out, lambda g: one(s.ring))
 
 
 def _free_unit_bwd(t):
     s = t.space
     _expect(isinstance(s, Scalar), s, "free_unit (backward)")
     out = Free(s.ring, Unit())
-    return _lin(t, lambda g: inject((), out), out)
+    return linear_map(t, out, lambda g: inject((), out))
 
 
 # 1 ⇒ U ≅ U -------------------------------------------------------------------
@@ -87,7 +76,7 @@ def _free_unit_bwd(t):
 def _cp1_fwd(t):
     s = t.space
     _expect(isinstance(s, FinMap) and isinstance(s.prim, Unit), s, "cp1")
-    return _lin(t, lambda g: g.body, s.value)
+    return linear_map(t, s.value, lambda g: g.body)
 
 
 def _cp1_bwd(t):
@@ -105,14 +94,14 @@ def _map_scalar_fwd(t):
     def act(g):
         return scale(normalize(g.body).value, inject(g.key, out))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _map_scalar_bwd(t):
     s = t.space
     _expect(isinstance(s, Free), s, "map_scalar (backward)")
     out = FinMap(s.ring, s.prim, Scalar(s.ring))
-    return _lin(t, lambda g: maps_to(g.value, one(s.ring), out), out)
+    return linear_map(t, out, lambda g: maps_to(g.value, one(s.ring), out))
 
 
 # F[A + B] ≅ F[A] ⊕ F[B] ------------------------------------------------------
@@ -130,7 +119,7 @@ def _free_sum_fwd(t):
             return pair(inject(v, la), zero(rb))
         return pair(zero(la), inject(v, rb))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _free_sum_bwd(t):
@@ -143,11 +132,11 @@ def _free_sum_bwd(t):
     out = Free(s.ring, Sum(s.lhs.prim, s.rhs.prim))
 
     def act(g):
-        lpart = _lin(g.lhs, lambda h: inject(left(h.value), out), out)
-        rpart = _lin(g.rhs, lambda h: inject(right(h.value), out), out)
+        lpart = linear_map(g.lhs, out, lambda h: inject(left(h.value), out))
+        rpart = linear_map(g.rhs, out, lambda h: inject(right(h.value), out))
         return lpart + rpart
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # F[A × B] ≅ F[A] ⊗ F[B] ------------------------------------------------------
@@ -158,7 +147,7 @@ def _free_prod_fwd(t):
     fa = Free(s.ring, s.prim.fst)
     fb = Free(s.ring, s.prim.snd)
     out = Tensor(fa, fb)
-    return _lin(t, lambda g: tensor(inject(g.value[0], fa), inject(g.value[1], fb)), out)
+    return linear_map(t, out, lambda g: tensor(inject(g.value[0], fa), inject(g.value[1], fb)))
 
 
 def _free_prod_bwd(t):
@@ -171,15 +160,15 @@ def _free_prod_bwd(t):
     out = Free(s.ring, Prod(s.lhs.prim, s.rhs.prim))
 
     def act(g):
-        return _lin(
+        return linear_map(
             g.lhs,
-            lambda gu: _lin(
-                g.rhs, lambda gv: inject((gu.value, gv.value), out), out
-            ),
             out,
+            lambda gu: linear_map(
+                g.rhs, out, lambda gv: inject((gu.value, gv.value), out)
+            ),
         )
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # (A + B) ⇒ U ≅ (A ⇒ U) ⊕ (B ⇒ U) --------------------------------------------
@@ -197,7 +186,7 @@ def _cp_sum_fwd(t):
             return pair(maps_to(v, g.body, ma), zero(mb))
         return pair(zero(ma), maps_to(v, g.body, mb))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _cp_sum_bwd(t):
@@ -213,11 +202,11 @@ def _cp_sum_bwd(t):
     out = FinMap(s.ring, Sum(s.lhs.prim, s.rhs.prim), s.lhs.value)
 
     def act(g):
-        lpart = _lin(g.lhs, lambda h: maps_to(left(h.key), h.body, out), out)
-        rpart = _lin(g.rhs, lambda h: maps_to(right(h.key), h.body, out), out)
+        lpart = linear_map(g.lhs, out, lambda h: maps_to(left(h.key), h.body, out))
+        rpart = linear_map(g.rhs, out, lambda h: maps_to(right(h.key), h.body, out))
         return lpart + rpart
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # (A × B) ⇒ U ≅ A ⇒ B ⇒ U ----------------------------------------------------
@@ -232,7 +221,7 @@ def _cp_prod_fwd(t):
         a, b = g.key
         return maps_to(a, maps_to(b, g.body, inner), out)
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _cp_prod_bwd(t):
@@ -244,9 +233,9 @@ def _cp_prod_bwd(t):
 
     def act(g):
         a = g.key
-        return _lin(g.body, lambda h: maps_to((a, h.key), h.body, out), out)
+        return linear_map(g.body, out, lambda h: maps_to((a, h.key), h.body, out))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # A ⇒ (U ⊕ V) ≅ (A ⇒ U) ⊕ (A ⇒ V) --------------------------------------------
@@ -261,7 +250,7 @@ def _map_biprod_fwd(t):
     def act(g):
         return pair(maps_to(g.key, proj1(g.body), mu), maps_to(g.key, proj2(g.body), mv))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _map_biprod_bwd(t):
@@ -278,15 +267,15 @@ def _map_biprod_bwd(t):
     out = FinMap(s.ring, s.lhs.prim, value)
 
     def act(g):
-        lpart = _lin(
-            g.lhs, lambda h: maps_to(h.key, pair(h.body, zero(value.rhs)), out), out
+        lpart = linear_map(
+            g.lhs, out, lambda h: maps_to(h.key, pair(h.body, zero(value.rhs)), out)
         )
-        rpart = _lin(
-            g.rhs, lambda h: maps_to(h.key, pair(zero(value.lhs), h.body), out), out
+        rpart = linear_map(
+            g.rhs, out, lambda h: maps_to(h.key, pair(zero(value.lhs), h.body), out)
         )
         return lpart + rpart
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # A ⇒ (U ⊗ V) ≅ (A ⇒ U) ⊗ V --------------------------------------------------
@@ -299,13 +288,13 @@ def _map_tensor_fwd(t):
 
     def act(g):
         a = g.key
-        return _lin(
+        return linear_map(
             g.body,
-            lambda h: tensor(maps_to(a, h.lhs, mu), h.rhs),
             out,
+            lambda h: tensor(maps_to(a, h.lhs, mu), h.rhs),
         )
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _map_tensor_bwd(t):
@@ -318,9 +307,9 @@ def _map_tensor_bwd(t):
 
     def act(g):
         v = g.rhs
-        return _lin(g.lhs, lambda h: maps_to(h.key, tensor(h.body, v), out), out)
+        return linear_map(g.lhs, out, lambda h: maps_to(h.key, tensor(h.body, v), out))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # A ⇒ U ≅ F[A] ⊗ U and A ⇒* U ≅ F*[A] ⊗ U ------------------------------------
@@ -337,7 +326,7 @@ def _copower_tensor_fwd(t):
             return tensor(wild_one(fa), g.body)
         return tensor(inject(g.key, fa), g.body)
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _copower_tensor_bwd(t):
@@ -362,9 +351,9 @@ def _copower_tensor_bwd(t):
                 return wild_maps_to(v, out)
             return maps_to(h.value, v, out)
 
-        return _lin(g.lhs, inner, out)
+        return linear_map(g.lhs, out, inner)
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # F*[A] ≅ F[A] ⊕ K ------------------------------------------------------------
@@ -381,7 +370,7 @@ def _compact_split_fwd(t):
             return pair(zero(fa), one(s.ring))
         return pair(inject(g.value, fa), zero(sc))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _compact_split_bwd(t):
@@ -396,11 +385,11 @@ def _compact_split_bwd(t):
     out = CompactFree(s.ring, s.lhs.prim)
 
     def act(g):
-        fin = _lin(g.lhs, lambda h: inject(h.value, out), out)
+        fin = linear_map(g.lhs, out, lambda h: inject(h.value, out))
         base = scale(normalize(g.rhs).value, wild_one(out))
         return fin + base
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 # A ⇒* U ≅ (A ⇒ U) ⊕ U --------------------------------------------------------
@@ -416,7 +405,7 @@ def _compactmap_split_fwd(t):
             return pair(zero(fin), g.body)
         return pair(maps_to(g.key, g.body, fin), zero(s.value))
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 def _compactmap_split_bwd(t):
@@ -431,10 +420,10 @@ def _compactmap_split_bwd(t):
     out = CompactMap(s.ring, s.lhs.prim, s.rhs)
 
     def act(g):
-        fin = _lin(g.lhs, lambda h: maps_to(h.key, h.body, out), out)
+        fin = linear_map(g.lhs, out, lambda h: maps_to(h.key, h.body, out))
         return fin + wild_maps_to(g.rhs, out)
 
-    return _lin(t, act, out)
+    return linear_map(t, out, act)
 
 
 ISOS = {

@@ -412,7 +412,7 @@ def _product_nf(g: MulGen) -> NormalForm:
 
 def force_product(g: MulGen) -> Term:
     """A symbolic product evaluated by the product engine and read back as
-    a term, for linear maps that act generator by generator."""
+    a term, for `terms.linear_map`, which acts generator by generator."""
     return readback(_product_nf(g))
 
 

@@ -42,6 +42,8 @@ from .spaces import (
     Space,
     SpaceError,
     Tensor,
+    chain_prims,
+    tensor_chain,
 )
 from .terms import (
     GenTerm,
@@ -56,6 +58,7 @@ from .terms import (
     WildOneGen,
     inject,
     linear_combination,
+    linear_map,
     maps_to,
     pair,
     scaled,
@@ -307,94 +310,43 @@ def embed(t: Term, source, target) -> Term:
                 break
         else:
             raise SpaceError(f"attribute {n!r} out of order for the target schema")
-    return _embed(t, src, tgt)
+    out = tensor_chain(t.space.ring, [p for _, p in tgt], compact=True)
+    return _embed(t, [n for n, _ in src], names, out)
 
 
-def _compact_chain(ring, prims) -> Space:
-    from .spaces import tensor_chain
-
-    return tensor_chain(ring, prims, compact=True)
-
-
-def _embed(t, src, tgt):
-    ring = t.space.ring
+def _embed(t, src, tgt, out):
+    """`t` over the attribute names `src` into the compact chain `out` over
+    the names `tgt`."""
     if not src:
-        return unit_one(_compact_chain(ring, [p for _, p in tgt]))
-    if src[0][0] != tgt[0][0]:
-        rest = _embed(t, src, tgt[1:])
-        return tensor(wild_one(CompactFree(ring, tgt[0][1])), rest)
-    if len(src) == 1 and len(tgt) == 1:
-        return _widen(t)
+        return unit_one(out)
+    if src[0] != tgt[0]:
+        return tensor(wild_one(out.lhs), _embed(t, src, tgt[1:], out.rhs))
+    if len(tgt) == 1:
+        return _widen(t, out)
     if len(src) == 1:
-        head = _widen(t)
-        return tensor(head, unit_one(_compact_chain(ring, [p for _, p in tgt[1:]])))
-    parts = []
-    out_space = None
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            img = _embed(force_product(g), src, tgt)
-        elif isinstance(g, TensorGen):
-            img = tensor(_widen(g.lhs), _embed(g.rhs, src[1:], tgt[1:]))
-        else:
-            raise SpaceError(f"not a chain term: generator {type(g).__name__}")
-        out_space = img.space
-        parts.append(scaled(c, img))
-    if out_space is None:
-        out_space = Tensor(
-            CompactFree(ring, src[0][1]),
-            _compact_chain(ring, [p for _, p in tgt[1:]]),
-        )
-    return sum_terms(out_space, parts)
+        return tensor(_widen(t, out.lhs), unit_one(out.rhs))
+    return linear_map(
+        t,
+        out,
+        lambda g: tensor(_widen(g.lhs, out.lhs), _embed(g.rhs, src[1:], tgt[1:], out.rhs)),
+    )
 
 
-def _widen(t: Term) -> Term:
-    """Functorial inclusion of a free module chain into the compact chain."""
-    space = t.space
-    if isinstance(space, CompactFree):
+def _widen(t: Term, out: Space) -> Term:
+    """Functorial inclusion of a chain of free factors into the compact chain
+    `out` over the same prims; compact factors come back unchanged."""
+    if t.space == out:
         return t
-    if isinstance(space, Free):
-        out = CompactFree(space.ring, space.prim)
-        parts = []
-        for c, g in linear_combination(t):
-            if isinstance(g, InjGen):
-                parts.append(scaled(c, inject(g.value, out)))
-            elif isinstance(g, MulGen):
-                parts.append(scaled(c, _widen(force_product(g))))
-            else:
-                raise SpaceError("not a free chain factor")
-        return sum_terms(out, parts)
-    if isinstance(space, Tensor):
-        parts = []
-        out = None
-        for c, g in linear_combination(t):
-            if isinstance(g, TensorGen):
-                img = tensor(_widen(g.lhs), _widen(g.rhs))
-            elif isinstance(g, MulGen):
-                img = _widen(force_product(g))
-            else:
-                raise SpaceError("not a chain term")
-            out = img.space
-            parts.append(scaled(c, img))
-        if out is None:
-            out = _compact_chain(space.ring, _chain_prims_of(space))
-        return sum_terms(out, parts)
-    raise SpaceError(f"cannot widen {space}")
-
-
-def _chain_prims_of(space):
-    from .spaces import chain_prims
-
-    prims = chain_prims(space)
-    if prims is None:
-        raise SpaceError(f"{space} is not a chain of free factors")
-    return prims
+    if isinstance(out, CompactFree):
+        return linear_map(t, out, lambda g: inject(g.value, out))
+    return linear_map(t, out, lambda g: tensor(_widen(g.lhs, out.lhs), _widen(g.rhs, out.rhs)))
 
 
 def triangle(x: Term, y: Term, z: Term) -> NormalForm:
     """Cyclic three-way join over attributes (A, B), (A, C), (B, C)."""
-    pa, pb = _chain_prims_of(x.space)
-    pa2, pc = _chain_prims_of(y.space)
-    pb2, pc2 = _chain_prims_of(z.space)
+    pa, pb = chain_prims(x.space)
+    pa2, pc = chain_prims(y.space)
+    pb2, pc2 = chain_prims(z.space)
     if pa != pa2 or pb != pb2 or pc != pc2:
         raise SpaceError("triangle inputs do not share attribute types")
     tgt = [("A", pa), ("B", pb), ("C", pc)]

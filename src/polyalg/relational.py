@@ -6,6 +6,12 @@ Data stays unnormalised between operations; canonical forms are produced
 at output, for equality, and inside products. Negative multiplicities are
 ordinary data (deletions), and wildcard baselines from outer joins are
 ordinary data too, flagged at rendering time.
+
+Reassociation, reordering, projection and per-column rewrites are each a
+`terms.linear_map` per chain level, into an output chain computed up front
+from the input chain's factors, each factor kept plain or compact, so an
+empty relation gets the same space as a full one. Set operations on chains
+that differ widen both sides into the compact chain.
 """
 
 from dataclasses import dataclass
@@ -14,7 +20,6 @@ from . import normal, product, terms
 from .normal import (
     InfiniteSupport,
     enumerate_nf,
-    force_product,
     has_baseline,
     nf_equal,
     normalize,
@@ -32,15 +37,13 @@ from .prims import (
     Str,
 )
 from .rings import GF2Ring, Ring
-from .spaces import CompactFree, Free, SpaceError, Tensor, tensor_chain
+from .spaces import SpaceError, Tensor, chain_factors, chain_space, tensor_chain
 from .terms import (
-    MulGen,
     Term,
     fmap,
     inject,
-    linear_combination,
+    linear_map,
     scale,
-    scaled,
     sum_terms,
     tensor,
     weight,
@@ -138,27 +141,12 @@ class Relation:
             return False
         a, b = self.nf(), other.nf()
         if a.space != b.space:
-            # one side compact, the other plain; widen the plain one
-            a, b = _align_nfs(a, b)
+            # one side compact, the other plain: compare them widened
+            return normal.equal(*_aligned_terms(self, other))
         return nf_equal(a, b)
 
     def __repr__(self):
         return f"Relation({self.schema.render()}, {self.ring}, {len(self.rows())} rows)"
-
-
-def _align_nfs(a, b):
-    wa, wb = has_baseline(a), has_baseline(b)
-    if isinstance(a.space, (CompactFree, Tensor)) and not wa and a.space != b.space:
-        try:
-            a = strip_compact(a)
-        except InfiniteSupport:
-            pass
-    if a.space != b.space and not wb:
-        try:
-            b = strip_compact(b)
-        except InfiniteSupport:
-            pass
-    return a, b
 
 
 def relation_from_rows(sch: Schema, ring: Ring, rows) -> Relation:
@@ -180,156 +168,59 @@ def _row_gen(row, space):
 
 # chain plumbing ---------------------------------------------------------------
 
-def _is_chain(space) -> bool:
-    while isinstance(space, Tensor):
-        if not isinstance(space.lhs, (Free, CompactFree)):
-            return False
-        space = space.rhs
-    return isinstance(space, (Free, CompactFree))
-
-
 def _to_chain(t: Term) -> Term:
     """Reassociate an arbitrarily nested tensor of free factors into the
     right-nested chain. Linear in the term; no normalisation."""
-    space = t.space
-    if isinstance(space, (Free, CompactFree)) or _is_chain(space):
+    out = chain_space(chain_factors(t.space))
+    if out == t.space:
         return t
-    if not isinstance(space, Tensor):
-        raise SpaceError(f"not a relation space: {space}")
-    parts = []
-    out = None
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            img = _to_chain(force_product(g))
-        else:
-            img = _chain_append(_to_chain(g.lhs), _to_chain(g.rhs))
-        out = img.space
-        parts.append(scaled(c, img))
-    if out is None:
-        prims = _flat_prims(space)
-        compact = _is_compact_chain(space)
-        out = tensor_chain(space.ring, prims, compact=compact)
-    return sum_terms(out, parts)
+    return linear_map(t, out, lambda g: _chain_append(_to_chain(g.lhs), _to_chain(g.rhs), out))
 
 
-def _chain_append(u: Term, w: Term) -> Term:
-    """Chain concatenation: distribute the tail into the right spine."""
-    space = u.space
-    if isinstance(space, (Free, CompactFree)):
+def _chain_append(u: Term, w: Term, out) -> Term:
+    """Chain concatenation into `out`: distribute the tail into the right spine."""
+    if not isinstance(u.space, Tensor):
         return tensor(u, w)
-    parts = []
-    out = None
-    for c, g in linear_combination(u):
-        if isinstance(g, MulGen):
-            img = _chain_append(force_product(g), w)
-        else:
-            img = tensor(g.lhs, _chain_append(g.rhs, w))
-        out = img.space
-        parts.append(scaled(c, img))
-    if out is None:
-        out = Tensor(space.lhs, _chain_space_append(space.rhs, w.space))
-    return sum_terms(out, parts)
-
-
-def _chain_space_append(s, w):
-    if isinstance(s, (Free, CompactFree)):
-        return Tensor(s, w)
-    return Tensor(s.lhs, _chain_space_append(s.rhs, w))
-
-
-def _flat_prims(space):
-    if isinstance(space, (Free, CompactFree)):
-        return [space.prim]
-    return _flat_prims(space.lhs) + _flat_prims(space.rhs)
-
-
-def _is_compact_chain(space):
-    if isinstance(space, (Free, CompactFree)):
-        return isinstance(space, CompactFree)
-    return _is_compact_chain(space.lhs) or _is_compact_chain(space.rhs)
+    return linear_map(u, out, lambda g: tensor(g.lhs, _chain_append(g.rhs, w, out.rhs)))
 
 
 def _map_position(t: Term, pos: int, leaf_fn) -> Term:
     """Rewrite the factor at a chain position with a linear map on terms."""
-    space = t.space
-    if not isinstance(space, Tensor):
-        if pos != 0:
-            raise RelationError("position out of range")
-        return leaf_fn(t)
-    parts = []
-    out = None
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            img = _map_position(force_product(g), pos, leaf_fn)
-        elif pos == 0:
-            img = tensor(leaf_fn(g.lhs), g.rhs)
-        else:
-            img = tensor(g.lhs, _map_position(g.rhs, pos - 1, leaf_fn))
-        out = img.space
-        parts.append(scaled(c, img))
-    if out is None:
-        probe = leaf_fn(zero(_space_at(space, pos)))
-        out = _replace_space(space, pos, probe.space)
-    return sum_terms(out, parts)
+    factors = chain_factors(t.space)
+    if pos >= len(factors):
+        raise RelationError("position out of range")
+    # the rewritten factor's space, from the leaf map of a throwaway zero
+    factors[pos] = leaf_fn(zero(factors[pos])).space
 
+    def at(u, i, out):
+        if not isinstance(out, Tensor):
+            return leaf_fn(u)
+        if i == 0:
+            return linear_map(u, out, lambda g: tensor(leaf_fn(g.lhs), g.rhs))
+        return linear_map(u, out, lambda g: tensor(g.lhs, at(g.rhs, i - 1, out.rhs)))
 
-def _space_at(space, pos):
-    while pos > 0:
-        space = space.rhs
-        pos -= 1
-    return space.lhs if isinstance(space, Tensor) else space
-
-
-def _replace_space(space, pos, new):
-    if not isinstance(space, Tensor):
-        return new
-    if pos == 0:
-        return Tensor(new, space.rhs)
-    return Tensor(space.lhs, _replace_space(space.rhs, pos - 1, new))
+    return at(t, pos, chain_space(factors))
 
 
 def _swap_adjacent(t: Term, d: int) -> Term:
     """Exchange chain positions d and d+1; the commutator padded by the
     associator, applied without expanding unrelated structure."""
-    space = t.space
-    if not isinstance(space, Tensor):
+    factors = chain_factors(t.space)
+    if d + 1 >= len(factors):
         raise RelationError("swap position out of range")
-    parts = []
-    out = None
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            img = _swap_adjacent(force_product(g), d)
-        elif d > 0:
-            img = tensor(g.lhs, _swap_adjacent(g.rhs, d - 1))
-        elif not isinstance(space.rhs, Tensor):
-            img = tensor(g.rhs, g.lhs)
-        else:
-            inner_parts = []
-            for c2, g2 in linear_combination(g.rhs):
-                if isinstance(g2, MulGen):
-                    for c3, g3 in linear_combination(force_product(g2)):
-                        inner_parts.append(
-                            scale(c3, tensor(g3.lhs, tensor(g.lhs, g3.rhs)))
-                        )
-                    continue
-                inner_parts.append(scaled(c2, tensor(g2.lhs, tensor(g.lhs, g2.rhs))))
-            if not inner_parts:
-                continue
-            inner_space = inner_parts[0].space
-            img = sum_terms(inner_space, inner_parts)
-        out = img.space
-        parts.append(scaled(c, img))
-    if out is None:
-        out = _swapped_space(space, d)
-    return sum_terms(out, parts)
+    factors[d], factors[d + 1] = factors[d + 1], factors[d]
 
+    def at(u, i, out):
+        if i > 0:
+            return linear_map(u, out, lambda g: tensor(g.lhs, at(g.rhs, i - 1, out.rhs)))
+        if not isinstance(out.rhs, Tensor):
+            return linear_map(u, out, lambda g: tensor(g.rhs, g.lhs))
+        # (a ⊗ (b ⊗ rest)) to (b ⊗ (a ⊗ rest)), one generator of b ⊗ rest at a time
+        return linear_map(
+            u, out, lambda g: linear_map(g.rhs, out, lambda h: tensor(h.lhs, tensor(g.lhs, h.rhs)))
+        )
 
-def _swapped_space(space, d):
-    if d > 0:
-        return Tensor(space.lhs, _swapped_space(space.rhs, d - 1))
-    if not isinstance(space.rhs, Tensor):
-        return Tensor(space.rhs, space.lhs)
-    return Tensor(space.rhs.lhs, Tensor(space.lhs, space.rhs.rhs))
+    return at(t, d, chain_space(factors))
 
 
 def _apply_permutation(t: Term, perm) -> Term:
@@ -359,11 +250,9 @@ def _require_same_schema(r: Relation, s: Relation, what: str):
 def _aligned_terms(r: Relation, s: Relation):
     a, b = r.chain_term(), s.chain_term()
     if a.space != b.space:
-        # widen the plain side when exactly one carries wildcards
-        if _is_compact_chain(a.space) and not _is_compact_chain(b.space):
-            b = product._widen(b)
-        elif _is_compact_chain(b.space) and not _is_compact_chain(a.space):
-            a = product._widen(a)
+        # widen both into the compact chain; compact factors stay as they are
+        out = tensor_chain(r.ring, r.schema.prims, compact=True)
+        a, b = product._widen(a, out), product._widen(b, out)
     return a, b
 
 
@@ -458,30 +347,19 @@ def project(r: Relation, names) -> Relation:
 
 
 def _project_term(t: Term, mask) -> Term:
-    space = t.space
-    if not isinstance(space, Tensor):
-        if not mask[0]:
-            raise RelationError("cannot project away every attribute")
-        return t
-    head, rest = mask[0], mask[1:]
-    parts = []
-    out = None
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            img = _project_term(force_product(g), mask)
-        elif head and any(rest):
-            img = tensor(g.lhs, _project_term(g.rhs, rest))
-        elif head:
-            img = scale(weight(g.rhs), g.lhs)
-        else:
-            img = scale(weight(g.lhs), _project_term(g.rhs, rest))
-        out = img.space
-        parts.append(scaled(c, img))
-    if out is None:
-        prims = _flat_prims(space)
-        kept = [p for p, m in zip(prims, mask) if m]
-        out = tensor_chain(space.ring, kept, compact=_is_compact_chain(space))
-    return sum_terms(out, parts)
+    kept = [f for f, m in zip(chain_factors(t.space), mask) if m]
+
+    def at(u, mask, out):
+        if not isinstance(u.space, Tensor):
+            return u
+        head, rest = mask[0], mask[1:]
+        if head and any(rest):
+            return linear_map(u, out, lambda g: tensor(g.lhs, at(g.rhs, rest, out.rhs)))
+        if head:
+            return linear_map(u, out, lambda g: scale(weight(g.rhs), g.lhs))
+        return linear_map(u, out, lambda g: scale(weight(g.lhs), at(g.rhs, rest, out)))
+
+    return at(t, mask, chain_space(kept))
 
 
 def rename(r: Relation, perm) -> Relation:

@@ -132,23 +132,34 @@ def tensor_chain(ring: Ring, prims, compact: bool = False) -> Space:
     prims = list(prims)
     if not prims:
         raise SpaceError("a tensor chain needs at least one factor")
-    mk = (lambda p: CompactFree(ring, p)) if compact else (lambda p: Free(ring, p))
-    space = mk(prims[-1])
-    for p in reversed(prims[:-1]):
-        space = Tensor(mk(p), space)
+    kind = CompactFree if compact else Free
+    return chain_space([kind(ring, p) for p in prims])
+
+
+def chain_factors(space: Space) -> list:
+    """The free factors of a tensor of free modules, left to right, each kept
+    plain or compact; the tensors may nest in any way."""
+    out = []
+    stack = [space]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Tensor):
+            stack += (s.rhs, s.lhs)
+        elif isinstance(s, (Free, CompactFree)):
+            out.append(s)
+        else:
+            raise SpaceError(f"{space} is not a chain of free factors")
+    return out
+
+
+def chain_space(factors) -> Space:
+    """The right-nested tensor chain of the given free factors."""
+    space = factors[-1]
+    for f in reversed(factors[:-1]):
+        space = Tensor(f, space)
     return space
 
 
 def chain_prims(space: Space):
-    """Factor prims of a right-nested free chain, or None if not chain-shaped."""
-    out = []
-    s = space
-    while isinstance(s, Tensor):
-        if not isinstance(s.lhs, (Free, CompactFree)):
-            return None
-        out.append(s.lhs.prim)
-        s = s.rhs
-    if not isinstance(s, (Free, CompactFree)):
-        return None
-    out.append(s.prim)
-    return out
+    """Factor prims of a chain of free factors."""
+    return [f.prim for f in chain_factors(space)]

@@ -343,6 +343,26 @@ def linear_combination(t: Term):
             node = node.body
 
 
+def linear_map(t: Term, out: Space, gen_fn) -> Term:
+    """The linear map into `out` that sends each generator `g` to `gen_fn(g)`.
+
+    By the universal property of free modules a linear map is fixed by its
+    images of the generators, so this is the one linear extension every
+    term rewrite uses. Symbolic products are forced first and their
+    generators mapped in turn; a zero term maps to the zero of `out`.
+    """
+    parts = []
+    for c, g in linear_combination(t):
+        if isinstance(g, MulGen):
+            from .normal import force_product
+
+            img = linear_map(force_product(g), out, gen_fn)
+        else:
+            img = gen_fn(g)
+        parts.append(scaled(c, img))
+    return sum_terms(out, parts)
+
+
 def weight(t: Term):
     """Generalised cardinality, computed without normalising.
 
@@ -371,19 +391,6 @@ def _gen_weight(g, space, ring):
     return nf_weight(_product_nf(g))
 
 
-def _expand_products(t: Term) -> Term:
-    """Replace product generators by their simplified values."""
-    from .normal import force_product
-
-    parts = []
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            parts.append(scaled(c, force_product(g)))
-        else:
-            parts.append(scaled(c, GenTerm(t.space, g)))
-    return sum_terms(t.space, parts)
-
-
 def fold(t: Term, target: Space, gen_action, wild_action=None) -> Term:
     """The unique linear map determined by its action on generators.
 
@@ -391,14 +398,14 @@ def fold(t: Term, target: Space, gen_action, wild_action=None) -> Term:
     `a`; compact free modules additionally need `wild_action`, a target
     term, as the image of the adjoined unit. For map modules the action
     takes `(key, value_term)` and the wildcard action takes the baseline
-    value term. Zero, sums and scalings map structurally, which is exactly
-    what linearity forces.
+    value term. Built on `linear_map`, so zero, sums, scalings and symbolic
+    products map as linearity forces.
     """
     space = t.space
     if not isinstance(space, (Free, CompactFree, FinMap, CompactMap)):
         raise SpaceError(f"fold is defined on free and map modules, not {space}")
-    parts = []
-    for c, g in linear_combination(t):
+
+    def act(g):
         if isinstance(g, InjGen):
             img = gen_action(g.value)
         elif isinstance(g, WildOneGen):
@@ -411,15 +418,13 @@ def fold(t: Term, target: Space, gen_action, wild_action=None) -> Term:
             if wild_action is None:
                 raise SpaceError("term has a wildcard entry but no wildcard action was given")
             img = wild_action(g.body)
-        elif isinstance(g, MulGen):
-            expanded = _expand_products(GenTerm(space, g))
-            img = fold(expanded, target, gen_action, wild_action)
         else:
             raise SpaceError(f"unexpected generator in {space}")
         if img.space != target:
             raise SpaceError(f"action produced {img.space}, expected {target}")
-        parts.append(scaled(c, img))
-    return sum_terms(target, parts)
+        return img
+
+    return linear_map(t, target, act)
 
 
 def fmap(t: Term, f, value_action=None, target_index: PrimSet | None = None) -> Term:
@@ -459,21 +464,9 @@ def tensor_map(t: Term, left_action, right_action) -> Term:
     space = t.space
     if not isinstance(space, Tensor):
         raise SpaceError(f"tensor_map acts on tensor products, not {space}")
-    parts = []
-    out = None
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            g_parts = _expand_products(GenTerm(space, g))
-            img = tensor_map(g_parts, left_action, right_action)
-        else:
-            img = tensor(left_action(g.lhs), right_action(g.rhs))
-        out = img.space
-        parts.append(scaled(c, img))
-    if out is None:
-        lz = left_action(zero(space.lhs))
-        rz = right_action(zero(space.rhs))
-        out = Tensor(lz.space, rz.space)
-    return sum_terms(out, parts)
+    # each factor's target space, from its action on a throwaway zero
+    out = Tensor(left_action(zero(space.lhs)).space, right_action(zero(space.rhs)).space)
+    return linear_map(t, out, lambda g: tensor(left_action(g.lhs), right_action(g.rhs)))
 
 
 def sum_over_index(t: Term) -> Term:
@@ -487,22 +480,10 @@ def sum_over_index(t: Term) -> Term:
 def proj1(t: Term) -> Term:
     if not isinstance(t.space, Biproduct):
         raise SpaceError(f"projection needs a biproduct, not {t.space}")
-    parts = []
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            parts.append(scaled(c, proj1(_expand_products(GenTerm(t.space, g)))))
-        else:
-            parts.append(scaled(c, g.lhs))
-    return sum_terms(t.space.lhs, parts)
+    return linear_map(t, t.space.lhs, lambda g: g.lhs)
 
 
 def proj2(t: Term) -> Term:
     if not isinstance(t.space, Biproduct):
         raise SpaceError(f"projection needs a biproduct, not {t.space}")
-    parts = []
-    for c, g in linear_combination(t):
-        if isinstance(g, MulGen):
-            parts.append(scaled(c, proj2(_expand_products(GenTerm(t.space, g)))))
-        else:
-            parts.append(scaled(c, g.rhs))
-    return sum_terms(t.space.rhs, parts)
+    return linear_map(t, t.space.rhs, lambda g: g.rhs)

@@ -271,6 +271,22 @@ def test_cli_exit_codes(tmp_path):
     assert overflow.returncode == 2
     assert overflow.stderr.startswith("error: abs maps -9223372036854775808"), overflow.stderr
     assert len(overflow.stderr.splitlines()) == 1
+    # a union of a chain mixing compact and plain factors with a plain one
+    (tmp_path / "r.csv").write_text("K,S\n1,a\n2,b\n")
+    (tmp_path / "s.csv").write_text("K,X\n1,x\n")
+    (tmp_path / "t.csv").write_text("Z\n7\n")
+    load_ok(tmp_path, "r.csv", "R", "K:int,S:str")
+    load_ok(tmp_path, "s.csv", "S", "K:int,X:str")
+    load_ok(tmp_path, "t.csv", "T", "Z:int")
+    mixed = run_cli(
+        ["query", "(union (product (outer left R S) T) (product (join R S) T))",
+         "--format", "csv"],
+        tmp_path,
+    )
+    assert mixed.returncode == 0, mixed.stderr[-2000:]
+    assert mixed.stdout.splitlines() == [
+        "K,S,X,Z,#weight", "1,a,*,7,1", "1,a,x,7,2", "2,b,*,7,1",
+    ]
     (tmp_path / "broken.json").write_text("{not json")
     broken = run_cli(["--catalog", "broken.json", "show", "x"], tmp_path)
     assert broken.returncode == 2

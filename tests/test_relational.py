@@ -413,3 +413,71 @@ def test_union_of_product_and_loaded_relation():
     flat = rel(AB, [("a", 1)])
     out = union(prod, flat)
     assert rowdict(out) == {("a", 1): 2}
+
+
+def _mixed_chain_inputs():
+    # (outer left R S) x T chains three compact factors and a plain one;
+    # (join R S) x T is plain throughout
+    r = rel([("K", INT), ("S", STRING)], [(1, "a"), (2, "b"), (3, "c")])
+    s = rel([("K", INT), ("X", STRING)], [(1, "x"), (2, "y")])
+    t = rel([("Z", INT)], [(7,), (8,)])
+    return cartesian(outer_join("left", r, s), t), cartesian(natural_join([r, s]), t)
+
+
+def test_set_ops_widen_mixed_and_plain_chains():
+    mixed, plain = _mixed_chain_inputs()
+    zs = (7, 8)
+    matched = {(1, "a", "x", z): 1 for z in zs} | {(2, "b", "y", z): 1 for z in zs}
+    leftover = {(k, s, STAR, z): 1 for k, s in [(1, "a"), (2, "b"), (3, "c")] for z in zs}
+    for a, b in [(mixed, plain), (plain, mixed)]:
+        assert rowdict(union(a, b)) == {key: 2 for key in matched} | leftover
+        assert rowdict(intersect(a, b)) == {key: 2 for key in matched}
+        assert rowdict(apply_update(a, b)) == rowdict(union(a, b))
+    assert rowdict(diff(mixed, plain)) == leftover
+    assert rowdict(diff(plain, mixed)) == {key: -1 for key in leftover}
+
+
+def test_equals_across_compact_and_plain_forms():
+    x = rel(AB, X3)
+    y = rel([("B", INT), ("C", STRING)], Y3)
+    left, inner = outer_join("left", x, y), natural_join([x, y])
+    assert left.has_baseline() and not inner.has_baseline()
+    assert left.equals(inner) is False
+    assert inner.equals(left) is False
+    # widened by a union with a cancelled compact relation, the same rows
+    widened = union(inner, diff(left, left))
+    assert widened.chain_term().space != inner.chain_term().space
+    assert widened.equals(inner) is True
+    assert inner.equals(widened) is True
+
+
+def test_empty_relations_keep_their_chain_through_every_rewrite():
+    # a zero term has no generators to read an output space from, so each
+    # rewrite must compute it from the chain's factors, each kept plain or
+    # compact
+    from functools import reduce
+
+    from polyalg import CompactFree, Free, Relation, Tensor, zero
+
+    mixed, _ = _mixed_chain_inputs()
+    plain_kinds = dict.fromkeys("KSXZW", Free)
+    mixed_kinds = dict(plain_kinds, K=CompactFree, S=CompactFree, X=CompactFree)
+    empties = [
+        (rel([("K", INT), ("S", STRING), ("X", STRING), ("Z", INT)], []), plain_kinds),
+        (Relation(mixed.schema, Z, zero(mixed.chain_term().space)), mixed_kinds),
+    ]
+    w = rel([("W", INT)], [(1,)])
+    for e, kinds in empties:
+        outs = [
+            rename(e, [3, 0, 1, 2]),
+            project(e, ["Z", "K"]),
+            select(e, Compare("=", "K", 1)),
+            map_col(e, "K", "inc"),
+            cartesian(e, w),
+            union(e, e),
+        ]
+        for out in outs:
+            factors = [kinds[n](Z, p) for n, p in out.schema.columns]
+            want = reduce(lambda acc, f: Tensor(f, acc), reversed(factors[:-1]), factors[-1])
+            assert out.chain_term().space == want, out.schema.render()
+            assert out.rows() == []
