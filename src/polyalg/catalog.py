@@ -72,7 +72,7 @@ def _parse_cell(text: str, prim, where: str):
 def load_csv(path, sch: Schema, ring: Ring) -> Relation:
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")  # a leading BOM is dropped
     except OSError as e:
         raise CatalogError(f"cannot read {path}: {e}") from None
     with fh:

@@ -19,12 +19,19 @@ Grammar, one form per operation:
     (clamp R)                      drop rows with negative multiplicity
 
 Atoms: integers, double-quoted strings, true/false, bare symbols.
+
+Forms and [...] lists nest at most MAX_DEPTH deep; a deeper query is a
+`QueryError`, as parsing and evaluation recurse once per level.
 """
 
 from dataclasses import dataclass
 
 from . import relational as rel
 from .relational import BoolPred, Compare, Relation, RelationError
+
+
+#: deepest nesting of forms and [...] lists a query may have
+MAX_DEPTH = 300
 
 
 class QueryError(ValueError):
@@ -74,7 +81,14 @@ def tokenize(text: str):
 
 def parse_sexpr(text: str):
     tokens = list(tokenize(text))
-    pos = 0
+    depth = 0
+    for tok, at in tokens:
+        if tok in ("(", "["):
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise QueryError(f"query nests deeper than {MAX_DEPTH} levels", at)
+        elif tok in (")", "]"):
+            depth -= 1
 
     def parse_one(k):
         if k >= len(tokens):
@@ -184,7 +198,7 @@ def evaluate(node, catalog) -> Relation:
         if head in ("union", "diff", "intersect", "product"):
             if len(args) != 2:
                 raise QueryError(f"({head} R S) takes two relations", node[0].pos)
-            r, s = (evaluate(a, catalog) for a in args)
+            r, s = evaluate(args[0], catalog), evaluate(args[1], catalog)
             fn = {
                 "union": rel.union,
                 "diff": rel.diff,

@@ -1,11 +1,14 @@
 """Relational operations as linear maps over symbolic collection terms.
 
-A relation is a named, typed schema plus a term in the tensor chain of
+A relation is a named, typed schema plus its data in the tensor chain of
 free modules over the column types, with coefficients in the session ring.
-Data stays unnormalised between operations; canonical forms are produced
-at output, for equality, and inside products. Negative multiplicities are
-ordinary data (deletions), and wildcard baselines from outer joins are
-ordinary data too, flagged at rendering time.
+The data is held as a term, as its canonical form (a nested keyed trie in
+attribute order), or as both. Set operations and joins work on forms, so an
+update costs about the size of its delta rather than of the relation;
+selection, projection, reordering, column maps and Cartesian products
+rewrite terms, reading a form back when that is all a relation holds.
+Negative multiplicities are ordinary data (deletions), and wildcard
+baselines from outer joins are ordinary data too, flagged at rendering time.
 
 Reassociation, reordering, projection and per-column rewrites are each a
 `terms.linear_map` per chain level, into an output chain computed up front
@@ -21,7 +24,10 @@ from .normal import (
     InfiniteSupport,
     enumerate_nf,
     has_baseline,
+    nf_add,
     nf_equal,
+    nf_sub,
+    nf_weight,
     normalize,
     readback,
     strip_compact,
@@ -105,25 +111,39 @@ def schema(*cols) -> Schema:
 
 
 class Relation:
-    """Schema, ring and an unnormalised data term; the canonical form is
-    computed on demand and cached."""
+    """Schema, ring and data held as a term, a canonical form, or both.
 
-    def __init__(self, sch: Schema, ring: Ring, term: Term, nf=None):
+    `nf()` normalises a missing form and caches it; `term` reads a missing
+    term back from the form on each access and never stores it. Operators
+    read a cached form as it is and otherwise normalise afresh without
+    storing, so they leave their inputs as they found them."""
+
+    def __init__(self, sch: Schema, ring: Ring, term: Term | None = None, nf=None):
+        if term is None and nf is None:
+            raise RelationError("a relation needs a term or a normal form")
         self.schema = sch
         self.ring = ring
-        self.term = term
+        self._term = term
         self._nf = nf
+
+    @property
+    def term(self) -> Term:
+        if self._term is None:
+            return readback(self._nf)
+        return self._term
 
     def nf(self):
         if self._nf is None:
-            self._nf = normalize(_to_chain(self.term))
+            self._nf = normalize(_to_chain(self._term))
         return self._nf
 
     def chain_term(self) -> Term:
         return _to_chain(self.term)
 
     def weight(self):
-        return weight(self.term)
+        if self._nf is not None:
+            return nf_weight(self._nf)
+        return weight(self._term)
 
     def has_baseline(self) -> bool:
         return has_baseline(self.nf())
@@ -256,29 +276,39 @@ def _aligned_terms(r: Relation, s: Relation):
     return a, b
 
 
+def _form(r: Relation):
+    """The cached form, or a fresh one that is not stored back."""
+    if r._nf is not None:
+        return r._nf
+    return normalize(r.chain_term())
+
+
+def _combine(r: Relation, s: Relation, what: str, op) -> Relation:
+    """`op` on the two sides' forms. Chains that mix compact and plain
+    factors differently are widened as terms and normalised again."""
+    _require_same_schema(r, s, what)
+    a, b = _form(r), _form(s)
+    if a.space != b.space:
+        a, b = (normalize(t) for t in _aligned_terms(r, s))
+    return Relation(r.schema, r.ring, nf=op(a, b))
+
+
 def union(r: Relation, s: Relation) -> Relation:
-    _require_same_schema(r, s, "union")
-    a, b = _aligned_terms(r, s)
-    return Relation(r.schema, r.ring, a + b)
+    return _combine(r, s, "union", nf_add)
 
 
 def diff(r: Relation, s: Relation) -> Relation:
-    _require_same_schema(r, s, "difference")
-    a, b = _aligned_terms(r, s)
-    return Relation(r.schema, r.ring, a - b)
+    return _combine(r, s, "difference", nf_sub)
 
 
 def apply_update(db: Relation, delta: Relation) -> Relation:
-    """Inserts and deletions are one addition; negative rows persist."""
-    _require_same_schema(db, delta, "update")
-    a, b = _aligned_terms(db, delta)
-    return Relation(db.schema, db.ring, a + b)
+    """Inserts and deletions are one addition of the delta's form to the
+    relation's, so the cost follows the delta; negative rows persist."""
+    return _combine(db, delta, "update", nf_add)
 
 
 def intersect(r: Relation, s: Relation) -> Relation:
-    _require_same_schema(r, s, "intersection")
-    a, b = _aligned_terms(r, s)
-    return Relation(r.schema, r.ring, a * b)
+    return _combine(r, s, "intersection", lambda a, b: product.nf_product([a, b]))
 
 
 def cartesian(r: Relation, s: Relation) -> Relation:
@@ -367,7 +397,7 @@ def rename(r: Relation, perm) -> Relation:
     if sorted(perm) != list(range(len(r.schema))):
         raise RelationError(f"{perm} is not a permutation of the columns")
     if list(perm) == list(range(len(r.schema))):
-        return Relation(r.schema, r.ring, r.term, r._nf)
+        return Relation(r.schema, r.ring, r._term, r._nf)
     t = _apply_permutation(r.chain_term(), list(perm))
     sch = Schema(tuple(r.schema.columns[p] for p in perm))
     return Relation(sch, r.ring, t)
@@ -378,7 +408,7 @@ def relabel(r: Relation, new_names) -> Relation:
     if len(new_names) != len(r.schema):
         raise RelationError("wrong number of attribute names")
     sch = Schema(tuple((n, p) for n, (_, p) in zip(new_names, r.schema.columns)))
-    return Relation(sch, r.ring, r.term, r._nf)
+    return Relation(sch, r.ring, r._term, r._nf)
 
 
 def _join_target(rs):
@@ -422,7 +452,7 @@ def natural_join(rs) -> Relation:
     nf = product.multiply(embedded)
     if not has_baseline(nf):
         nf = strip_compact(nf)
-    return Relation(target, ring, readback(nf), nf)
+    return Relation(target, ring, nf=nf)
 
 
 def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
@@ -442,7 +472,7 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
     nf = normalize(prod)
     if not has_baseline(nf):
         nf = strip_compact(nf)
-    return Relation(target, r.ring, readback(nf), nf)
+    return Relation(target, r.ring, nf=nf)
 
 
 def aggregate(r: Relation, group, target, fold: str) -> Relation:

@@ -237,6 +237,9 @@ def wild_maps_to(body: Term, space) -> Term:
 
 
 def tensor(u: Term, v: Term) -> Term:
+    """u ⊗ v; bilinear, so a zero factor gives the zero term, which sums drop."""
+    if is_zero_term(u) or is_zero_term(v):
+        return zero(Tensor(u.space, v.space))
     return GenTerm(Tensor(u.space, v.space), TensorGen(u, v))
 
 

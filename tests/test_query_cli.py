@@ -287,10 +287,29 @@ def test_cli_exit_codes(tmp_path):
     assert mixed.stdout.splitlines() == [
         "K,S,X,Z,#weight", "1,a,*,7,1", "1,a,x,7,2", "2,b,*,7,1",
     ]
+    # query nesting is capped at query.MAX_DEPTH (300) levels
+    for depth, code in ((300, 0), (500, 2), (3000, 2)):
+        nested = run_cli(
+            ["query", "(union " * depth + "x" + " x)" * depth, "--format", "csv"], tmp_path
+        )
+        assert nested.returncode == code, nested.stderr[-2000:]
+        if code:
+            assert nested.stderr.startswith("error: query nests deeper than 300 levels")
+            assert len(nested.stderr.splitlines()) == 1
+        else:
+            assert nested.stdout.splitlines()[1] == f"a,1,{depth + 1}"
     (tmp_path / "broken.json").write_text("{not json")
     broken = run_cli(["--catalog", "broken.json", "show", "x"], tmp_path)
     assert broken.returncode == 2
     assert broken.stderr.startswith("error: cannot read catalog broken.json"), broken.stderr
+
+
+def test_cli_loads_csv_with_byte_order_mark(tmp_path):
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + X_CSV.encode())
+    load_ok(tmp_path, "bom.csv", "x", "A:str,B:int")
+    shown = run_cli(["show", "x", "--format", "csv"], tmp_path)
+    assert shown.returncode == 0, shown.stderr
+    assert shown.stdout.splitlines() == ["A,B,#weight", "a,1,1", "b,2,1", "c,3,1"]
 
 
 def test_cli_nested_prefix_keys(tmp_path):

@@ -102,6 +102,16 @@ def test_project_preserves_multiplicities():
     assert rowdict(project(r3, ["A"])) == {("bar",): True, ("foo",): True}
 
 
+def test_select_drops_unselected_rows_from_the_term():
+    from polyalg.terms import linear_combination
+
+    r = rel([("K", INT), ("S", STRING), ("V", INT)],
+            [(k, f"s{k % 7}", 3 * k) for k in range(2000)])
+    out = select(r, Compare("<", "K", 10))
+    assert len(list(linear_combination(out.term))) == 10
+    assert len(out.rows()) == 10
+
+
 def test_project_stays_symbolic():
     # a projection of a product keeps m * (sum) unexpanded in the term
     r = rel([("A", STRING)], [("a1",), ("a2",), ("a3",)])
@@ -334,6 +344,47 @@ def test_updates_are_additions():
     assert rowdict(neg) == {("a",): 1, ("b",): -1, ("c",): 1}
     fixed = apply_update(neg, rel([("A", STRING)], [("b",)]))
     assert rowdict(fixed) == {("a",): 1, ("c",): 1}
+
+
+def _kvs_relation(n, seed):
+    """A cached (K:int, S:str, V:int) relation of n random rows, and a
+    100-row delta of 50 fresh rows and 50 deletions."""
+    import random
+
+    r = random.Random(seed)
+    words = ["".join(r.choice("abcdefghij") for _ in range(r.randint(3, 8))) for _ in range(30)]
+    keys = r.sample(range(-2**40, 2**40), n + 50)
+    cols = [("K", INT), ("S", STRING), ("V", INT)]
+    rows = [(k, r.choice(words), r.randrange(1000)) for k in keys[:n]]
+    db = rel(cols, rows)
+    db.nf()
+    delta = [((k, r.choice(words), r.randrange(1000)), 1) for k in keys[n:]]
+    delta += [(row, -1) for row in r.sample(rows, 50)]
+    model = dict.fromkeys(rows, 1)
+    for row, c in delta:
+        model[row] = model.get(row, 0) + c
+    return db, weighted(cols, delta), {k: v for k, v in model.items() if v}
+
+
+def test_update_cost_follows_the_delta():
+    from polyalg import metrics
+
+    edges = []
+    for n in (2000, 8000):
+        db, delta, want = _kvs_relation(n, seed=n)
+        counts = []
+        for _ in range(2):
+            with metrics.fresh() as m:
+                apply_update(db, delta).nf()
+            counts.append(m.trie_edges)
+        # operators never cache a form into an input, so a repeat costs the same
+        assert delta._nf is None
+        assert counts[0] == counts[1]
+        assert rowdict(apply_update(db, delta)) == want
+        edges.append(counts[0])
+    # renormalising the whole relation costs 23,104 and 99,840 edges here
+    assert edges[0] <= 3000, edges
+    assert edges[1] <= 1.5 * edges[0], edges
 
 
 def test_update_order_irrelevant(rng):

@@ -164,7 +164,9 @@ def _base_pool(rng, ring):
     ]
 
 
-def _random_step(rng, pool, ring):
+def _random_step(rng, pool, ring, engine_of=to_engine):
+    """One random operation on pool models and, through `engine_of(model)`,
+    on their engine relations."""
     kind = rng.choice(
         ["union", "diff", "intersect", "join", "project", "select", "map", "sum",
          "clamp", "cartesian"]
@@ -177,52 +179,52 @@ def _random_step(rng, pool, ring):
             kind = "union"  # same thing mod 2, keep the op map simple
         model = getattr(m, {"union": "union", "diff": "diff", "intersect": "intersect"}[kind])(o)
         engine = {"union": union, "diff": diff, "intersect": intersect}[kind](
-            to_engine(m), to_engine(o)
+            engine_of(m), engine_of(o)
         )
         return model, engine
     if kind == "join":
         o = rng.choice(pool)
-        return m.join(o), natural_join([to_engine(m), to_engine(o)])
+        return m.join(o), natural_join([engine_of(m), engine_of(o)])
     if kind == "cartesian":
         o = rng.choice([p for p in pool if not set(p.names) & set(m.names)] or [None])
         if o is None:
-            return m, to_engine(m)
-        return m.cartesian(o), cartesian(to_engine(m), to_engine(o))
+            return m, engine_of(m)
+        return m.cartesian(o), cartesian(engine_of(m), engine_of(o))
     if kind == "project":
         cols = rng.sample(m.names, rng.randint(1, len(m.names)))
-        return m.project(cols), project(to_engine(m), cols)
+        return m.project(cols), project(engine_of(m), cols)
     if kind == "select":
         col = rng.choice(m.names)
         if m.prims[m.names.index(col)] is INT:
             op, lit = rng.choice(["=", "<", ">"]), rng.randint(0, 3)
         else:
             op, lit = "=", rng.choice(STR_KEYS)
-        return m.select(col, op, lit), select(to_engine(m), Compare(op, col, lit))
+        return m.select(col, op, lit), select(engine_of(m), Compare(op, col, lit))
     if kind == "map":
         cols = [c for c, p in zip(m.names, m.prims) if p is INT]
         if not cols:
-            return m, to_engine(m)
+            return m, engine_of(m)
         col = rng.choice(cols)
         i = m.names.index(col)
         if any(k[i] == INT64_MIN for k in m.rows):
             # abs(INT64_MIN) is not an int64
             with pytest.raises(RelationError, match="abs"):
-                map_col(to_engine(m), col, "abs")
-            return m, to_engine(m)
-        return m.map_col(col, abs), map_col(to_engine(m), col, "abs")
+                map_col(engine_of(m), col, "abs")
+            return m, engine_of(m)
+        return m.map_col(col, abs), map_col(engine_of(m), col, "abs")
     if kind == "sum":
         if ring is GF2 or len(m.names) < 2:
-            return m, to_engine(m)
+            return m, engine_of(m)
         ints = [c for c, p in zip(m.names, m.prims) if p is INT]
         if not ints:
-            return m, to_engine(m)
+            return m, engine_of(m)
         target = rng.choice(ints)
         group = [c for c in m.names if c != target]
-        return m.agg_sum(group, target), aggregate(to_engine(m), group, target, "sum")
+        return m.agg_sum(group, target), aggregate(engine_of(m), group, target, "sum")
     if kind == "clamp":
         if ring is GF2:
-            return m, to_engine(m)
-        return m.clamp(), clamp_nonneg(to_engine(m))
+            return m, engine_of(m)
+        return m.clamp(), clamp_nonneg(engine_of(m))
     raise AssertionError(kind)
 
 
@@ -237,3 +239,20 @@ def test_random_programs_agree_with_model(ring):
             # feed some intermediate results back into the pool
             if rng.random() < 0.4 and model.rows and len(model.names) <= 4:
                 pool.append(model)
+
+
+@pytest.mark.parametrize("ring", [Z, GF2], ids=["z", "gf2"])
+def test_chained_programs_agree_with_model(ring):
+    # engine results feed later steps as they are, so forms from joins and
+    # set operations reach selection, projection, maps and products, which
+    # read their terms back
+    rng = random.Random(0xC4A1 if ring is Z else 0xC4A2)
+    for _ in range(120):
+        pairs = [(m, to_engine(m)) for m in _base_pool(rng, ring)]
+        for _ in range(rng.randint(2, 6)):
+            engines = {id(m): e for m, e in pairs}
+            model, engine = _random_step(rng, [m for m, _ in pairs], ring,
+                                         engine_of=lambda m: engines[id(m)])
+            agree(engine, model)
+            if model.rows and len(model.names) <= 4:
+                pairs.append((model, engine))
