@@ -46,6 +46,7 @@ class SizeRow:
     seconds: float
     trie_edges: int
     ring_mults: int
+    lookups: int
 
 
 @dataclass
@@ -89,7 +90,7 @@ def run_triangle(k: int, repeats: int = 1) -> SizeRow:
     y = bipartite_relation(k)
     z = bipartite_relation(k)
     best = None
-    edges = mults = rows = None
+    edges = mults = lookups = rows = None
     for _ in range(max(1, repeats)):
         with metrics.fresh() as m:
             t0 = time.perf_counter()
@@ -98,9 +99,9 @@ def run_triangle(k: int, repeats: int = 1) -> SizeRow:
         rows = count_rows(out)
         if rows != k**3:
             raise AssertionError(f"triangle correctness gate: {rows} rows, expected {k**3}")
-        edges, mults = m.trie_edges, m.ring_mults
+        edges, mults, lookups = m.trie_edges, m.ring_mults, m.lookups
         best = dt if best is None else min(best, dt)
-    return SizeRow(k, k * k, rows, best, edges, mults)
+    return SizeRow(k, k * k, rows, best, edges, mults, lookups)
 
 
 def run_naive(k: int, repeats: int = 1) -> NaiveRow:

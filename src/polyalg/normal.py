@@ -15,6 +15,7 @@ compacted by grouping common factors and expanded to atomic pairs only by
 `enumerate_nf`, where the quadratic cost is explicit and opt-in.
 """
 
+import operator
 from functools import reduce
 
 from . import metrics, tries
@@ -76,7 +77,9 @@ _RING_VOPS = {}
 def ring_vops(ring):
     ops = _RING_VOPS.get(id(ring))
     if ops is None:
-        ops = ValueOps(add=ring.add, is_zero=ring.is_zero)
+        # exact equality: reusing a node must not change a real weight by a
+        # tolerance
+        ops = ValueOps(add=ring.add, is_zero=ring.is_zero, same=operator.eq)
         _RING_VOPS[id(ring)] = ops
     return ops
 

@@ -2,18 +2,22 @@
 
 The evaluator works level by level on nested keyed forms. At each level
 the factors split into those that restrict the support, having no wildcard
-baseline, and those that do not. If a restricting factor exists, only the
-one with the fewest components is enumerated and the rest are probed by
-lookup; otherwise every factor carries a baseline, the baseline product is
-hoisted once, and deviations are produced at the union of the factors'
-explicit keys, since an explicit key in any factor can deviate from the
-baseline product. Partial products that come out zero prune the whole key
-before any deeper work is charged.
+baseline, and those that do not. If a restricting factor exists, their
+tries are intersected by `tries.walk`: integer tries in lockstep, dropping
+a subtree as soon as one factor's prefix disagrees, so no key is looked up
+from a root; other key families enumerate the smallest trie and probe the
+rest. At each surviving key the non-restricting factors add their baseline
+to their deviation there. Otherwise every factor carries a baseline, the
+baseline product is hoisted once, and deviations are produced at the union
+of the factors' explicit keys, since an explicit key in any factor can
+deviate from the baseline product. Partial products that come out zero
+prune the whole key before any deeper work is charged.
 
 All n factors are scheduled jointly: the recursion at a key carries one
-looked-up value per factor into the next level rather than folding
-pairwise, which is what makes the evaluation worst-case optimal on cyclic
-joins such as the triangle.
+value per factor into the next level rather than folding pairwise, which
+is what makes the evaluation worst-case optimal on cyclic joins such as
+the triangle. An output that equals one of the inputs, in a trie node or a
+whole form, is that input, so unchanged subtrees are shared, not rebuilt.
 
 `naive_multiply` is the deliberately blunt alternative, full expansion by
 distributivity, kept as the differential-testing oracle.
@@ -120,6 +124,9 @@ def nf_product(nfs) -> NormalForm:
             zero=ring.zero,
             vops=ring_vops(ring),
         )
+        for nf in nfs:
+            if nf.trie is trie and nf.base == base:
+                return nf
         return FreeNF(space, trie, base)
     if isinstance(nfs[0], MapNF):  # maps, and chains keyed by their free left factor
         zsub = zero_nf(space.value)
@@ -133,7 +140,11 @@ def nf_product(nfs) -> NormalForm:
             zero=zsub,
             vops=NF_VOPS,
         )
-        return MapNF(space, trie, None if base.is_zero() else base)
+        base = None if base.is_zero() else base
+        for nf in nfs:
+            if nf.trie is trie and nf.base is base:
+                return nf
+        return MapNF(space, trie, base)
     if isinstance(space, Biproduct):
         return PairNF(
             space,
@@ -168,32 +179,26 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
 
     entries = []
     if restricting:
-        enum_trie, _ = factors[enum_i]
-        for key, dev in tries.items(prim, enum_trie):
+        others = [j for j in range(n) if j not in restricting]
+
+        def leaf(key, devs):
             vals = [None] * n
-            vals[enum_i] = dev
-            ok = True
-            for j in range(n):
-                if j == enum_i:
-                    continue
-                tj, bj = factors[j]
-                d = tries.lookup(prim, tj, key)
-                m.lookups += 1
-                if d is None:
-                    v = bj
-                elif is_zero(bj):
-                    v = d
-                else:
-                    v = add(bj, d)
-                if is_zero(v):
-                    ok = False
-                    break
+            for i, d in zip(restricting, devs):
+                vals[i] = d
+            for j in others:
+                tj, v = factors[j]
+                if tj is not None:
+                    d = tries.lookup(prim, tj, key)
+                    m.lookups += 1
+                    if d is not None:
+                        v = add(v, d)
+                        if is_zero(v):
+                            return None
                 vals[j] = v
-            if not ok:
-                continue
             v = prod(vals)
-            if not is_zero(v):
-                entries.append((key, v))
+            return None if is_zero(v) else v
+
+        return tries.walk(prim, [factors[i][0] for i in restricting], leaf, vops), base_out
     else:
         # every factor has a baseline: any explicit key anywhere can deviate
         devs = {}

@@ -159,7 +159,7 @@ class Relation:
     def equals(self, other: "Relation") -> bool:
         if self.schema != other.schema or self.ring is not other.ring:
             return False
-        a, b = self.nf(), other.nf()
+        a, b = _form(self), _form(other)
         if a.space != b.space:
             # one side compact, the other plain: compare them widened
             return normal.equal(*_aligned_terms(self, other))
@@ -350,7 +350,7 @@ def select(r: Relation, pred) -> Relation:
     # general tuple predicate: expand
     row_test = pred.row_test(r.schema)
     try:
-        rows = r.rows(allow_baseline=False)
+        rows = enumerate_nf(_form(r), allow_baseline=False)
     except InfiniteSupport:
         raise RelationError("cannot select on a relation with wildcard rows") from None
     kept = [(row, c) for row, c in rows if row_test(row)]
@@ -498,7 +498,7 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
     if fold == "sum" and isinstance(r.ring, GF2Ring):
         raise RelationError("sum aggregation is meaningless over gf2; use count")
     try:
-        rows = r.rows(allow_baseline=False)
+        rows = enumerate_nf(_form(r), allow_baseline=False)
     except InfiniteSupport:
         raise RelationError("cannot aggregate a relation with wildcard rows") from None
 
@@ -579,7 +579,7 @@ def clamp_nonneg(r: Relation) -> Relation:
     if r.ring.name != "z":
         raise RelationError("clamp is defined for integer multiplicities")
     try:
-        rows = r.rows(allow_baseline=False)
+        rows = enumerate_nf(_form(r), allow_baseline=False)
     except InfiniteSupport:
         raise RelationError("cannot clamp a relation with wildcard rows") from None
     return relation_from_rows(r.schema, r.ring, [(row, c) for row, c in rows if c > 0])
@@ -624,12 +624,21 @@ class Compare:
         return lambda a: fn(a, lit)
 
     def row_test(self, sch: Schema):
-        fn = _COMPARES[self.op]
         i = sch.position(self.column)
         if self.other_column is None:
-            lit = self.literal
-            return lambda row: fn(row[i], lit)
+            test = self.value_test(sch.prims[i])
+            return lambda row: test(row[i])
+        fn = _COMPARES[self.op]
         j = sch.position(self.other_column)
+        pi, pj = sch.prims[i], sch.prims[j]
+        if self.op in ("prefix", "contains"):
+            if not (isinstance(pi, Str) and isinstance(pj, Str)):
+                raise RelationError(f"{self.op} applies to string columns only")
+        elif pi != pj:
+            raise RelationError(
+                f"cannot compare column {self.column!r} ({type_name(pi)}) "
+                f"with column {self.other_column!r} ({type_name(pj)})"
+            )
         return lambda row: fn(row[i], row[j])
 
 

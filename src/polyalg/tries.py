@@ -7,11 +7,14 @@ slot, and pair keys curry into a trie of tries. All structures are
 immutable and persistent: merges share unchanged subtrees, lookup cost is
 linear in the key size and independent of population.
 
-There is one build path: `single` makes a one-entry trie, `merge` adds two
-tries, and `from_items` builds every multi-entry trie by balanced pairwise
-merges; `map_values` is `from_items` over the mapped entries. Radix merge
-and enumeration keep explicit stacks, so no operation's Python stack depth
-grows with key length (Patricia recursion is bounded by the 64 key bits).
+`single` makes a one-entry trie, `merge` adds two tries, and `from_items`
+builds a trie from entries by balanced pairwise merges; `map_values` is
+`from_items` over the mapped entries. `walk` intersects tries: on integer
+keys it builds its output bottom-up as it goes and keeps every input node
+the intersection leaves unchanged. Radix merge, enumeration and the
+Patricia walk keep explicit stacks, so no operation's Python stack depth
+grows with key length (Patricia merge recursion is bounded by the 64 key
+bits).
 
 Payloads are opaque. Callers pass a `ValueOps` describing how payloads
 add, when they vanish, and how many keys a payload stands for (one, except
@@ -19,6 +22,7 @@ for the curried inner tries of pair keys). The empty trie is `None`.
 Every node visit bumps `metrics.current.trie_edges`.
 """
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,6 +35,9 @@ class ValueOps:
     add: Callable
     is_zero: Callable
     count: Callable = field(default=lambda v: 1)
+    # whether an output payload may stand for an input's, so `walk` can
+    # return the input's node; identity unless payloads compare by value
+    same: Callable = operator.is_
 
 
 def _add_opt(a, b, vops):
@@ -160,6 +167,91 @@ def _p_items(t):
         else:
             stack.append(n.right)
             stack.append(n.left)
+
+
+def _p_walk(ts, leaf, vops):
+    """Lockstep intersection of n Patricia tries (Okasaki and Gill's, n-way).
+
+    Each step visits one node per trie and splits them at the highest
+    branch bit; a side missing any trie is dropped unvisited, and a leaf
+    pulls the other nodes straight down to its key. Node tuples are
+    explored top-down into frames [nodes, prefix, bit, left, right, parent
+    frame, slot], then built bottom-up, because `leaf` walks the next level
+    while this one is open and nested recursion would grow with key bits
+    times levels. An output node equal to an input node is that node."""
+    m = metrics.current
+    same, vcount = vops.same, vops.count
+    n = len(ts)
+    frames = []
+    todo = [(ts, None, 0)]
+    while todo:
+        nodes, parent, slot = todo.pop()
+        m.trie_edges += n
+        out = None
+        for t in nodes:
+            if isinstance(t, PLeaf):
+                u = t.ukey
+                found = []
+                for x in nodes:
+                    while isinstance(x, PBranch) and _p_matches(u, x.prefix, x.bit):
+                        x = x.right if u & x.bit else x.left
+                        m.trie_edges += 1
+                    if isinstance(x, PBranch) or x.ukey != u:
+                        break
+                    found.append(x)
+                else:
+                    v = leaf(_skey(u), [x.val for x in found])
+                    if v is not None:
+                        for x in found:
+                            if same(v, x.val):
+                                out = x
+                                break
+                        else:
+                            out = PLeaf(u, v, vcount(v))
+                break
+        else:
+            top = nodes[0]
+            for x in nodes:
+                if x.bit > top.bit:
+                    top = x
+            prefix, bit = top.prefix, top.bit
+            mask = ~((bit << 1) - 1)
+            lefts, rights = [], []
+            for x in nodes:
+                if (x.prefix & mask) != prefix:
+                    break
+                if x.bit == bit:
+                    lefts.append(x.left)
+                    rights.append(x.right)
+                elif x.prefix & bit:
+                    rights.append(x)
+                else:
+                    lefts.append(x)
+            else:
+                frame = [nodes, prefix, bit, None, None, parent, slot]
+                frames.append(frame)
+                if len(rights) == n:
+                    todo.append((rights, frame, 4))
+                if len(lefts) == n:
+                    todo.append((lefts, frame, 3))
+                continue
+        if parent is None:
+            return out
+        parent[slot] = out
+    for nodes, prefix, bit, l, r, parent, slot in reversed(frames):
+        if l is None or r is None:
+            out = r if l is None else l
+        else:
+            # both sides survived only if every node split at `bit`
+            for x in nodes:
+                if x.left is l and x.right is r:
+                    out = x
+                    break
+            else:
+                out = PBranch(prefix, bit, l, r)
+        if parent is None:
+            return out
+        parent[slot] = out
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +597,37 @@ def from_items(prim, pairs, vops):
             paired.append(level[-1])
         level = paired
     return level[0]
+
+
+def walk(prim, ts, leaf, vops):
+    """Intersect n >= 1 tries: `leaf(key, payloads)` receives the payloads
+    of a key present in every trie, in trie order, and returns the output
+    payload, or None to drop the key. Integer tries are walked in lockstep
+    and keep every input node the output does not change; other families
+    enumerate the trie with the fewest keys and probe the others."""
+    if any(t is None for t in ts):
+        return None
+    if isinstance(prim, Int64):
+        return _p_walk(ts, leaf, vops)
+    m = metrics.current
+    e = min(range(len(ts)), key=lambda i: ts[i].count)
+    entries = []
+    for key, v in items(prim, ts[e]):
+        vals = []
+        for i, t in enumerate(ts):
+            if i == e:
+                vals.append(v)
+                continue
+            m.lookups += 1
+            d = lookup(prim, t, key)
+            if d is None:
+                break
+            vals.append(d)
+        else:
+            w = leaf(key, vals)
+            if w is not None:
+                entries.append((key, w))
+    return from_items(prim, entries, vops)
 
 
 def map_values(prim, t, fn, vops):

@@ -1,10 +1,13 @@
 """The join evaluator: goldens, algebra laws, scheduling, differential checks."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyalg import (
     GF2,
     INT,
+    REAL,
     STAR,
     STRING,
     Z,
@@ -36,8 +39,14 @@ from polyalg import (
     wild_one,
     zero,
 )
+from polyalg import tries
+from polyalg.bench import bipartite_relation, run_triangle
+from polyalg.normal import FreeNF
+from polyalg.product import nf_product
 
 from conftest import rand_term
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 FS = Free(Z, STRING)
 FI = Free(Z, INT)
@@ -210,10 +219,9 @@ def test_enumerator_picks_fewest_components():
 
 
 def test_zero_prune_skips_deeper_levels():
-    # the first-level lookup for key 3 misses, so none of its 50-entry
-    # subtree is ever visited; measure the product alone on prebuilt forms
-    from polyalg.product import nf_product
-
+    # the lockstep walk meets key 3 against key 2 and drops both, so none of
+    # their 50-entry subtrees is ever visited; measure the product alone on
+    # prebuilt forms
     cm = CompactMap(Z, INT, CI)
     inner_big = sum_terms(CI, [inject(j, CI) for j in range(50)])
     x = normalize(maps_to(1, inject(1, CI), cm) + maps_to(2, inner_big, cm))
@@ -222,9 +230,8 @@ def test_zero_prune_skips_deeper_levels():
         out = nf_product([y, x])
     rows = enumerate_nf(out)
     assert rows == [((1, 1), 1)]
-    # first-level probes for keys 1 and 3 plus one second-level probe under
-    # key 1; key 3 prunes before recursion and key 2 is never enumerated
-    assert m.lookups == 3
+    # both levels intersect in lockstep: nothing is probed from a root
+    assert m.lookups == 0
     assert m.trie_edges < 40
 
 
@@ -311,3 +318,99 @@ def test_random_two_way_join_edges_grow_near_linearly():
 
     slope = fit_slope([(n, edges(n)) for n in (125, 250, 500, 1000)])
     assert slope <= 1.3, f"edge slope {slope:.3f}"
+
+
+# keys anywhere in int64, at both ends, and in runs sharing 61 high bits
+WALK_KEYS = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+    st.builds(
+        lambda hi, lo: hi + lo,
+        st.sampled_from([INT64_MIN, -(2**40), 2**40, INT64_MAX - 7]),
+        st.integers(0, 7),
+    ),
+)
+
+
+@st.composite
+def walk_factors(draw):
+    """1 to 3 factors, each a list of (coefficient, A key, B key) generators
+    of an (A, B) compact chain, with keys from one small pool so factors
+    meet; None is the wildcard, so a level may hold a baseline and
+    deviations."""
+    pool = draw(st.lists(WALK_KEYS, min_size=1, max_size=6, unique=True))
+    key = st.sampled_from([None, *pool])
+    gens = st.lists(st.tuples(st.sampled_from([-2, -1, 1, 2]), key, key), max_size=6)
+    return draw(st.lists(gens, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Z, GF2]), walk_factors())
+# B tries {0, 1} and {-1, 0}: the first splits below the second's sign bit
+@example(Z, [[(1, None, 0), (1, None, 1)], [(1, None, 0), (1, None, -1)]])
+@example(GF2, [[(1, INT64_MIN, INT64_MAX)], [(1, INT64_MIN, None), (1, INT64_MAX, 0)]])
+def test_walk_products_agree_with_expansion(ring, factors):
+    ci = CompactFree(ring, INT)
+    space = tensor_chain(ring, [INT, INT], compact=True)
+
+    def level(k):
+        return wild_one(ci) if k is None else inject(k, ci)
+
+    terms = [
+        sum_terms(space, [
+            scale(c if ring is Z else True, tensor(level(a), level(b))) for c, a, b in gens
+        ])
+        for gens in factors
+    ]
+    want = normalize(terms[0])
+    for t in terms[1:]:
+        want = naive_multiply(readback(want), t)
+    assert nf_equal(nf_product([normalize(t) for t in terms]), want)
+
+
+def _c_tries(nf):
+    """Every non-empty coefficient trie of the innermost level of a form."""
+    if isinstance(nf, FreeNF):
+        return [] if nf.trie is None else [nf.trie]
+    subs = [v for _, v in tries.items(nf.space.prim, nf.trie)]
+    if nf.base is not None:
+        subs.append(nf.base)
+    return [t for sub in subs for t in _c_tries(sub)]
+
+
+def test_triangle_reuses_input_c_tries():
+    # every (a, b) pair of the grid keeps all of a's C-trie, so the walk
+    # returns that input trie instead of building k * k equal copies
+    k = 8
+    x, y, z = (bipartite_relation(k) for _ in range(3))
+    A, B, C = ("A", INT), ("B", INT), ("C", INT)
+    ins = [
+        normalize(embed(x, [A, B], [A, B, C])),
+        normalize(embed(y, [A, C], [A, B, C])),
+        normalize(embed(z, [B, C], [A, B, C])),
+    ]
+    out = nf_product(ins)
+    assert len(enumerate_nf(out)) == k**3
+    got = _c_tries(out)
+    assert len(got) == k * k
+    assert len({id(t) for t in got}) == k
+    inputs = {id(t) for nf in ins for t in _c_tries(nf)}
+    assert all(id(t) in inputs for t in got)
+
+
+def test_reuse_keeps_exact_real_weights():
+    # a product within the real ring's zero tolerance of an input's weight
+    # is still the product: neither a leaf nor a whole form is reused
+    w = 1.0 + 1e-12
+    fr, cr = Free(REAL, INT), CompactFree(REAL, INT)
+    x = scale(1.0, inject(1, fr)) + scale(2.0, inject(2, fr))
+    y = scale(w, inject(1, fr)) + scale(1.0, inject(2, fr))
+    assert enumerate_nf(multiply([x, y])) == [((1,), w), ((2,), 2.0)]
+    out = multiply([scale(1.0, wild_one(cr)), scale(w, wild_one(cr))])
+    assert nf_lookup_path(out, (STAR,)) == w
+
+
+def test_triangle_walk_edges_and_no_lookups():
+    row = run_triangle(32)
+    assert row.trie_edges <= 200_000, row.trie_edges
+    assert row.lookups == 0

@@ -298,6 +298,20 @@ def test_cli_exit_codes(tmp_path):
             assert len(nested.stderr.splitlines()) == 1
         else:
             assert nested.stdout.splitlines()[1] == f"a,1,{depth + 1}"
+    # predicates that do not type-check against A:int,B:str, inside and
+    # outside a boolean form
+    (tmp_path / "ab.csv").write_text("A,B\n1,x\n2,y\n")
+    load_ok(tmp_path, "ab.csv", "ab", "A:int,B:str")
+    for pred, msg in (
+        ("(< A B)", "cannot compare column 'A' (int) with column 'B' (str)"),
+        ("(prefix B A)", "prefix applies to string columns only"),
+        ('(and (< A "x") (< A 3))', "literal 'x' does not match the type of column 'A'"),
+        ("(or (= B 1) (= A 1))", "literal 1 does not match the type of column 'B'"),
+    ):
+        typed = run_cli(["query", f"(select {pred} ab)"], tmp_path)
+        assert typed.returncode == 2, (pred, typed.stderr[-2000:])
+        assert typed.stderr.startswith(f"error: {msg}"), (pred, typed.stderr)
+        assert len(typed.stderr.splitlines()) == 1
     (tmp_path / "broken.json").write_text("{not json")
     broken = run_cli(["--catalog", "broken.json", "show", "x"], tmp_path)
     assert broken.returncode == 2

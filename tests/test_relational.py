@@ -532,3 +532,21 @@ def test_empty_relations_keep_their_chain_through_every_rewrite():
             want = reduce(lambda acc, f: Tensor(f, acc), reversed(factors[:-1]), factors[-1])
             assert out.chain_term().space == want, out.schema.render()
             assert out.rows() == []
+
+
+def test_row_operators_leave_their_input_uncached():
+    r = weighted(
+        [("A", STRING), ("B", INT), ("C", INT)],
+        [(("a", 1, 5), 2), (("a", 2, 7), -1), (("b", 3, 4), 1)],
+    )
+    other = weighted([("A", STRING), ("B", INT), ("C", INT)], [(("a", 1, 5), 2)])
+    agg = aggregate(r, ["A"], "C", "sum")
+    kept = clamp_nonneg(r)
+    either = BoolPred("or", (Compare("=", "A", "b"), Compare("<", "B", other_column="C")))
+    picked = select(r, either)
+    same = r.equals(other)
+    assert r._nf is None and other._nf is None
+    assert rowdict(agg) == {("a",): 3, ("b",): 4}
+    assert rowdict(kept) == {("a", 1, 5): 2, ("b", 3, 4): 1}
+    assert rowdict(picked) == {("a", 1, 5): 2, ("a", 2, 7): -1, ("b", 3, 4): 1}
+    assert not same
