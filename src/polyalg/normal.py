@@ -227,6 +227,13 @@ def zero_nf(space: Space) -> NormalForm:
     raise SpaceError(f"no normal form for {space}")
 
 
+def unit_nf(space: Space) -> NormalForm:
+    """The unit of a compact chain: weight one on the wildcard of every level."""
+    if isinstance(space, Tensor):
+        return MapNF(space, None, unit_nf(space.rhs))
+    return FreeNF(space, None, space.ring.one)
+
+
 # addition, scaling ----------------------------------------------------------
 
 def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
@@ -261,7 +268,7 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
     ring = space.ring
     if ring.is_zero(r):
         return zero_nf(space)
-    if ring.eq(r, ring.one):  # forms are immutable; skips rebuilding the tries
+    if r == ring.one:  # exactly one: forms are immutable, so nothing is rebuilt
         return x
     if isinstance(x, ScalarNF):
         return ScalarNF(space, ring.mul(r, x.value))

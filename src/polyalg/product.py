@@ -33,9 +33,12 @@ from .normal import (
     ScalarNF,
     force_product,
     nf_add,
+    nf_scale,
     nf_sub,
     normalize,
+    readback,
     ring_vops,
+    unit_nf,
     zero_nf,
 )
 from .spaces import (
@@ -43,7 +46,6 @@ from .spaces import (
     CompactFree,
     Free,
     Scalar,
-    Space,
     SpaceError,
     Tensor,
     chain_prims,
@@ -60,17 +62,13 @@ from .terms import (
     TensorGen,
     WildMapsToGen,
     WildOneGen,
-    inject,
     linear_combination,
-    linear_map,
     maps_to,
     pair,
     scaled,
     sum_terms,
     tensor,
-    unit_one,
     wild_maps_to,
-    wild_one,
     zero,
 )
 
@@ -168,7 +166,8 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
     restricting = [i for i in range(n) if is_zero(factors[i][1])]
 
     if restricting:
-        enum_i = min(restricting, key=lambda i: (tcs[i], i))
+        # a lockstep walk enumerates no factor
+        enum_i = None if tries.lockstep(prim) else min(restricting, key=lambda i: (tcs[i], i))
         base_out = zero
     else:
         enum_i = min(range(n), key=lambda i: (counts[i], i))
@@ -297,11 +296,15 @@ def _gen_pair(gx, gy, space):
 
 # embeddings and the triangle query --------------------------------------------
 
-def embed(t: Term, source, target) -> Term:
+def embed(x, source, target):
     """Send a chain over the attributes `source` into the compact chain over
     `target`, widening free factors and filling missing attributes with the
-    unit. `source` and `target` are (name, prim) lists; the source attributes
-    must appear in the target in the same order (reorder upstream)."""
+    wildcard. `source` and `target` are (name, prim) lists; the source
+    attributes must appear in the target in the same order (reorder
+    upstream). A form embeds as a form, keeping every trie whose level only
+    widens; a term is normalised, embedded and read back."""
+    if isinstance(x, Term):
+        return readback(embed(normalize(x), source, target))
     src = list(source)
     tgt = list(target)
     names = [n for n, _ in tgt]
@@ -315,36 +318,30 @@ def embed(t: Term, source, target) -> Term:
                 break
         else:
             raise SpaceError(f"attribute {n!r} out of order for the target schema")
-    out = tensor_chain(t.space.ring, [p for _, p in tgt], compact=True)
-    return _embed(t, [n for n, _ in src], names, out)
+    out = tensor_chain(x.space.ring, [p for _, p in tgt], compact=True)
+    return _embed(x, [n for n, _ in src], names, out)
 
 
-def _embed(t, src, tgt, out):
-    """`t` over the attribute names `src` into the compact chain `out` over
-    the names `tgt`."""
-    if not src:
-        return unit_one(out)
+def _embed(nf, src, tgt, out):
+    """The form `nf` over the attribute names `src` into the compact chain
+    `out` over the names `tgt`."""
     if src[0] != tgt[0]:
-        return tensor(wild_one(out.lhs), _embed(t, src, tgt[1:], out.rhs))
+        # a missing attribute is a wildcard level
+        rest = _embed(nf, src, tgt[1:], out.rhs)
+        return MapNF(out, None, None if rest.is_zero() else rest)
     if len(tgt) == 1:
-        return _widen(t, out)
+        return nf if nf.space == out else FreeNF(out, nf.trie, nf.base)
     if len(src) == 1:
-        return tensor(_widen(t, out.lhs), unit_one(out.rhs))
-    return linear_map(
-        t,
-        out,
-        lambda g: tensor(_widen(g.lhs, out.lhs), _embed(g.rhs, src[1:], tgt[1:], out.rhs)),
-    )
-
-
-def _widen(t: Term, out: Space) -> Term:
-    """Functorial inclusion of a chain of free factors into the compact chain
-    `out` over the same prims; compact factors come back unchanged."""
-    if t.space == out:
-        return t
-    if isinstance(out, CompactFree):
-        return linear_map(t, out, lambda g: inject(g.value, out))
-    return linear_map(t, out, lambda g: tensor(_widen(g.lhs, out.lhs), _widen(g.rhs, out.rhs)))
+        # the last source attribute: each coefficient c becomes c times the
+        # unit of the missing attributes after it
+        unit = unit_nf(out.rhs)
+        t = tries.map_values(out.prim, nf.trie, lambda c: nf_scale(c, unit), NF_VOPS)
+        base = None if out.ring.is_zero(nf.base) else nf_scale(nf.base, unit)
+        return MapNF(out, t, base)
+    src, tgt = src[1:], tgt[1:]
+    t = tries.map_values(out.prim, nf.trie, lambda v: _embed(v, src, tgt, out.rhs), NF_VOPS)
+    base = None if nf.base is None else _embed(nf.base, src, tgt, out.rhs)
+    return MapNF(out, t, base)
 
 
 def triangle(x: Term, y: Term, z: Term) -> NormalForm:
@@ -355,7 +352,8 @@ def triangle(x: Term, y: Term, z: Term) -> NormalForm:
     if pa != pa2 or pb != pb2 or pc != pc2:
         raise SpaceError("triangle inputs do not share attribute types")
     tgt = [("A", pa), ("B", pb), ("C", pc)]
-    xe = embed(x, [("A", pa), ("B", pb)], tgt)
-    ye = embed(y, [("A", pa), ("C", pc)], tgt)
-    ze = embed(z, [("B", pb), ("C", pc)], tgt)
-    return multiply([xe, ye, ze])
+    return nf_product([
+        embed(normalize(x), [("A", pa), ("B", pb)], tgt),
+        embed(normalize(y), [("A", pa), ("C", pc)], tgt),
+        embed(normalize(z), [("B", pb), ("C", pc)], tgt),
+    ])

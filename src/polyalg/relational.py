@@ -1,27 +1,32 @@
-"""Relational operations as linear maps over symbolic collection terms.
+"""Relational operations as linear maps over ring-weighted collections.
 
 A relation is a named, typed schema plus its data in the tensor chain of
 free modules over the column types, with coefficients in the session ring.
-The data is held as a term, as its canonical form (a nested keyed trie in
-attribute order), or as both. Set operations and joins work on forms, so an
-update costs about the size of its delta rather than of the relation;
-selection, projection, reordering, column maps and Cartesian products
-rewrite terms, reading a form back when that is all a relation holds.
-Negative multiplicities are ordinary data (deletions), and wildcard
-baselines from outer joins are ordinary data too, flagged at rendering time.
-
-Reassociation, reordering, projection and per-column rewrites are each a
-`terms.linear_map` per chain level, into an output chain computed up front
-from the input chain's factors, each factor kept plain or compact, so an
-empty relation gets the same space as a full one. Set operations on chains
-that differ widen both sides into the compact chain.
+The data is held as a canonical form (a nested keyed trie in attribute
+order), as a term, or as both. Relations built from rows are born as
+forms, grouped column by column into one trie per node. Set operations,
+joins and single-column selection work on forms, so an update costs about
+the size of its delta rather than of the relation. Reordering, projection
+and column maps rebuild a form from its rows, rearranged or mapped, into
+an output chain computed up front from the input chain's factors, each
+kept plain or compact, so an empty relation gets the same space as a full
+one. A Cartesian product stays one tensor of its inputs' terms, and a
+projection of a relation held only as a term stays symbolic, a
+`terms.linear_map` per chain level. Set operations on chains that differ
+widen both sides into the compact chain. Negative multiplicities are
+ordinary data (deletions), and wildcard baselines from outer joins are
+ordinary data too, flagged at rendering time.
 """
 
 from dataclasses import dataclass
 
-from . import normal, product, terms
+from . import normal, product, tries
 from .normal import (
+    NF_VOPS,
+    STAR,
+    FreeNF,
     InfiniteSupport,
+    MapNF,
     enumerate_nf,
     has_baseline,
     nf_add,
@@ -30,7 +35,9 @@ from .normal import (
     nf_weight,
     normalize,
     readback,
+    ring_vops,
     strip_compact,
+    unit_nf,
 )
 from .prims import (
     BOOL,
@@ -43,18 +50,8 @@ from .prims import (
     Str,
 )
 from .rings import GF2Ring, Ring
-from .spaces import SpaceError, Tensor, chain_factors, chain_space, tensor_chain
-from .terms import (
-    Term,
-    fmap,
-    inject,
-    linear_map,
-    scale,
-    sum_terms,
-    tensor,
-    weight,
-    zero,
-)
+from .spaces import CompactFree, Tensor, chain_factors, chain_space, tensor_chain
+from .terms import Term, linear_map, scale, tensor, weight
 
 
 class RelationError(ValueError):
@@ -111,12 +108,13 @@ def schema(*cols) -> Schema:
 
 
 class Relation:
-    """Schema, ring and data held as a term, a canonical form, or both.
+    """Schema, ring and data held as a canonical form, a term, or both.
 
-    `nf()` normalises a missing form and caches it; `term` reads a missing
-    term back from the form on each access and never stores it. Operators
-    read a cached form as it is and otherwise normalise afresh without
-    storing, so they leave their inputs as they found them."""
+    `relation_from_rows` and the form-level operators make relations that
+    hold only a form. `nf()` normalises a missing form and caches it; `term`
+    reads a missing term back from the form on each access and never stores
+    it. Operators read a held form as it is and otherwise normalise afresh
+    without storing, so they leave their inputs as they found them."""
 
     def __init__(self, sch: Schema, ring: Ring, term: Term | None = None, nf=None):
         if term is None and nf is None:
@@ -159,31 +157,48 @@ class Relation:
     def equals(self, other: "Relation") -> bool:
         if self.schema != other.schema or self.ring is not other.ring:
             return False
-        a, b = _form(self), _form(other)
-        if a.space != b.space:
-            # one side compact, the other plain: compare them widened
-            return normal.equal(*_aligned_terms(self, other))
-        return nf_equal(a, b)
+        return nf_equal(*_aligned_forms(self, other))
 
     def __repr__(self):
         return f"Relation({self.schema.render()}, {self.ring}, {len(self.rows())} rows)"
 
 
 def relation_from_rows(sch: Schema, ring: Ring, rows) -> Relation:
-    """Rows are (tuple, coefficient) pairs; duplicates accumulate."""
-    space = tensor_chain(ring, sch.prims)
-    parts = []
+    """Rows are (tuple, coefficient) pairs; duplicates accumulate. The
+    relation is born as its form: no term is built."""
+    prims = sch.prims
+    checked = []
     for row, coeff in rows:
-        if len(row) != len(sch):
+        if len(row) != len(prims):
             raise RelationError(f"row {row!r} does not fit schema {sch.render()}")
-        parts.append(scale(ring.coerce(coeff), _row_gen(row, space)))
-    return Relation(sch, ring, sum_terms(space, parts))
+        for p, v in zip(prims, row):
+            p.check(v)
+        checked.append((row, ring.coerce(coeff)))
+    return Relation(sch, ring, nf=_rows_nf(tensor_chain(ring, prims), checked, 0))
 
 
-def _row_gen(row, space):
-    if isinstance(space, Tensor):
-        return tensor(inject(row[0], space.lhs), _row_gen(row[1:], space.rhs))
-    return inject(row[0], space)
+def _rows_nf(space, rows, i):
+    """The chain form of checked (row, coefficient) pairs from column `i`
+    on: the rows are grouped by that column and each group's form is built
+    below its key, one trie per node; the last column's trie holds the
+    coefficients. On a compact level, the rows with `STAR` there make up
+    the baseline."""
+    ring = space.ring
+    if not isinstance(space, Tensor):
+        ents = [(row[i], c) for row, c in rows]
+        base = ring.zero
+        if isinstance(space, CompactFree):
+            base = ring.sum(c for k, c in ents if k is STAR)
+            ents = [e for e in ents if e[0] is not STAR]
+        return FreeNF(space, tries.from_items(space.prim, ents, ring_vops(ring)), base)
+    groups = {}
+    for rc in rows:
+        groups.setdefault(rc[0][i], []).append(rc)
+    stars = groups.pop(STAR, None)
+    base = None if stars is None else _rows_nf(space.rhs, stars, i + 1)
+    entries = [(k, _rows_nf(space.rhs, g, i + 1)) for k, g in groups.items()]
+    trie = tries.from_items(space.prim, entries, NF_VOPS)
+    return MapNF(space, trie, None if base is None or base.is_zero() else base)
 
 
 # chain plumbing ---------------------------------------------------------------
@@ -204,58 +219,6 @@ def _chain_append(u: Term, w: Term, out) -> Term:
     return linear_map(u, out, lambda g: tensor(g.lhs, _chain_append(g.rhs, w, out.rhs)))
 
 
-def _map_position(t: Term, pos: int, leaf_fn) -> Term:
-    """Rewrite the factor at a chain position with a linear map on terms."""
-    factors = chain_factors(t.space)
-    if pos >= len(factors):
-        raise RelationError("position out of range")
-    # the rewritten factor's space, from the leaf map of a throwaway zero
-    factors[pos] = leaf_fn(zero(factors[pos])).space
-
-    def at(u, i, out):
-        if not isinstance(out, Tensor):
-            return leaf_fn(u)
-        if i == 0:
-            return linear_map(u, out, lambda g: tensor(leaf_fn(g.lhs), g.rhs))
-        return linear_map(u, out, lambda g: tensor(g.lhs, at(g.rhs, i - 1, out.rhs)))
-
-    return at(t, pos, chain_space(factors))
-
-
-def _swap_adjacent(t: Term, d: int) -> Term:
-    """Exchange chain positions d and d+1; the commutator padded by the
-    associator, applied without expanding unrelated structure."""
-    factors = chain_factors(t.space)
-    if d + 1 >= len(factors):
-        raise RelationError("swap position out of range")
-    factors[d], factors[d + 1] = factors[d + 1], factors[d]
-
-    def at(u, i, out):
-        if i > 0:
-            return linear_map(u, out, lambda g: tensor(g.lhs, at(g.rhs, i - 1, out.rhs)))
-        if not isinstance(out.rhs, Tensor):
-            return linear_map(u, out, lambda g: tensor(g.rhs, g.lhs))
-        # (a ⊗ (b ⊗ rest)) to (b ⊗ (a ⊗ rest)), one generator of b ⊗ rest at a time
-        return linear_map(
-            u, out, lambda g: linear_map(g.rhs, out, lambda h: tensor(h.lhs, tensor(g.lhs, h.rhs)))
-        )
-
-    return at(t, d, chain_space(factors))
-
-
-def _apply_permutation(t: Term, perm) -> Term:
-    """Reorder chain positions so output position i holds input position
-    perm[i], as a product of adjacent transpositions."""
-    current = list(range(len(perm)))
-    for i, want in enumerate(perm):
-        j = current.index(want)
-        while j > i:
-            t = _swap_adjacent(t, j - 1)
-            current[j - 1], current[j] = current[j], current[j - 1]
-            j -= 1
-    return t
-
-
 # core operations ----------------------------------------------------------------
 
 def _require_same_schema(r: Relation, s: Relation, what: str):
@@ -267,30 +230,27 @@ def _require_same_schema(r: Relation, s: Relation, what: str):
         raise RelationError(f"{what} needs matching rings")
 
 
-def _aligned_terms(r: Relation, s: Relation):
-    a, b = r.chain_term(), s.chain_term()
-    if a.space != b.space:
-        # widen both into the compact chain; compact factors stay as they are
-        out = tensor_chain(r.ring, r.schema.prims, compact=True)
-        a, b = product._widen(a, out), product._widen(b, out)
-    return a, b
-
-
 def _form(r: Relation):
-    """The cached form, or a fresh one that is not stored back."""
+    """The held form, or a fresh one that is not stored back."""
     if r._nf is not None:
         return r._nf
     return normalize(r.chain_term())
 
 
-def _combine(r: Relation, s: Relation, what: str, op) -> Relation:
-    """`op` on the two sides' forms. Chains that mix compact and plain
-    factors differently are widened as terms and normalised again."""
-    _require_same_schema(r, s, what)
+def _aligned_forms(r: Relation, s: Relation):
+    """Both sides' forms; chains that mix compact and plain factors
+    differently are both widened into the compact chain."""
     a, b = _form(r), _form(s)
     if a.space != b.space:
-        a, b = (normalize(t) for t in _aligned_terms(r, s))
-    return Relation(r.schema, r.ring, nf=op(a, b))
+        cols = list(r.schema.columns)
+        a, b = product.embed(a, cols, cols), product.embed(b, cols, cols)
+    return a, b
+
+
+def _combine(r: Relation, s: Relation, what: str, op) -> Relation:
+    """`op` on the two sides' aligned forms."""
+    _require_same_schema(r, s, what)
+    return Relation(r.schema, r.ring, nf=op(*_aligned_forms(r, s)))
 
 
 def union(r: Relation, s: Relation) -> Relation:
@@ -323,30 +283,14 @@ def cartesian(r: Relation, s: Relation) -> Relation:
 def select(r: Relation, pred) -> Relation:
     """Keep tuples satisfying the predicate, multiplicities intact.
 
-    Single-column comparisons filter that factor symbolically; predicates
-    reading several columns go through the expanded rows. A wildcard in a
-    filtered column has no finite selection."""
+    Single-column comparisons filter the keys of that column's level of
+    the form; predicates reading several columns go through the expanded
+    rows. A wildcard in a filtered column has no finite selection."""
     col = pred.single_column()
     if col is not None:
         pos = r.schema.position(col)
-        prim = r.schema.prims[pos]
-        keep = pred.value_test(prim)
-
-        def leaf(u):
-            out_space = u.space
-
-            def act(a):
-                return inject(a, out_space) if keep(a) else zero(out_space)
-
-            try:
-                return terms.fold(u, out_space, act)
-            except SpaceError:
-                # a wildcard in the filtered column has no finite selection
-                raise RelationError(
-                    f"cannot select on wildcard-bearing column {col!r}"
-                ) from None
-
-        return Relation(r.schema, r.ring, _map_position(r.chain_term(), pos, leaf))
+        keep = pred.value_test(r.schema.prims[pos])
+        return Relation(r.schema, r.ring, nf=_select_level(_form(r), pos, keep, col))
     # general tuple predicate: expand
     row_test = pred.row_test(r.schema)
     try:
@@ -357,22 +301,42 @@ def select(r: Relation, pred) -> Relation:
     return relation_from_rows(r.schema, r.ring, kept)
 
 
+def _select_level(nf, pos, keep, col):
+    """`nf` with the keys at chain level `pos` filtered by `keep`."""
+    space = nf.space
+    if pos:
+        def sub(v):
+            return _select_level(v, pos - 1, keep, col)
+
+        base = None if nf.base is None else sub(nf.base)
+        trie = tries.map_values(space.prim, nf.trie, sub, NF_VOPS)
+        return MapNF(space, trie, None if base is None or base.is_zero() else base)
+    keyed = isinstance(nf, MapNF)
+    if nf.base is not None if keyed else not space.ring.is_zero(nf.base):
+        raise RelationError(f"cannot select on wildcard-bearing column {col!r}")
+    kept = [(k, v) for k, v in tries.items(space.prim, nf.trie) if keep(k)]
+    trie = tries.from_items(space.prim, kept, NF_VOPS if keyed else ring_vops(space.ring))
+    return type(nf)(space, trie, nf.base)
+
+
 def project(r: Relation, names) -> Relation:
-    """Keep the named columns; discarded columns contribute their weight,
-    so multiplicities are preserved rather than collapsed."""
+    """Keep the named columns, in the order named; each discarded key or
+    wildcard weighs one, so multiplicities are preserved rather than
+    collapsed. A relation held only as a term, such as a deferred Cartesian
+    product, is projected symbolically; otherwise the form's rows are."""
     if not names:
         raise RelationError("projection needs at least one attribute")
     positions = [r.schema.position(n) for n in names]
     if len(set(positions)) != len(positions):
         raise RelationError(f"repeated attributes in projection {names}")
+    if r._nf is not None:
+        return _keep_columns(r, positions)
     keep_sorted = sorted(positions)
     mask = [i in positions for i in range(len(r.schema))]
-    t = _project_term(r.chain_term(), mask)
     sch = Schema(tuple(r.schema.columns[i] for i in keep_sorted))
-    out = Relation(sch, r.ring, t)
+    out = Relation(sch, r.ring, _project_term(r.chain_term(), mask))
     if keep_sorted != positions:
-        perm = [keep_sorted.index(p) for p in positions]
-        out = rename(out, perm)
+        out = rename(out, [keep_sorted.index(p) for p in positions])
     return out
 
 
@@ -398,9 +362,25 @@ def rename(r: Relation, perm) -> Relation:
         raise RelationError(f"{perm} is not a permutation of the columns")
     if list(perm) == list(range(len(r.schema))):
         return Relation(r.schema, r.ring, r._term, r._nf)
-    t = _apply_permutation(r.chain_term(), list(perm))
-    sch = Schema(tuple(r.schema.columns[p] for p in perm))
-    return Relation(sch, r.ring, t)
+    return _keep_columns(r, list(perm))
+
+
+def _keep_columns(r: Relation, positions) -> Relation:
+    """Output column i is input column positions[i]; unlisted columns are
+    summed out."""
+    sch = Schema(tuple(r.schema.columns[p] for p in positions))
+    return _rebuilt(r, sch, lambda fs: [fs[p] for p in positions],
+                    lambda row: tuple(row[p] for p in positions))
+
+
+def _rebuilt(r: Relation, sch: Schema, factor_map, row_map) -> Relation:
+    """`r`'s rows, wildcard slots included, each sent through `row_map` and
+    built into the chain that `factor_map` makes of `r`'s chain factors, so
+    an empty relation keeps its factors plain or compact."""
+    nf = _form(r)
+    rows = [(row_map(row), c) for row, c in enumerate_nf(nf, allow_baseline=True)]
+    space = chain_space(factor_map(chain_factors(nf.space)))
+    return Relation(sch, r.ring, nf=_rows_nf(space, rows, 0))
 
 
 def relabel(r: Relation, new_names) -> Relation:
@@ -415,6 +395,8 @@ def _join_target(rs):
     cols = []
     seen = {}
     for r in rs:
+        if r.ring is not rs[0].ring:
+            raise RelationError("join needs matching rings")
         for n, p in r.schema.columns:
             if n in seen:
                 if seen[n] != p:
@@ -428,14 +410,15 @@ def _join_target(rs):
     return Schema(tuple(cols))
 
 
-def _embedded_terms(rs, target: Schema):
+def _embedded(rs, target: Schema):
+    """Each input's form, renamed into the target's attribute order and
+    embedded into its compact chain."""
     out = []
     for r in rs:
         order = [n for n in target.names if n in r.schema.names]
         if order != r.schema.names:
             r = rename(r, [r.schema.position(n) for n in order])
-        src = list(r.schema.columns)
-        out.append(product.embed(r.chain_term(), src, list(target.columns)))
+        out.append(product.embed(_form(r), list(r.schema.columns), list(target.columns)))
     return out
 
 
@@ -446,13 +429,11 @@ def natural_join(rs) -> Relation:
     rs = list(rs)
     if not rs:
         raise RelationError("join needs at least one input")
-    ring = rs[0].ring
     target = _join_target(rs)
-    embedded = _embedded_terms(rs, target)
-    nf = product.multiply(embedded)
+    nf = product.nf_product(_embedded(rs, target))
     if not has_baseline(nf):
         nf = strip_compact(nf)
-    return Relation(target, ring, nf=nf)
+    return Relation(target, rs[0].ring, nf=nf)
 
 
 def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
@@ -461,15 +442,13 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
     if kind not in ("left", "right", "full"):
         raise RelationError(f"unknown outer join kind {kind!r}")
     target = _join_target([r, s])
-    x, y = _embedded_terms([r, s], target)
-    u = terms.unit_one(x.space)
-    if kind == "left":
-        prod = x * (y + u)
-    elif kind == "right":
-        prod = (x + u) * y
-    else:
-        prod = (x + u) * (y + u)
-    nf = normalize(prod)
+    x, y = _embedded([r, s], target)
+    u = unit_nf(x.space)
+    if kind != "left":
+        x = nf_add(x, u)
+    if kind != "right":
+        y = nf_add(y, u)
+    nf = product.nf_product([x, y])
     if not has_baseline(nf):
         nf = strip_compact(nf)
     return Relation(target, r.ring, nf=nf)
@@ -564,13 +543,17 @@ def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Rela
                                 f"in column {name!r} outside {type_name(cod)}")
         return b
 
-    def leaf(u):
-        return fmap(u, checked, target_index=cod)
+    def factors(fs):
+        fs[pos] = type(fs[pos])(r.ring, cod)
+        return fs
 
-    t = _map_position(r.chain_term(), pos, leaf)
+    def row_map(row):
+        a = row[pos]
+        return row[:pos] + (a if a is STAR else checked(a),) + row[pos + 1:]
+
     cols = list(r.schema.columns)
     cols[pos] = (name, cod)
-    return Relation(Schema(tuple(cols)), r.ring, t)
+    return _rebuilt(r, Schema(tuple(cols)), factors, row_map)
 
 
 def clamp_nonneg(r: Relation) -> Relation:

@@ -8,13 +8,16 @@ immutable and persistent: merges share unchanged subtrees, lookup cost is
 linear in the key size and independent of population.
 
 `single` makes a one-entry trie, `merge` adds two tries, and `from_items`
-builds a trie from entries by balanced pairwise merges; `map_values` is
-`from_items` over the mapped entries. `walk` intersects tries: on integer
-keys it builds its output bottom-up as it goes and keeps every input node
-the intersection leaves unchanged. Radix merge, enumeration and the
-Patricia walk keep explicit stacks, so no operation's Python stack depth
-grows with key length (Patricia merge recursion is bounded by the 64 key
-bits).
+builds a trie from entries: integer and string entries are sorted, equal
+keys added, and the trie built bottom-up (Okasaki and Gill's Patricia
+split, a radix split at each longest common prefix); other families merge
+one-entry tries. `map_values` rebuilds integer and string tries node for
+node, so a trie whose images all survive keeps its shape. `walk`
+intersects tries: on integer keys it builds its output bottom-up as it
+goes and keeps every input node the intersection leaves unchanged. Radix
+build, merge, mapping and enumeration and the Patricia walk keep explicit
+stacks, so no operation's Python stack depth grows with key length
+(Patricia recursion is bounded by the 64 key bits).
 
 Payloads are opaque. Callers pass a `ValueOps` describing how payloads
 add, when they vanish, and how many keys a payload stands for (one, except
@@ -23,6 +26,7 @@ Every node visit bumps `metrics.current.trie_edges`.
 """
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -254,6 +258,30 @@ def _p_walk(ts, leaf, vops):
         parent[slot] = out
 
 
+def _p_build(us, vals, lo, hi, vcount):
+    """Patricia trie of the sorted distinct keys us[lo:hi]: a run splits at
+    the highest bit where its first and last keys differ."""
+    if hi - lo == 1:
+        v = vals[lo]
+        return PLeaf(us[lo], v, vcount(v))
+    a = us[lo]
+    bit = 1 << ((a ^ us[hi - 1]).bit_length() - 1)
+    prefix = a & ~((bit << 1) - 1)
+    mid = bisect_left(us, prefix | bit, lo, hi)
+    return PBranch(prefix, bit, _p_build(us, vals, lo, mid, vcount),
+                   _p_build(us, vals, mid, hi, vcount))
+
+
+def _p_map(t, fn, vops, m):
+    m.trie_edges += 1
+    if isinstance(t, PLeaf):
+        w = fn(t.val)
+        if w is None or vops.is_zero(w):
+            return None
+        return PLeaf(t.ukey, w, vops.count(w))
+    return _p_branch(t.prefix, t.bit, _p_map(t.left, fn, vops, m), _p_map(t.right, fn, vops, m))
+
+
 # ---------------------------------------------------------------------------
 # Radix trie on utf-8 bytes
 
@@ -282,11 +310,15 @@ def _r_single(key: bytes, val, vops):
 
 
 def _common_prefix_len(a: bytes, b: bytes) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+    # bisect on slice equality: log(n) byte compares in C, not n in Python
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _r_compress(label, child):
@@ -343,6 +375,68 @@ def _r_merge(a, b, vops):
         out.extend(ea[i:])
         out.extend(eb[j:])
         frames.append((parent, slot, label, _add_opt(x.val, y.val, vops), out))
+    for parent, slot, label, val, out in reversed(frames):
+        node = _r_node(val, [e for e in out if e is not None], vops)
+        if parent is None:
+            return node
+        if node is not None:
+            frames[parent][4][slot] = _r_compress(label, node)
+
+
+def _r_build(keys, vals, vops):
+    """Radix trie of sorted distinct byte keys. The open nodes along the
+    previous key form a stack of depths, payloads and edge lists; each key
+    closes the nodes deeper than its common prefix with the previous key,
+    opening a branch node at that depth when none is open there, and a
+    last pass at depth 0 closes the rest into the root."""
+    vcount = vops.count
+    depths, pvals, kids = [0], [None], [[]]
+    prev = b""
+    n = len(keys)
+    built = 1
+    for i in range(n + 1):
+        depth = _common_prefix_len(prev, keys[i]) if i < n else 0
+        while depths[-1] > depth:
+            built += 1
+            d, v, edges = depths.pop(), pvals.pop(), kids.pop()
+            node = RNode(v, tuple(edges), 0 if v is None else vcount(v))
+            if depths[-1] < depth:
+                depths.append(depth)
+                pvals.append(None)
+                kids.append([])
+            kids[-1].append((prev[depths[-1]:d], node))
+        if i < n:
+            prev = keys[i]
+            if prev:
+                depths.append(len(prev))
+                pvals.append(vals[i])
+                kids.append([])
+            else:  # the empty key, first in order, at the root
+                pvals[0] = vals[i]
+    metrics.current.trie_edges += built
+    v = pvals[0]
+    return RNode(v, tuple(kids[0]), 0 if v is None else vcount(v))
+
+
+def _r_map(t, fn, vops):
+    """`map_values` on a radix trie: frames (parent, slot, label, payload,
+    edges) top-down, nodes bottom-up, as in `_r_merge`."""
+    m = metrics.current
+    is_zero = vops.is_zero
+    frames = []
+    todo = [(None, None, None, t)]
+    while todo:
+        parent, slot, label, x = todo.pop()
+        m.trie_edges += 1
+        val = None
+        if x.val is not None:
+            val = fn(x.val)
+            if val is not None and is_zero(val):
+                val = None
+        me = len(frames)
+        frames.append((parent, slot, label, val, [None] * len(x.edges)))
+        for i, (lb, child) in enumerate(x.edges):
+            todo.append((me, i, lb, child))
     for parent, slot, label, val, out in reversed(frames):
         node = _r_node(val, [e for e in out if e is not None], vops)
         if parent is None:
@@ -585,18 +679,76 @@ def count(t) -> int:
 def from_items(prim, pairs, vops):
     """Build a trie from (key, payload) pairs; the one multi-entry builder.
 
-    One-entry tries are merged pairwise in balanced rounds, about log2(n) of
-    them, so colliding keys add through `merge` and no family needs its own
-    builder or a sort. Vanishing payloads are skipped."""
-    level = [single(prim, k, v, vops) for k, v in pairs if not vops.is_zero(v)]
-    if not level:
+    Colliding keys add, and vanishing payloads and sums are dropped.
+    Integer and string entries are sorted and the trie is built from the
+    sorted keys, each node once; other families merge one-entry tries in
+    balanced rounds."""
+    if not isinstance(prim, (Int64, Str)):
+        level = [single(prim, k, v, vops) for k, v in pairs if not vops.is_zero(v)]
+        if not level:
+            return None
+        while len(level) > 1:
+            paired = [merge(prim, level[i], level[i + 1], vops)
+                      for i in range(0, len(level) - 1, 2)]
+            if len(level) % 2:
+                paired.append(level[-1])
+            level = paired
+        return level[0]
+    if isinstance(prim, Int64):
+        ents = [((k & _M64) ^ _SIGN, v) for k, v in pairs]  # `_ukey`, inlined
+    else:
+        ents = [(k.encode(), v) for k, v in pairs]
+    if len(ents) == 1:  # most tries of a relation built from rows
+        k, v = ents[0]
+        if vops.is_zero(v):
+            return None
+        metrics.current.trie_edges += 1
+        return PLeaf(k, v, vops.count(v)) if isinstance(prim, Int64) else _r_single(k, v, vops)
+    ents.sort(key=_first)
+    keys, vals = _summed(ents, vops)
+    if not keys:
         return None
-    while len(level) > 1:
-        paired = [merge(prim, level[i], level[i + 1], vops) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0]
+    if isinstance(prim, Str):
+        return _r_build(keys, vals, vops)
+    metrics.current.trie_edges += 2 * len(keys) - 1
+    return _p_build(keys, vals, 0, len(keys), vops.count)
+
+
+_first = operator.itemgetter(0)
+
+
+def _summed(ents, vops):
+    """Keys and payloads of sorted entries. The payloads of equal keys add
+    in balanced rounds, since a payload may itself be a trie and adding one
+    at a time to a growing sum can be quadratic; vanishing payloads and
+    sums are dropped."""
+    is_zero, add = vops.is_zero, vops.add
+    keys, vals, runs = [], [], {}
+    for k, v in ents:
+        if is_zero(v):
+            continue
+        if keys and keys[-1] == k:
+            runs.setdefault(len(keys) - 1, [vals[-1]]).append(v)
+        else:
+            keys.append(k)
+            vals.append(v)
+    if not runs:
+        return keys, vals
+    for i, vs in runs.items():
+        while len(vs) > 1:
+            paired = [add(vs[j], vs[j + 1]) for j in range(0, len(vs) - 1, 2)]
+            if len(vs) % 2:
+                paired.append(vs[-1])
+            vs = [v for v in paired if not is_zero(v)]
+        vals[i] = vs[0] if vs else None
+    kept = [i for i, v in enumerate(vals) if v is not None]
+    return [keys[i] for i in kept], [vals[i] for i in kept]
+
+
+def lockstep(prim) -> bool:
+    """Whether `walk` intersects this family's tries in lockstep rather than
+    enumerating one trie and probing the others."""
+    return isinstance(prim, Int64)
 
 
 def walk(prim, ts, leaf, vops):
@@ -607,7 +759,7 @@ def walk(prim, ts, leaf, vops):
     enumerate the trie with the fewest keys and probe the others."""
     if any(t is None for t in ts):
         return None
-    if isinstance(prim, Int64):
+    if lockstep(prim):
         return _p_walk(ts, leaf, vops)
     m = metrics.current
     e = min(range(len(ts)), key=lambda i: ts[i].count)
@@ -632,6 +784,14 @@ def walk(prim, ts, leaf, vops):
 
 def map_values(prim, t, fn, vops):
     """Apply fn to every payload; entries whose image is None or vanishes are
-    dropped."""
+    dropped. Integer and string tries are mapped node for node, so where no
+    image vanishes the output has the input's shape; other families are
+    rebuilt from the mapped entries."""
+    if t is None:
+        return None
+    if isinstance(prim, Int64):
+        return _p_map(t, fn, vops, metrics.current)
+    if isinstance(prim, Str):
+        return _r_map(t, fn, vops)
     mapped = ((k, w) for k, v in items(prim, t) if (w := fn(v)) is not None)
     return from_items(prim, mapped, vops)

@@ -46,3 +46,46 @@ def test_modules_import_only_what_they_use():
         for line, name in unused_imports(p.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def orphaned_helpers(sources):
+    """Private module-level functions and classes that no code in the
+    package refers to outside their own definition. `sources` maps module
+    names to source text."""
+    helpers = []
+    where = {}  # name -> the (module, top-level statement) pairs reading it
+    for mod, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                helpers.append((mod, i, stmt.name))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                where.setdefault(name, set()).add((mod, i))
+    return helpers, sorted(
+        f"{mod}: {name}" for mod, i, name in helpers if where.get(name, set()) <= {(mod, i)}
+    )
+
+
+def test_orphan_check_ignores_self_reference():
+    sources = {
+        "a": "def _loop(n):\n    return _loop(n - 1)\n\nclass _Used:\n    pass\n",
+        "b": "from .a import _Used\n\ndef _spare():\n    pass\n",
+    }
+    helpers, orphans = orphaned_helpers(sources)
+    assert len(helpers) == 3
+    assert orphans == ["a: _loop", "b: _spare"]
+
+
+def test_private_helpers_are_referenced():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    helpers, orphans = orphaned_helpers(sources)
+    assert helpers
+    assert orphans == []

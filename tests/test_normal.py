@@ -17,6 +17,7 @@ from polyalg import (
     Prod,
     Scalar,
     Sum,
+    Tensor,
     enumerate_nf,
     equal,
     inject,
@@ -38,7 +39,7 @@ from polyalg import (
     wild_one,
     zero,
 )
-from polyalg.normal import nf_lookup
+from polyalg.normal import nf_lookup, nf_scale
 from polyalg.tries import count as trie_count
 
 from conftest import rand_term, sample_spaces
@@ -220,6 +221,17 @@ def test_real_pruning():
     assert nf.is_zero()
 
 
+def test_scale_by_nearly_one_scales_real_weights():
+    # only exactly one skips the rebuild; within the real ring's tolerance
+    # of one is still a scaling
+    fr = Free(REAL, INT)
+    x = scale(2.0, inject(1, fr)) + scale(-0.5, inject(2, fr))
+    r = 1.0 + 1e-10
+    got = enumerate_nf(nf_scale(r, normalize(x)))
+    assert got == enumerate_nf(normalize(scale(r, x)))
+    assert got != enumerate_nf(normalize(x))
+
+
 def test_lookup_path_through_chain():
     t = tensor(inject("a", CS), tensor(inject(1, CompactFree(Z, INT)), wild_one(CS)))
     nf = normalize(t)
@@ -250,6 +262,17 @@ def test_nested_prefix_keys_normalize_in_balanced_merges():
         nf = normalize(t)
     assert m.trie_edges <= 50_000
     assert [k for (k,), _ in enumerate_nf(nf)] == keys
+
+
+def test_nested_prefix_values_under_one_key_add_in_balanced_rounds():
+    # every row shares its first key, so 2,000 value tries add under it;
+    # one at a time, each addition would walk the whole prefix chain
+    keys = ["a" * i for i in range(1, 2001)]
+    t = sum_terms(Tensor(FI, FS), [tensor(inject(1, FI), inject(k, FS)) for k in keys])
+    with metrics.fresh() as m:
+        nf = normalize(t)
+    assert m.trie_edges <= 50_000
+    assert [k for (_, k), _ in enumerate_nf(nf)] == keys
 
 
 def test_relation_chain_normalizes_to_nested_trie():

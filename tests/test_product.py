@@ -195,27 +195,29 @@ def test_wildcard_closure_by_lookup(rng):
             assert got == want, (pa, pb)
 
 
+def _traced_levels(factors):
+    with metrics.fresh(trace=True) as m:
+        multiply(factors)
+    return m.trace
+
+
 def test_enumerator_picks_fewest_components():
-    # x has two keys and no baseline, y is baseline-only: x restricts
+    # integer levels are walked in lockstep, so no factor is enumerated
     x = inject(1, CI) + inject(2, CI)
-    y = wild_one(CI)
-    with metrics.fresh(trace=True) as m:
-        multiply([y, x])
-    ((counts, chosen),) = m.trace
-    assert counts == (1, 2)
-    assert chosen == 1  # the restricting factor, despite y's smaller count
-    # among restricting factors, the smaller one wins; ties go left
+    assert _traced_levels([wild_one(CI), x]) == [((1, 2), None)]
     a = inject(1, CI) + inject(2, CI) + inject(3, CI)
-    b = inject(1, CI) + inject(2, CI)
-    with metrics.fresh(trace=True) as m:
-        multiply([a, b])
-    ((counts, chosen),) = m.trace
-    assert counts == (3, 2) and chosen == 1
+    assert _traced_levels([a, x]) == [((3, 2), None)]
     # all-baseline products record the global minimum
-    with metrics.fresh(trace=True) as m:
-        multiply([wild_one(CI) + inject(1, CI), wild_one(CI)])
-    ((counts, chosen),) = m.trace
-    assert counts == (2, 1) and chosen == 1
+    assert _traced_levels([wild_one(CI) + inject(1, CI), wild_one(CI)]) == [((2, 1), 1)]
+    # string levels enumerate a restricting factor and probe the others
+    x = strs(["a", "b"], CS)
+    y = wild_one(CS)
+    # the restricting factor, despite y's smaller count
+    assert _traced_levels([y, x]) == [((1, 2), 1)]
+    # among restricting factors, the smaller one wins; ties go left
+    assert _traced_levels([strs(["a", "b", "c"], CS), x]) == [((3, 2), 1)]
+    assert _traced_levels([x, strs(["b", "c"], CS)]) == [((2, 2), 0)]
+    assert _traced_levels([wild_one(CS) + inject("a", CS), wild_one(CS)]) == [((2, 1), 1)]
 
 
 def test_zero_prune_skips_deeper_levels():

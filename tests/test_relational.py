@@ -1,10 +1,15 @@
 """Relational operations over ring-weighted relations."""
 
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyalg import (
     GF2,
     INT,
+    REAL,
     STAR,
     STRING,
     Z,
@@ -247,7 +252,7 @@ def test_outer_joins_with_wildcards():
 
 def test_outer_join_distributivity_identities(rng):
     from polyalg import multiply, nf_equal, normalize, readback, unit_one
-    from polyalg.relational import _embedded_terms, _join_target
+    from polyalg.relational import _embedded, _join_target
 
     for _ in range(15):
         xs = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
@@ -255,7 +260,7 @@ def test_outer_join_distributivity_identities(rng):
         x = rel([("A", INT), ("B", INT)], sorted(set(xs)))
         y = rel([("B", INT), ("C", INT)], sorted(set(ys)))
         target = _join_target([x, y])
-        xe, ye = _embedded_terms([x, y], target)
+        xe, ye = (readback(nf) for nf in _embedded([x, y], target))
         u = unit_one(xe.space)
         lhs = multiply([xe, ye + u])
         rhs = normalize(readback(multiply([xe, ye])) + xe)
@@ -372,13 +377,14 @@ def test_update_cost_follows_the_delta():
     edges = []
     for n in (2000, 8000):
         db, delta, want = _kvs_relation(n, seed=n)
+        held = delta._nf
         counts = []
         for _ in range(2):
             with metrics.fresh() as m:
                 apply_update(db, delta).nf()
             counts.append(m.trie_edges)
-        # operators never cache a form into an input, so a repeat costs the same
-        assert delta._nf is None
+        # operators never replace an input's form, so a repeat costs the same
+        assert delta._nf is held
         assert counts[0] == counts[1]
         assert rowdict(apply_update(db, delta)) == want
         edges.append(counts[0])
@@ -535,11 +541,16 @@ def test_empty_relations_keep_their_chain_through_every_rewrite():
 
 
 def test_row_operators_leave_their_input_uncached():
-    r = weighted(
+    from polyalg import Relation
+
+    def held_as_term(rel):
+        return Relation(rel.schema, rel.ring, rel.term)
+
+    r = held_as_term(weighted(
         [("A", STRING), ("B", INT), ("C", INT)],
         [(("a", 1, 5), 2), (("a", 2, 7), -1), (("b", 3, 4), 1)],
-    )
-    other = weighted([("A", STRING), ("B", INT), ("C", INT)], [(("a", 1, 5), 2)])
+    ))
+    other = held_as_term(weighted([("A", STRING), ("B", INT), ("C", INT)], [(("a", 1, 5), 2)]))
     agg = aggregate(r, ["A"], "C", "sum")
     kept = clamp_nonneg(r)
     either = BoolPred("or", (Compare("=", "A", "b"), Compare("<", "B", other_column="C")))
@@ -550,3 +561,102 @@ def test_row_operators_leave_their_input_uncached():
     assert rowdict(kept) == {("a", 1, 5): 2, ("b", 3, 4): 1}
     assert rowdict(picked) == {("a", 1, 5): 2, ("a", 2, 7): -1, ("b", 3, 4): 1}
     assert not same
+
+
+# rows against the row-sum term ---------------------------------------------------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+ADVERSARIAL_KEYS = {
+    INT: st.one_of(st.sampled_from([INT64_MIN, INT64_MAX, -1, 0]), st.integers(-3, 3)),
+    # "" and nested prefixes, multi-byte and astral characters
+    STRING: st.one_of(st.sampled_from(["", "a", "aa", "aaa", "ab", "é", "éa", "中", "\U0001f600"]),
+                      st.text(max_size=3)),
+}
+# halves keep every real sum exact, whatever order the additions run in
+COEFFS = {Z: st.integers(-2, 2), GF2: st.booleans(), REAL: st.sampled_from([-1.5, -0.5, 0.0, 0.5, 2.0])}
+SCHEMAS = [
+    [("K", INT), ("S", STRING), ("V", INT)],
+    [("S", STRING), ("K", INT)],
+    [("S", STRING)],
+]
+
+
+def row_sum(sch, ring, rows):
+    """The rows as one term: a sum of scaled tensors of generators."""
+    from polyalg import Tensor, inject, scale, sum_terms, tensor, tensor_chain
+
+    def gen(row, space):
+        if isinstance(space, Tensor):
+            return tensor(inject(row[0], space.lhs), gen(row[1:], space.rhs))
+        return inject(row[0], space)
+
+    space = tensor_chain(ring, sch.prims)
+    return sum_terms(space, [scale(ring.coerce(c), gen(row, space)) for row, c in rows])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_rows_build_the_normal_form_of_their_sum(data):
+    from polyalg import nf_equal, normalize
+
+    ring = data.draw(st.sampled_from([Z, GF2, REAL]))
+    sch = schema(*data.draw(st.sampled_from(SCHEMAS)))
+    row = st.tuples(*(ADVERSARIAL_KEYS[p] for p in sch.prims))
+    rows = data.draw(st.lists(st.tuples(row, COEFFS[ring]), max_size=12))
+    if rows:
+        # repeat some rows, some negated so that they cancel
+        again = data.draw(st.lists(st.sampled_from(rows), max_size=6))
+        rows += [(r, c if data.draw(st.booleans()) else ring.neg(c)) for r, c in again]
+    got = relation_from_rows(sch, ring, rows).nf()
+    want = normalize(row_sum(sch, ring, rows))
+    assert nf_equal(got, want)
+    assert got.sort_key() == want.sort_key()
+
+
+def test_nested_prefix_column_deeper_than_the_recursion_limit():
+    from polyalg.normal import enumerate_nf, nf_scale
+
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    keys = ["a" * i for i in range(1, n + 1)]
+    r = weighted([("S", STRING), ("K", INT)], [((k, i), 1) for i, k in enumerate(keys)])
+    doubled = nf_scale(2, r.nf())  # maps the radix trie's payloads
+    assert enumerate_nf(doubled) == [((k, i), 2) for i, k in enumerate(keys)]
+    # the join embeds and strips r's form, mapping the radix trie twice
+    ends = natural_join([r, rel([("K", INT)], [(0,), (n - 1,)])])
+    assert rowdict(ends) == {(keys[0], 0): 1, (keys[-1], n - 1): 1}
+
+
+def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
+    from polyalg import normal, product, relational
+
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    for mod in (normal, product, relational):
+        for name in ("normalize", "readback"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    x = rel(AB, X3)
+    y = rel([("B", INT), ("C", STRING)], Y3)
+    z = rel([("A", STRING), ("C", STRING)], [("b", "p"), ("c", "z")])
+    calls.clear()
+    joined = natural_join([x, y, z])
+    left = outer_join("left", x, y)
+    picked = select(x, Compare("<", "B", 3))
+    left_b = select(left, Compare("=", "A", "b"))
+    # a wildcard in the filtered column has no finite selection
+    with pytest.raises(RelationError):
+        select(left, Compare("=", "C", "p"))
+    assert calls == []
+    assert rowdict(left_b) == {("b", 2, STAR): 1, ("b", 2, "p"): 1}
+    assert rowdict(joined) == {("b", 2, "p"): 1}
+    assert rowdict(left) == {(a, b, STAR): 1 for a, b in X3} | {("b", 2, "p"): 1, ("c", 3, "q"): 1}
+    assert rowdict(picked) == {("a", 1): 1, ("b", 2): 1}
+    assert calls == []

@@ -165,3 +165,27 @@ def test_lookup_cost_independent_of_population():
     # both walk at most the key's bit length
     assert big_edges <= 65
     assert small_edges <= 65
+
+
+def test_builds_and_maps_charge_one_edge_per_node():
+    # sorted bottom-up builds and node-for-node maps visit each node once,
+    # where merging one-entry tries walked about log2(n) nodes per key
+    rng = random.Random(11)
+    ints = rng.sample(range(-(2**40), 2**40), 3000)
+    words = sorted({"".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
+                    for _ in range(3000)})
+    for prim, keys in ((INT, ints), (STRING, words)):
+        # repeated entries add up before the build
+        pairs = [(k, 1) for k in keys] + [(k, 2) for k in keys[:10]]
+        with metrics.fresh() as m:
+            t = from_items(prim, pairs, VOPS)
+        built = m.trie_edges
+        check_same(prim, t, {k: 3 if i < 10 else 1 for i, k in enumerate(keys)}, keys[:20])
+        with metrics.fresh() as m:
+            assert len(list(items(prim, t))) == len(keys)
+        nodes = m.trie_edges
+        assert built == nodes <= 2 * len(keys) + 1, prim
+        with metrics.fresh() as m:
+            doubled = map_values(prim, t, lambda v: 2 * v, VOPS)
+        assert m.trie_edges == nodes, prim
+        assert list(items(prim, doubled)) == [(k, 2 * v) for k, v in items(prim, t)]
