@@ -37,21 +37,12 @@ def _render_cell(prim: PrimSet, v) -> str:
     return prim.render(v)
 
 
-def _rows_payload(r: Relation):
-    rows = []
-    for path, coeff in r.rows(allow_baseline=True):
-        rows.append(
-            (
-                [_render_cell(p, v) for p, v in zip(r.schema.prims, path)],
-                r.ring.render(coeff),
-            )
-        )
-    return rows
-
-
 def render_relation(r: Relation, fmt: str) -> str:
-    rows = _rows_payload(r)
-    flagged = r.has_baseline()
+    paths = r.rows(allow_baseline=True)
+    # a wildcard baseline shows as a STAR slot in some row
+    flagged = any(STAR in path for path, _ in paths)
+    rows = [([_render_cell(p, v) for p, v in zip(r.schema.prims, path)], r.ring.render(coeff))
+            for path, coeff in paths]
     if fmt == "json":
         payload = {
             "schema": [

@@ -499,9 +499,13 @@ def has_baseline(nf: NormalForm) -> bool:
     if isinstance(nf, FreeNF):
         return not nf.space.ring.is_zero(nf.base)
     if isinstance(nf, MapNF):
-        if nf.base is not None:
-            return True
-        return any(has_baseline(v) for _, v in tries.items(nf.space.prim, nf.trie))
+        # a level at a time: the values of a map form share one space
+        level = [nf]
+        while level and isinstance(level[0], MapNF):
+            if any(x.base is not None for x in level):
+                return True
+            level = [v for _, _, v in tries.expand(level[0].space.prim, [x.trie for x in level])]
+        return any(has_baseline(x) for x in level)
     if isinstance(nf, PairNF):
         return has_baseline(nf.lhs) or has_baseline(nf.rhs)
     if isinstance(nf, TensorNF):
@@ -767,10 +771,13 @@ def strip_space(space: Space) -> Space:
     return space
 
 
-def strip_compact(nf: NormalForm) -> NormalForm:
-    """Reinterpret a baseline-free compact form in the plain space."""
+def strip_compact(nf: NormalForm, target: Space | None = None) -> NormalForm:
+    """Reinterpret a baseline-free compact form in the plain space `target`,
+    by default `strip_space` of its own; each sub-form is given its part of
+    the target, so the space is stripped once."""
     space = nf.space
-    target = strip_space(space)
+    if target is None:
+        target = strip_space(space)
     if isinstance(nf, ScalarNF):
         return nf
     if isinstance(nf, FreeNF):
@@ -780,11 +787,14 @@ def strip_compact(nf: NormalForm) -> NormalForm:
     if isinstance(nf, MapNF):
         if nf.base is not None:
             raise InfiniteSupport(f"{space} form has a baseline; cannot restrict")
-        t = tries.map_values(space.prim, nf.trie, strip_compact, NF_VOPS)
+        value = target.value
+        t = tries.map_values(space.prim, nf.trie, lambda v: strip_compact(v, value), NF_VOPS)
         return MapNF(target, t, None)
     if isinstance(nf, PairNF):
-        return PairNF(target, strip_compact(nf.lhs), strip_compact(nf.rhs))
+        return PairNF(target, strip_compact(nf.lhs, target.lhs),
+                      strip_compact(nf.rhs, target.rhs))
     if isinstance(nf, TensorNF):
-        summands = tuple((strip_compact(l), strip_compact(r)) for l, r in nf.summands)
+        summands = tuple((strip_compact(l, target.lhs), strip_compact(r, target.rhs))
+                         for l, r in nf.summands)
         return TensorNF(target, summands)
     raise SpaceError(f"cannot restrict {type(nf).__name__}")

@@ -6,7 +6,8 @@ The data is held as a canonical form (a nested keyed trie in attribute
 order), as a term, or as both. Relations built from rows are born as
 forms, grouped column by column into one trie per node. Set operations,
 joins and single-column selection work on forms, so an update costs about
-the size of its delta rather than of the relation. Reordering, projection
+the size of its delta rather than of the relation, and aggregation folds
+a form a level at a time without listing its rows. Reordering, projection
 and column maps rebuild a form from its rows, rearranged or mapped, into
 an output chain computed up front from the input chain's factors, each
 kept plain or compact, so an empty relation gets the same space as a full
@@ -457,10 +458,19 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
 def aggregate(r: Relation, group, target, fold: str) -> Relation:
     """Group by the named columns and fold the target column.
 
-    Sums move the target value into the ring; minimum and maximum collect
-    each group's value set and fold it non-linearly, with an adjoined
-    infinity so the empty fold is still defined; count is projection's
-    multiplicity bookkeeping under another name."""
+    Sum, minimum and maximum fold the relation's form one chain level at a
+    time, without listing its rows; a sum is the linear map sending
+    e_(k,s,v) to v·e_s. The fold keeps a frontier of (group key, weight,
+    sub-form) entries, one per trie entry of the level: a grouping level
+    appends its key to the group key, the target level multiplies the
+    weight by the key moved into the ring (sum) or makes the key the
+    entry's value (minimum, maximum), and any other level is summed out.
+    At the last level each coefficient times its weight is added into its
+    group's total in row order, so the sums are those of a row-by-row
+    fold; minimum and maximum keep each group's extreme value, in a column
+    with an adjoined infinity. Count is projection's multiplicity
+    bookkeeping under another name. A wildcard at any level has no finite
+    fold."""
     if fold not in ("sum", "min", "max", "count"):
         raise RelationError(f"unknown aggregate {fold!r}")
     if not group:
@@ -476,44 +486,49 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
                             f"{type_name(r.schema.prims[tpos])}")
     if fold == "sum" and isinstance(r.ring, GF2Ring):
         raise RelationError("sum aggregation is meaningless over gf2; use count")
-    try:
-        rows = enumerate_nf(_form(r), allow_baseline=False)
-    except InfiniteSupport:
-        raise RelationError("cannot aggregate a relation with wildcard rows") from None
 
     ring = r.ring
-    gcols = tuple(r.schema.columns[i] for i in gpos)
-    if fold == "sum":
-        acc = {}
-        order = []
-        for row, c in rows:
-            key = tuple(row[i] for i in gpos)
-            v = ring.mul(c, ring.coerce(row[tpos]))
-            if key in acc:
-                acc[key] = ring.add(acc[key], v)
+    mul, coerce = ring.mul, ring.coerce
+    nf = _form(r)
+    factors = chain_factors(nf.space)
+    last = len(factors) - 1
+    chain_group = sorted(gpos)
+    keys, ws, forms = [()], [ring.one], [nf]
+    for p, f in enumerate(factors):
+        if isinstance(f, CompactFree) and any(
+                x.base is not None if p < last else not ring.is_zero(x.base) for x in forms):
+            raise RelationError("cannot aggregate a relation with wildcard rows")
+        grouped = p in chain_group
+        nkeys, nws, nforms = [], [], []
+        for i, k, v in tries.expand(f.prim, [x.trie for x in forms]):
+            nkeys.append(keys[i] + (k,) if grouped else keys[i])
+            if p != tpos:
+                nws.append(ws[i])
+            elif fold == "sum":
+                nws.append(mul(ws[i], coerce(k)))
             else:
-                acc[key] = v
-                order.append(key)
-        sch = Schema(gcols)
-        return relation_from_rows(sch, ring, [(k, acc[k]) for k in order])
-    # min / max: per-group value sets, then a non-linear fold of each set
-    groups = {}
-    order = []
-    for row, c in rows:
-        key = tuple(row[i] for i in gpos)
-        if key not in groups:
-            groups[key] = set()
-            order.append(key)
-        groups[key].add(row[tpos])
-    out_prim = INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF
-    pick = min if fold == "min" else max
-    sch = Schema(gcols + ((target, out_prim),))
-    out_rows = []
-    for key in order:
-        vals = groups[key]
-        chosen = pick(vals) if vals else out_prim.marker
-        out_rows.append((key + (chosen,), ring.one))
-    return relation_from_rows(sch, ring, out_rows)
+                nws.append(k)
+            nforms.append(v)
+        keys, ws, forms = nkeys, nws, nforms
+
+    acc = {}
+    order = [chain_group.index(p) for p in gpos]
+    cols = tuple(r.schema.columns[p] for p in gpos)
+    if fold == "sum":
+        add = ring.add
+        for g, w, c in zip(keys, ws, forms):
+            v = mul(c, w)
+            got = acc.get(g)
+            acc[g] = v if got is None else add(got, v)
+        rows = [(tuple(g[j] for j in order), v) for g, v in acc.items()]
+    else:
+        pick = min if fold == "min" else max
+        for g, v in zip(keys, ws):
+            got = acc.get(g)
+            acc[g] = v if got is None else pick(got, v)
+        rows = [(tuple(g[j] for j in order) + (v,), ring.one) for g, v in acc.items()]
+        cols += ((target, INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF),)
+    return relation_from_rows(Schema(cols), ring, rows)
 
 
 def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Relation:

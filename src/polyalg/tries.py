@@ -12,12 +12,14 @@ builds a trie from entries: integer and string entries are sorted, equal
 keys added, and the trie built bottom-up (Okasaki and Gill's Patricia
 split, a radix split at each longest common prefix); other families merge
 one-entry tries. `map_values` rebuilds integer and string tries node for
-node, so a trie whose images all survive keeps its shape. `walk`
-intersects tries: on integer keys it builds its output bottom-up as it
-goes and keeps every input node the intersection leaves unchanged. Radix
-build, merge, mapping and enumeration and the Patricia walk keep explicit
-stacks, so no operation's Python stack depth grows with key length
-(Patricia recursion is bounded by the 64 key bits).
+node, so a trie whose images all survive keeps its shape. `expand` walks
+the entries of a whole level of tries at once, tagged with the trie each
+came from, and is the one enumeration: `items` is `expand` of one trie.
+`walk` intersects tries: on integer keys it builds its output bottom-up
+as it goes and keeps every input node the intersection leaves unchanged.
+Radix build, merge, mapping and enumeration and the Patricia walk keep
+explicit stacks, so no operation's Python stack depth grows with key
+length (Patricia recursion is bounded by the 64 key bits).
 
 Payloads are opaque. Callers pass a `ValueOps` describing how payloads
 add, when they vanish, and how many keys a payload stands for (one, except
@@ -158,19 +160,6 @@ def _p_lookup(t, u):
         t = t.right if u & t.bit else t.left
     m.trie_edges += 1
     return t.val if t.ukey == u else None
-
-
-def _p_items(t):
-    m = metrics.current
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        m.trie_edges += 1
-        if isinstance(n, PLeaf):
-            yield _skey(n.ukey), n.val
-        else:
-            stack.append(n.right)
-            stack.append(n.left)
 
 
 def _p_walk(ts, leaf, vops):
@@ -470,18 +459,6 @@ def _r_lookup(t, key: bytes):
         node = child
 
 
-def _r_items(t):
-    m = metrics.current
-    stack = [(b"", t)]
-    while stack:
-        prefix, node = stack.pop()
-        m.trie_edges += 1
-        if node.val is not None:
-            yield prefix.decode("utf-8"), node.val
-        for label, child in reversed(node.edges):
-            stack.append((prefix + label, child))
-
-
 # ---------------------------------------------------------------------------
 # Slot-shaped tries: unit, bool, sums, adjoined markers
 
@@ -636,40 +613,79 @@ def lookup(prim, t, key):
 
 def items(prim, t):
     """All (key, payload) entries in the set's total order."""
-    if t is None:
-        return
+    for _, k, v in expand(prim, (t,)):
+        yield k, v
+
+
+def expand(prim, ts):
+    """Every entry of every trie in `ts` as (index, key, payload), where
+    `index` is the trie's position in `ts`: the tries in order, each one's
+    entries in the set's total order, empty tries giving none. One family
+    dispatch serves all the tries of a level, and each node visited costs
+    one trie edge. Integer and string tries are walked lazily, so no list
+    of a level's entries is built unless the caller builds one."""
+    m = metrics.current
     if isinstance(prim, Int64):
-        yield from _p_items(t)
+        for i, t in enumerate(ts):
+            if t is None:
+                continue
+            stack = [t]
+            while stack:
+                n = stack.pop()
+                m.trie_edges += 1
+                if isinstance(n, PLeaf):
+                    u = n.ukey ^ _SIGN  # `_skey`, inlined
+                    yield i, u - (1 << 64) if u & _SIGN else u, n.val
+                else:
+                    stack.append(n.right)
+                    stack.append(n.left)
     elif isinstance(prim, Str):
-        yield from _r_items(t)
-    elif isinstance(prim, Unit):
-        metrics.current.trie_edges += 1
-        yield (), t.val
-    elif isinstance(prim, Bool):
-        metrics.current.trie_edges += 1
-        if t.f is not None:
-            yield False, t.f
-        if t.t is not None:
-            yield True, t.t
-    elif isinstance(prim, Sum):
-        metrics.current.trie_edges += 1
-        for k, v in items(prim.lhs, t.left):
-            yield ("L", k), v
-        for k, v in items(prim.rhs, t.right):
-            yield ("R", k), v
-    elif isinstance(prim, Prod):
-        for ka, inner in items(prim.fst, t):
-            for kb, v in items(prim.snd, inner):
-                yield (ka, kb), v
+        for i, t in enumerate(ts):
+            if t is None:
+                continue
+            stack = [(b"", t)]
+            while stack:
+                prefix, node = stack.pop()
+                m.trie_edges += 1
+                if node.val is not None:
+                    yield i, prefix.decode(), node.val
+                for label, child in reversed(node.edges):
+                    stack.append((prefix + label, child))
+    else:
+        yield from _expand_slots(prim, ts, m)
+
+
+def _expand_slots(prim, ts, m):
+    """`expand` for pair keys and the slot-shaped families."""
+    if isinstance(prim, Prod):
+        outer = list(expand(prim.fst, ts))
+        inner = expand(prim.snd, [v for _, _, v in outer])
+        return [(outer[j][0], (outer[j][1], kb), v) for j, kb, v in inner]
+    live = [(i, t) for i, t in enumerate(ts) if t is not None]
+    m.trie_edges += len(live)
+    if isinstance(prim, Unit):
+        return [(i, (), t.val) for i, t in live]
+    if isinstance(prim, Bool):
+        out = []
+        for i, t in live:
+            if t.f is not None:
+                out.append((i, False, t.f))
+            if t.t is not None:
+                out.append((i, True, t.t))
+        return out
+    if isinstance(prim, Sum):
+        left = expand(prim.lhs, [t.left for _, t in live])
+        right = expand(prim.rhs, [t.right for _, t in live])
+        out = [(live[j][0], ("L", k), v) for j, k, v in left]
+        out += [(live[j][0], ("R", k), v) for j, k, v in right]
     elif isinstance(prim, Adjoined):
-        metrics.current.trie_edges += 1
-        if prim.marker_first and t.mark is not None:
-            yield prim.marker, t.mark
-        yield from items(prim.base, t.base)
-        if not prim.marker_first and t.mark is not None:
-            yield prim.marker, t.mark
+        marks = [(i, prim.marker, t.mark) for i, t in live if t.mark is not None]
+        base = [(live[j][0], k, v) for j, k, v in expand(prim.base, [t.base for _, t in live])]
+        out = marks + base if prim.marker_first else base + marks
     else:
         raise TypeError(f"no trie for {prim}")
+    out.sort(key=_first)  # stable: each trie's entries together again, in order
+    return out
 
 
 def count(t) -> int:

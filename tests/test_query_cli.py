@@ -271,6 +271,13 @@ def test_cli_exit_codes(tmp_path):
     assert overflow.returncode == 2
     assert overflow.stderr.startswith("error: abs maps -9223372036854775808"), overflow.stderr
     assert len(overflow.stderr.splitlines()) == 1
+    # an aggregate of an outer join's wildcard rows has no finite fold
+    (tmp_path / "y.csv").write_text(Y_CSV)
+    load_ok(tmp_path, "y.csv", "y", "B:int,C:str")
+    wild = run_cli(["query", "(agg sum [A] B (outer left x y))"], tmp_path)
+    assert wild.returncode == 2
+    assert wild.stderr.startswith("error: cannot aggregate a relation with wildcard rows")
+    assert len(wild.stderr.splitlines()) == 1
     # a union of a chain mixing compact and plain factors with a plain one
     (tmp_path / "r.csv").write_text("K,S\n1,a\n2,b\n")
     (tmp_path / "s.csv").write_text("K,X\n1,x\n")

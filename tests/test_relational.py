@@ -321,6 +321,77 @@ def test_aggregate_min_handles_cancelled_values():
     assert [k for k, _ in mn.rows()] == [("p", 3)]
 
 
+def test_aggregate_group_order_and_real_sums():
+    # the group key follows the order of the `group` argument, not the
+    # chain's, and over the reals the level-at-a-time fold adds in row
+    # order, so its sums equal a row-by-row reference exactly
+    import random
+
+    rng = random.Random(9)
+    rows = [((rng.choice("pqr"), rng.randrange(-50, 50), rng.choice("xy")), rng.uniform(-3, 3))
+            for _ in range(300)]
+    r = weighted([("S", STRING), ("V", INT), ("K", STRING)], rows, ring=REAL)
+    for group in (["K", "S"], ["S", "K"], ["K"]):
+        want = {}
+        for row, c in r.rows():  # key order
+            key = tuple(row[["S", "V", "K"].index(n)] for n in group)
+            want[key] = REAL.add(want.get(key, REAL.zero), REAL.mul(c, REAL.coerce(row[1])))
+        got = aggregate(r, group, "V", "sum")
+        assert got.schema.names == group
+        assert rowdict(got) == {k: v for k, v in want.items() if not REAL.is_zero(v)}
+    mx = aggregate(r, ["K", "S"], "V", "max")
+    assert mx.schema.names == ["K", "S", "V"]
+    assert rowdict(mx) == {(k, s, max(row[1] for row, _ in r.rows() if row[0] == s and row[2] == k)): 1.0
+                           for s in "pqr" for k in "xy"}
+
+
+def test_aggregate_folds_the_form_without_rows(monkeypatch):
+    from polyalg import normal, product, relational
+
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for mod in (normal, product, relational):
+        for name in ("normalize", "readback", "enumerate_nf"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    r = weighted([("K", INT), ("S", STRING), ("V", INT)],
+                 [((1, "a", 5), 2), ((2, "b", 7), -1), ((3, "a", 4), 1)])
+    out = {fold: aggregate(r, ["S"], "V", fold) for fold in ("sum", "min", "max")}
+    assert calls == []
+    assert rowdict(out["sum"]) == {("a",): 14, ("b",): -7}
+    assert rowdict(out["min"]) == {("a", 4): 1, ("b", 7): 1}
+    assert rowdict(out["max"]) == {("a", 5): 1, ("b", 7): 1}
+
+
+def test_aggregate_of_wildcards_and_of_nothing():
+    # wildcards in the last column (C), in the target column (D), and in a
+    # middle column (X), each summed out or folded
+    last = outer_join("left", rel(AB, X3), rel([("B", INT), ("C", STRING)], Y3))
+    target = outer_join("left", rel(AB, X3), rel([("B", INT), ("D", INT)], [(2, 5), (9, 6)]))
+    middle = outer_join("right", rel([("A", STRING), ("X", INT), ("B", INT)], [("a", 0, 1)]),
+                        rel([("A", STRING), ("B", INT), ("D", INT)], [("a", 1, 4), ("b", 2, 5)]))
+    assert middle.schema.names == ["A", "X", "B", "D"]
+    assert rowdict(middle) == {("a", 0, 1, 4): 1, ("a", STAR, 1, 4): 1, ("b", STAR, 2, 5): 1}
+    for fold in ("sum", "min", "max"):
+        for r, grouped, folded in ((last, "A", "B"), (target, "A", "D"), (middle, "B", "D")):
+            with pytest.raises(RelationError,
+                               match="cannot aggregate a relation with wildcard rows"):
+                aggregate(r, [grouped], folded, fold)
+    r = rel([("A", STRING), ("B", INT), ("C", INT)], [("a", 1, 2)])
+    empty = diff(r, r)
+    for fold in ("sum", "min", "max", "count"):
+        out = aggregate(empty, ["C", "A"], "B", fold)
+        assert out.rows() == []
+        assert out.schema.names[:2] == ["C", "A"]
+
+
 def test_map_col_goldens():
     r = rel([("A", STRING)], [("foo",), ("bar",)])
     up = map_col(r, "A", "upper")

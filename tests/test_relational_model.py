@@ -14,6 +14,8 @@ import pytest
 from polyalg import (
     GF2,
     INT,
+    INT_WITH_INF,
+    INT_WITH_NEG_INF,
     STRING,
     Z,
     Compare,
@@ -128,6 +130,18 @@ class Model:
                      {k: v for k, v in out.items() if not self.ring.is_zero(v)},
                      self.ring)
 
+    def agg_pick(self, group, target, fold):
+        gi = [self.names.index(c) for c in group]
+        ti = self.names.index(target)
+        pick = min if fold == "min" else max
+        best = {}
+        for k in self.rows:
+            kk = tuple(k[i] for i in gi)
+            best[kk] = pick(best[kk], k[ti]) if kk in best else k[ti]
+        prim = INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF
+        return Model(group + [target], [self.prims[i] for i in gi] + [prim],
+                     {kk + (v,): self.ring.one for kk, v in best.items()}, self.ring)
+
 
 def to_engine(m: Model):
     sch = schema(*zip(m.names, m.prims))
@@ -169,7 +183,7 @@ def _random_step(rng, pool, ring, engine_of=to_engine):
     on their engine relations."""
     kind = rng.choice(
         ["union", "diff", "intersect", "join", "project", "select", "map", "sum",
-         "clamp", "cartesian"]
+         "min", "max", "clamp", "cartesian"]
     )
     m = rng.choice(pool)
     if kind in ("union", "diff", "intersect"):
@@ -212,20 +226,30 @@ def _random_step(rng, pool, ring, engine_of=to_engine):
                 map_col(engine_of(m), col, "abs")
             return m, engine_of(m)
         return m.map_col(col, abs), map_col(engine_of(m), col, "abs")
-    if kind == "sum":
-        if ring is GF2 or len(m.names) < 2:
+    if kind in ("sum", "min", "max"):
+        if (kind == "sum" and ring is GF2) or len(m.names) < 2:
             return m, engine_of(m)
         ints = [c for c, p in zip(m.names, m.prims) if p is INT]
         if not ints:
             return m, engine_of(m)
         target = rng.choice(ints)
-        group = [c for c in m.names if c != target]
-        return m.agg_sum(group, target), aggregate(engine_of(m), group, target, "sum")
+        # a non-empty subset of the other columns, in random order, so a
+        # group key built in chain order shows
+        others = [c for c in m.names if c != target]
+        group = rng.sample(others, rng.randint(1, len(others)))
+        model = m.agg_sum(group, target) if kind == "sum" else m.agg_pick(group, target, kind)
+        return model, aggregate(engine_of(m), group, target, kind)
     if kind == "clamp":
         if ring is GF2:
             return m, engine_of(m)
         return m.clamp(), clamp_nonneg(engine_of(m))
     raise AssertionError(kind)
+
+
+def _poolable(m: Model):
+    """Results that later steps may take as input: non-empty, narrow, and
+    typed int or str only (a min or max column is int with an infinity)."""
+    return bool(m.rows) and len(m.names) <= 4 and all(p in (INT, STRING) for p in m.prims)
 
 
 @pytest.mark.parametrize("ring", [Z, GF2], ids=["z", "gf2"])
@@ -237,7 +261,7 @@ def test_random_programs_agree_with_model(ring):
             model, engine = _random_step(rng, pool, ring)
             agree(engine, model)
             # feed some intermediate results back into the pool
-            if rng.random() < 0.4 and model.rows and len(model.names) <= 4:
+            if rng.random() < 0.4 and _poolable(model):
                 pool.append(model)
 
 
@@ -254,5 +278,5 @@ def test_chained_programs_agree_with_model(ring):
             model, engine = _random_step(rng, [m for m, _ in pairs], ring,
                                          engine_of=lambda m: engines[id(m)])
             agree(engine, model)
-            if model.rows and len(model.names) <= 4:
+            if _poolable(model):
                 pairs.append((model, engine))

@@ -6,9 +6,30 @@ import sys
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyalg import BOOL, INT, STRING, UNIT, Prod, Sum, metrics
+from polyalg import (
+    BOOL,
+    INF,
+    INT,
+    INT_WITH_INF,
+    INT_WITH_NEG_INF,
+    NEG_INF,
+    STRING,
+    UNIT,
+    Prod,
+    Sum,
+    metrics,
+)
 from polyalg.prims import INT64_MAX, INT64_MIN
-from polyalg.tries import ValueOps, count, from_items, items, lookup, map_values, merge
+from polyalg.tries import (
+    ValueOps,
+    count,
+    expand,
+    from_items,
+    items,
+    lookup,
+    map_values,
+    merge,
+)
 
 VOPS = ValueOps(add=lambda a, b: a + b, is_zero=lambda v: v == 0)
 
@@ -126,6 +147,26 @@ def test_map_values_drops_zero_images():
         assert map_values(prim, t, lambda v: None, VOPS) is None, prim
 
 
+def test_expand_tags_each_tries_entries_in_order():
+    # slot families split a level over sub-tries; the entries still come
+    # trie by trie, each trie's in key order, as `items` of each would
+    families = MAP_FAMILIES + [
+        (UNIT, [()]),
+        (INT_WITH_INF, [-4, 7, INF]),
+        (INT_WITH_NEG_INF, [NEG_INF, -4, 7]),
+    ]
+    for prim, keys in families:
+        ts = [build(prim, {k: i + 1 for i, k in enumerate(keys)}), None,
+              build(prim, {k: 10 for k in keys[-2:]}), build(prim, {keys[0]: 5})]
+        with metrics.fresh() as m:
+            want = [(i, k, v) for i, t in enumerate(ts) for k, v in items(prim, t)]
+        with metrics.fresh() as m2:
+            got = list(expand(prim, ts))
+        assert got == want, prim
+        assert m2.trie_edges == m.trie_edges, prim
+    assert list(expand(INT, [])) == [] and list(expand(INT, [None])) == []
+
+
 def test_nested_prefix_keys_deeper_than_the_recursion_limit():
     # each key is a prefix of the next: the radix trie is one node per key
     n = 3000
@@ -189,3 +230,9 @@ def test_builds_and_maps_charge_one_edge_per_node():
             doubled = map_values(prim, t, lambda v: 2 * v, VOPS)
         assert m.trie_edges == nodes, prim
         assert list(items(prim, doubled)) == [(k, 2 * v) for k, v in items(prim, t)]
+        # a level of tries at once: each trie's nodes once, empty tries none
+        with metrics.fresh() as m:
+            level = list(expand(prim, [t, None, doubled]))
+        assert m.trie_edges == 2 * nodes, prim
+        assert level == [(0, k, v) for k, v in items(prim, t)] + \
+            [(2, k, v) for k, v in items(prim, doubled)]
