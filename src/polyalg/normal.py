@@ -6,13 +6,15 @@ order. Compact spaces keep their wildcard component out of band, in a
 dedicated baseline slot next to the key trie, so lookups are baseline plus
 per-key deviation.
 
-A relation chain, a tensor whose left factor is free, is keyed as well:
-by F[A] ⊗ U ≅ A ⇒ U it is a `MapNF` over the left factor's keys whose
+Every space has one form, and a tensor takes the form of its left factor
+(`Space.shape`), with forms of the right factor where the left has
+coefficients. A relation chain, a tensor whose left factor is free, is
+keyed by F[A] ⊗ U ≅ A ⇒ U: a `MapNF` over the left factor's keys whose
 values are forms of the right factor, so a relation is one nested trie in
-attribute order and products join it level by level. Only a tensor with
-another left factor is a `TensorNF`, a list of factor-pair summands
-compacted by grouping common factors and expanded to atomic pairs only by
-`enumerate_nf`, where the quadratic cost is explicit and opt-in.
+attribute order and products join it level by level. A map on the left
+keys it the same way, (A ⇒ V) ⊗ W ≅ A ⇒ (V ⊗ W); a biproduct splits it
+into a `PairNF`, (U ⊕ V) ⊗ W ≅ (U ⊗ W) ⊕ (V ⊗ W); a scalar leaves the
+right factor's form, K ⊗ W ≅ W; and a tensor reassociates.
 """
 
 import operator
@@ -196,35 +198,19 @@ class PairNF(NormalForm):
         return ("P", self.lhs.sort_key(), self.rhs.sort_key())
 
 
-class TensorNF(NormalForm):
-    __slots__ = ("summands",)
-
-    def __init__(self, space, summands):
-        super().__init__(space)
-        self.summands = summands
-
-    def is_zero(self):
-        return not self.summands
-
-    def _make_key(self):
-        return ("T", tuple((l.sort_key(), r.sort_key()) for l, r in self.summands))
-
-
 NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=lambda n: n.is_zero())
 
 
 def zero_nf(space: Space) -> NormalForm:
-    if isinstance(space, Scalar):
-        return ScalarNF(space, space.ring.zero)
-    if isinstance(space, (Free, CompactFree)):
-        return FreeNF(space, None, space.ring.zero)
-    if _is_keyed(space):
+    form = space.shape
+    if form == "map":
         return MapNF(space, None, None)
-    if isinstance(space, Biproduct):
-        return PairNF(space, zero_nf(space.lhs), zero_nf(space.rhs))
-    if isinstance(space, Tensor):
-        return TensorNF(space, ())
-    raise SpaceError(f"no normal form for {space}")
+    if form == "free":
+        return FreeNF(space, None, space.ring.zero)
+    if form == "scalar":
+        return ScalarNF(space, space.ring.zero)
+    lhs, rhs = space.halves
+    return PairNF(space, zero_nf(lhs), zero_nf(rhs))
 
 
 def unit_nf(space: Space) -> NormalForm:
@@ -258,8 +244,6 @@ def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
         return MapNF(space, t, base)
     if isinstance(x, PairNF):
         return PairNF(space, nf_add(x.lhs, y.lhs), nf_add(x.rhs, y.rhs))
-    if isinstance(x, TensorNF):
-        return TensorNF(space, compact_summands(x.summands + y.summands))
     raise SpaceError(f"cannot add {type(x).__name__}")
 
 
@@ -285,9 +269,6 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
         return MapNF(space, t, base)
     if isinstance(x, PairNF):
         return PairNF(space, nf_scale(r, x.lhs), nf_scale(r, x.rhs))
-    if isinstance(x, TensorNF):
-        # scalings are absorbed into the left factor
-        return TensorNF(space, compact_summands([(nf_scale(r, l), rr) for l, rr in x.summands]))
     raise SpaceError(f"cannot scale {type(x).__name__}")
 
 
@@ -300,75 +281,47 @@ def nf_sub(x: NormalForm, y: NormalForm) -> NormalForm:
     return nf_add(x, nf_neg(y))
 
 
-def compact_summands(raw):
-    """Canonical tensor summand list: zero factors dropped, summands with a
-    common right factor merged, then a common left factor, finally sorted.
-    Recognising every factoring opportunity is not tractable; this is the
-    fixed heuristic, and extensional equality falls back to expansion."""
-    live = [(l, r) for l, r in raw if not l.is_zero() and not r.is_zero()]
-    if not live:
-        return ()
-
-    def group(pairs, by_right):
-        table = {}
-        order = []
-        for l, r in pairs:
-            k = r if by_right else l
-            got = table.get(k)
-            if got is None:
-                table[k] = l if by_right else r
-                order.append(k)
-            else:
-                table[k] = nf_add(got, l if by_right else r)
-        out = []
-        for k in order:
-            v = table[k]
-            if v.is_zero():
-                continue
-            out.append((v, k) if by_right else (k, v))
-        return out
-
-    stage = group(group(live, True), False)
-    stage.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    return tuple(stage)
+def nf_tensor(l: NormalForm, r: NormalForm, space: Tensor) -> NormalForm:
+    """l ⊗ r in `space`, in the form of the left factor: each coefficient c
+    of `l` becomes c·r, each value form v becomes v ⊗ r, a pair tensors
+    each half, and a scalar scales `r`, which keeps its own form."""
+    if isinstance(l, FreeNF):
+        t = tries.map_values(space.prim, l.trie, lambda c: nf_scale(c, r), NF_VOPS)
+        base = nf_scale(l.base, r)
+        return MapNF(space, t, None if base.is_zero() else base)
+    if isinstance(l, MapNF):
+        value = space.value
+        t = tries.map_values(space.prim, l.trie, lambda v: nf_tensor(v, r, value), NF_VOPS)
+        base = None if l.base is None else nf_tensor(l.base, r, value)
+        return MapNF(space, t, None if base is None or base.is_zero() else base)
+    if isinstance(l, PairNF):
+        lhs, rhs = space.halves
+        return PairNF(space, nf_tensor(l.lhs, r, lhs), nf_tensor(l.rhs, r, rhs))
+    x = nf_scale(l.value, r)  # K ⊗ W ≅ W: the right factor's form, in `space`
+    if isinstance(x, ScalarNF):
+        return ScalarNF(space, x.value)
+    if isinstance(x, PairNF):
+        return PairNF(space, x.lhs, x.rhs)
+    return type(x)(space, x.trie, x.base)
 
 
 # normalisation --------------------------------------------------------------
 
 def normalize(t: Term) -> NormalForm:
-    """Simplify a term to its canonical form.
+    """Simplify a term to the one canonical form of its space.
 
-    Free, map and chain spaces become keyed forms (`_keyed_nf`), scalars
-    are pushed to the leaves, biproducts add pointwise, other tensors keep
-    unexpanded summands, and symbolic products are evaluated by the product
-    engine. Idempotent: normalising a read-back form reproduces it.
+    Spaces of free or map shape, tensors keyed by their left factor
+    included, become keyed forms (`_keyed_nf`); scalars are pushed to the
+    leaves, pairs add pointwise, a tensor generator is built by `nf_tensor`
+    in its left factor's form, and symbolic products are evaluated by the
+    product engine. Idempotent: normalising a read-back form reproduces it.
     """
     space = t.space
     ring = space.ring
-    if _is_keyed(space):
+    if space.shape in ("free", "map"):
         return _keyed_nf(t)
-    if isinstance(space, Tensor):
-        summands = []
-        for c, g in linear_combination(t):
-            if ring.is_zero(c):
-                continue
-            if isinstance(g, TensorGen):
-                summands.append((nf_scale(c, normalize(g.lhs)), normalize(g.rhs)))
-            elif isinstance(g, MulGen):
-                summands.extend(nf_scale(c, _product_nf(g)).summands)
-            else:
-                raise SpaceError(f"unexpected generator in {space}")
-        return TensorNF(space, compact_summands(summands))
     pieces = (_gen_nf(c, g, space) for c, g in linear_combination(t) if not ring.is_zero(c))
     return reduce(nf_add, pieces, zero_nf(space))
-
-
-def _is_keyed(space: Space) -> bool:
-    """Free and map spaces, and chains: a tensor with a free left factor is
-    keyed by that factor's keys, F[A] ⊗ U ≅ A ⇒ U and F*[A] ⊗ U ≅ A ⇒* U."""
-    if isinstance(space, Tensor):
-        return isinstance(space.lhs, (Free, CompactFree))
-    return isinstance(space, (Free, CompactFree, FinMap, CompactMap))
 
 
 def _keyed_nf(t: Term) -> NormalForm:
@@ -376,7 +329,8 @@ def _keyed_nf(t: Term) -> NormalForm:
     entries or a share of the wildcard baseline, and the key trie is built
     by one `tries.from_items` call, so repeated keys add in balanced merges.
     A chain generator `lhs ⊗ rhs` maps each key of `lhs` to `rhs` scaled by
-    that key's coefficient, and the unit's share of `lhs` to the baseline."""
+    that key's coefficient, and the unit's share of `lhs` to the baseline;
+    a product or another tensor gives the entries of its form."""
     space = t.space
     ring = space.ring
     prim = space.prim
@@ -393,20 +347,18 @@ def _keyed_nf(t: Term) -> NormalForm:
             entries.append((g.key, nf_scale(c, normalize(g.body))))
         elif isinstance(g, WildMapsToGen):
             bases.append(nf_scale(c, normalize(g.body)))
-        elif isinstance(g, TensorGen):
+        elif isinstance(g, TensorGen) and isinstance(space.lhs, (Free, CompactFree)):
             l = normalize(g.lhs)
             r = normalize(g.rhs)
             entries.extend((k, nf_scale(ring.mul(c, a), r)) for k, a in tries.items(prim, l.trie))
             if not ring.is_zero(l.base):
                 bases.append(nf_scale(ring.mul(c, l.base), r))
-        elif isinstance(g, MulGen):
-            nf = nf_scale(c, _product_nf(g))
+        else:
+            nf = _gen_nf(c, g, space)
             entries.extend(tries.items(prim, nf.trie))
             if nf.base is not None:
                 bases.append(nf.base)
-        else:
-            raise SpaceError(f"unexpected generator in {space}")
-    if isinstance(space, (Free, CompactFree)):
+    if space.shape == "free":
         base = reduce(ring.add, bases, ring.zero)
         return FreeNF(space, tries.from_items(prim, entries, ring_vops(ring)), base)
     # wildcard generators are few, so the baseline's shares are simply added
@@ -431,14 +383,25 @@ def _gen_nf(c, g, space) -> NormalForm:
         return ScalarNF(space, c)
     if isinstance(g, PairGen):
         return PairNF(space, nf_scale(c, normalize(g.lhs)), nf_scale(c, normalize(g.rhs)))
+    if isinstance(g, TensorGen):
+        return nf_scale(c, nf_tensor(normalize(g.lhs), normalize(g.rhs), space))
     if isinstance(g, MulGen):
         return nf_scale(c, _product_nf(g))
     raise SpaceError(f"unexpected generator in {space}")
 
 
 def readback(nf: NormalForm) -> Term:
-    """Symbolic term denoting the normal form, with balanced sums."""
+    """Symbolic term denoting the normal form, with balanced sums. A tensor
+    whose left factor is not free reads back row by row, as tensors of
+    basis terms; a chain reads back level by level."""
     space = nf.space
+    if isinstance(space, Tensor) and not isinstance(space.lhs, (Free, CompactFree)):
+        parts = []
+        for path, c in _enum(nf, True):
+            l, i = _basis_term(space.lhs, path, 0)
+            r, _ = _basis_term(space.rhs, path, i)
+            parts.append(scaled(c, tensor(l, r)))
+        return sum_terms(space, parts)
     if isinstance(nf, ScalarNF):
         if nf.is_zero():
             return zero(space)
@@ -461,9 +424,26 @@ def readback(nf: NormalForm) -> Term:
         return sum_terms(space, parts)
     if isinstance(nf, PairNF):
         return pair(readback(nf.lhs), readback(nf.rhs))
-    if isinstance(nf, TensorNF):
-        return sum_terms(space, [tensor(readback(l), readback(r)) for l, r in nf.summands])
     raise SpaceError(f"cannot read back {type(nf).__name__}")
+
+
+def _basis_term(space, path, i):
+    """The basis term of `space` at the key path starting at `path[i]`
+    (`STAR` is the wildcard), and the index after it."""
+    if isinstance(space, Scalar):
+        return one(space.ring), i
+    key = path[i]
+    if isinstance(space, (Free, CompactFree)):
+        return (wild_one(space) if key is STAR else inject(key, space)), i + 1
+    if isinstance(space, (FinMap, CompactMap)):
+        body, j = _basis_term(space.value, path, i + 1)
+        return (wild_maps_to(body, space) if key is STAR else maps_to(key, body, space)), j
+    if isinstance(space, Biproduct):
+        side, j = _basis_term(space.lhs if key == 1 else space.rhs, path, i + 1)
+        return (pair(side, zero(space.rhs)) if key == 1 else pair(zero(space.lhs), side)), j
+    l, j = _basis_term(space.lhs, path, i)
+    r, k = _basis_term(space.rhs, path, j)
+    return tensor(l, r), k
 
 
 # observation ----------------------------------------------------------------
@@ -484,11 +464,6 @@ def nf_weight(nf: NormalForm):
         return total
     if isinstance(nf, PairNF):
         return ring.add(nf_weight(nf.lhs), nf_weight(nf.rhs))
-    if isinstance(nf, TensorNF):
-        total = ring.zero
-        for l, r in nf.summands:
-            total = ring.add(total, ring.mul(nf_weight(l), nf_weight(r)))
-        return total
     raise SpaceError(f"cannot weigh {type(nf).__name__}")
 
 
@@ -508,8 +483,6 @@ def has_baseline(nf: NormalForm) -> bool:
         return any(has_baseline(x) for x in level)
     if isinstance(nf, PairNF):
         return has_baseline(nf.lhs) or has_baseline(nf.rhs)
-    if isinstance(nf, TensorNF):
-        return any(has_baseline(l) or has_baseline(r) for l, r in nf.summands)
     raise SpaceError(f"unexpected form {type(nf).__name__}")
 
 
@@ -585,14 +558,6 @@ def _lookup_path(nf, path, i):
         if j is None:
             j = i + 1 + _arity(nf.space.value)
         return total, j
-    if isinstance(nf, TensorNF):
-        total = ring.zero
-        j = i + _arity(nf.space)
-        for l, r in nf.summands:
-            lv, m = _lookup_path(l, path, i)
-            rv, _ = _lookup_path(r, path, m)
-            total = ring.add(total, ring.mul(lv, rv))
-        return total, j
     if isinstance(nf, PairNF):
         tag = path[i]
         side = nf.lhs if tag == 1 else nf.rhs
@@ -607,8 +572,9 @@ def enumerate_nf(nf: NormalForm, allow_baseline: bool = False):
 
     Wildcard components appear as `STAR` path elements and are only
     produced under `allow_baseline`; without it a non-zero baseline is an
-    error, since the expansion would have infinite support. Tensor factors
-    are expanded here and nowhere else.
+    error, since the expansion would have infinite support. A tensor's form
+    follows its left factor, so its rows come out as the left factor's path
+    followed by the right factor's, already in key order.
     """
     return list(_enum(nf, allow_baseline))
 
@@ -644,52 +610,7 @@ def _enum(nf, allow):
         for p, c in _enum(nf.rhs, allow):
             yield (2,) + p, c
         return
-    if isinstance(nf, TensorNF):
-        acc = {}
-        for l, r in nf.summands:
-            right_rows = list(_enum(r, allow))
-            for pl, cl in _enum(l, allow):
-                for pr, cr in right_rows:
-                    p = pl + pr
-                    c = ring.mul(cl, cr)
-                    got = acc.get(p)
-                    acc[p] = c if got is None else ring.add(got, c)
-        rows = [(p, c) for p, c in acc.items() if not ring.is_zero(c)]
-        rows.sort(key=lambda row: path_sort_key(space, row[0]))
-        yield from rows
-        return
     raise SpaceError(f"cannot enumerate {type(nf).__name__}")
-
-
-def path_sort_key(space: Space, path):
-    key, consumed = _path_key(space, tuple(path), 0)
-    if consumed != len(path):
-        raise SpaceError(f"path does not fit {space}")
-    return key
-
-
-def _path_key(space, path, i):
-    if isinstance(space, Scalar):
-        return (), i
-    if isinstance(space, (Free, CompactFree)):
-        el = path[i]
-        k = (0,) if el is STAR else (1, space.prim.sort_key(el))
-        return (k,), i + 1
-    if isinstance(space, (FinMap, CompactMap)):
-        el = path[i]
-        k = (0,) if el is STAR else (1, space.prim.sort_key(el))
-        sub, j = _path_key(space.value, path, i + 1)
-        return (k,) + sub, j
-    if isinstance(space, Tensor):
-        l, j = _path_key(space.lhs, path, i)
-        r, k = _path_key(space.rhs, path, j)
-        return l + r, k
-    if isinstance(space, Biproduct):
-        tag = path[i]
-        side = space.lhs if tag == 1 else space.rhs
-        sub, j = _path_key(side, path, i + 1)
-        return ((tag,),) + sub, j
-    raise SpaceError(f"paths through {space} have no fixed shape")
 
 
 # equality -------------------------------------------------------------------
@@ -697,9 +618,8 @@ def _path_key(space, path, i):
 def nf_equal(x: NormalForm, y: NormalForm) -> bool:
     """Extensional equality of normal forms.
 
-    Structural comparison with ring-aware leaf equality; tensor forms whose
-    summand lists disagree are compared by their expansions instead, which
-    can be expensive but is the decision procedure of last resort.
+    Every space has one canonical form, so this is a structural comparison
+    with ring-aware leaf equality.
     """
     if x.space != y.space:
         raise SpaceError(f"cannot compare forms of {x.space} and {y.space}")
@@ -730,19 +650,6 @@ def _nf_eq(x, y):
         )
     if isinstance(x, PairNF):
         return _nf_eq(x.lhs, y.lhs) and _nf_eq(x.rhs, y.rhs)
-    if isinstance(x, TensorNF):
-        if len(x.summands) == len(y.summands) and all(
-            _nf_eq(a, c) and _nf_eq(b, d)
-            for (a, b), (c, d) in zip(x.summands, y.summands)
-        ):
-            return True
-        ring = x.space.ring
-        dx = dict(enumerate_nf(x, allow_baseline=True))
-        dy = dict(enumerate_nf(y, allow_baseline=True))
-        for p in dx.keys() | dy.keys():
-            if not ring.eq(dx.get(p, ring.zero), dy.get(p, ring.zero)):
-                return False
-        return True
     raise SpaceError(f"cannot compare {type(x).__name__}")
 
 
@@ -791,10 +698,6 @@ def strip_compact(nf: NormalForm, target: Space | None = None) -> NormalForm:
         t = tries.map_values(space.prim, nf.trie, lambda v: strip_compact(v, value), NF_VOPS)
         return MapNF(target, t, None)
     if isinstance(nf, PairNF):
-        return PairNF(target, strip_compact(nf.lhs, target.lhs),
-                      strip_compact(nf.rhs, target.rhs))
-    if isinstance(nf, TensorNF):
-        summands = tuple((strip_compact(l, target.lhs), strip_compact(r, target.rhs))
-                         for l, r in nf.summands)
-        return TensorNF(target, summands)
+        lhs, rhs = target.halves
+        return PairNF(target, strip_compact(nf.lhs, lhs), strip_compact(nf.rhs, rhs))
     raise SpaceError(f"cannot restrict {type(nf).__name__}")

@@ -41,16 +41,7 @@ from .normal import (
     unit_nf,
     zero_nf,
 )
-from .spaces import (
-    Biproduct,
-    CompactFree,
-    Free,
-    Scalar,
-    SpaceError,
-    Tensor,
-    chain_prims,
-    tensor_chain,
-)
+from .spaces import SpaceError, chain_prims, tensor_chain
 from .terms import (
     GenTerm,
     InjGen,
@@ -86,6 +77,9 @@ def multiply(factors) -> NormalForm:
 
 
 def nf_product(nfs) -> NormalForm:
+    """Joint product of same-space forms, dispatched on the form: every
+    tensor is keyed, paired or scalar like its left factor, so no tensor
+    needs a product of its own."""
     nfs = list(nfs)
     space = nfs[0].space
     if len(nfs) == 1:
@@ -93,7 +87,7 @@ def nf_product(nfs) -> NormalForm:
     for nf in nfs:
         if nf.is_zero():
             return zero_nf(space)
-    if isinstance(space, Scalar):
+    if isinstance(nfs[0], ScalarNF):
         ring = space.ring
         m = metrics.current
         acc = nfs[0].value
@@ -101,7 +95,7 @@ def nf_product(nfs) -> NormalForm:
             acc = ring.mul(acc, nf.value)
             m.ring_mults += 1
         return ScalarNF(space, acc)
-    if isinstance(space, (Free, CompactFree)):
+    if isinstance(nfs[0], FreeNF):
         ring = space.ring
         m = metrics.current
 
@@ -126,7 +120,7 @@ def nf_product(nfs) -> NormalForm:
             if nf.trie is trie and nf.base == base:
                 return nf
         return FreeNF(space, trie, base)
-    if isinstance(nfs[0], MapNF):  # maps, and chains keyed by their free left factor
+    if isinstance(nfs[0], MapNF):  # maps, and tensors keyed by their left factor
         zsub = zero_nf(space.value)
         trie, base = _level(
             space.prim,
@@ -143,16 +137,11 @@ def nf_product(nfs) -> NormalForm:
             if nf.trie is trie and nf.base is base:
                 return nf
         return MapNF(space, trie, base)
-    if isinstance(space, Biproduct):
-        return PairNF(
-            space,
-            nf_product([nf.lhs for nf in nfs]),
-            nf_product([nf.rhs for nf in nfs]),
-        )
-    if isinstance(space, Tensor):
-        raise SpaceError(f"products over {space} are not supported; "
-                         "the left tensor factor must be a free module")
-    raise SpaceError(f"{space} has no product")
+    return PairNF(
+        space,
+        nf_product([nf.lhs for nf in nfs]),
+        nf_product([nf.rhs for nf in nfs]),
+    )
 
 
 def _level(prim, factors, prod, add, sub, is_zero, zero, vops):

@@ -432,9 +432,7 @@ def natural_join(rs) -> Relation:
         raise RelationError("join needs at least one input")
     target = _join_target(rs)
     nf = product.nf_product(_embedded(rs, target))
-    if not has_baseline(nf):
-        nf = strip_compact(nf)
-    return Relation(target, rs[0].ring, nf=nf)
+    return Relation(target, rs[0].ring, nf=_plain_if_finite(nf))
 
 
 def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
@@ -450,9 +448,16 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
     if kind != "right":
         y = nf_add(y, u)
     nf = product.nf_product([x, y])
-    if not has_baseline(nf):
-        nf = strip_compact(nf)
-    return Relation(target, r.ring, nf=nf)
+    return Relation(target, r.ring, nf=_plain_if_finite(nf))
+
+
+def _plain_if_finite(nf):
+    """A join's form in the plain chain when no baseline survives in it,
+    else as it is; one walk, which stops at the first baseline."""
+    try:
+        return strip_compact(nf)
+    except InfiniteSupport:
+        return nf
 
 
 def aggregate(r: Relation, group, target, fold: str) -> Relation:

@@ -1,7 +1,7 @@
 """Deterministic textual rendering of terms, normal forms and key paths."""
 
 from . import tries
-from .normal import STAR, FreeNF, MapNF, NormalForm, PairNF, ScalarNF, TensorNF
+from .normal import FreeNF, MapNF, NormalForm, PairNF, ScalarNF
 from .terms import (
     AddTerm,
     InjGen,
@@ -16,12 +16,6 @@ from .terms import (
     WildOneGen,
     ZeroTerm,
 )
-
-
-def render_value(prim, v) -> str:
-    if v is STAR:
-        return "*"
-    return prim.render(v)
 
 
 def render_term(t: Term) -> str:
@@ -71,8 +65,4 @@ def render_nf(nf: NormalForm) -> str:
         return "{" + ", ".join(parts) + "}"
     if isinstance(nf, PairNF):
         return f"({render_nf(nf.lhs)}, {render_nf(nf.rhs)})"
-    if isinstance(nf, TensorNF):
-        if not nf.summands:
-            return "0"
-        return " + ".join(f"{render_nf(l)} ⊗ {render_nf(r)}" for l, r in nf.summands)
     return "?"

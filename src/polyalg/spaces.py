@@ -9,6 +9,7 @@ parts of a composite space.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .prims import PrimSet
 from .rings import Ring
@@ -19,6 +20,9 @@ class SpaceError(TypeError):
 
 
 class Space:
+    """`shape` names the form a space normalises to: "scalar", "free" (a
+    coefficient trie), "map" (a trie of value forms) or "pair"."""
+
     ring: Ring
 
     def _check_ring(self, *parts):
@@ -30,6 +34,7 @@ class Space:
 @dataclass(frozen=True)
 class Scalar(Space):
     ring: Ring
+    shape = "scalar"
 
     def __str__(self):
         return "K"
@@ -39,6 +44,7 @@ class Scalar(Space):
 class Free(Space):
     ring: Ring
     prim: PrimSet
+    shape = "free"
 
     def __str__(self):
         return f"F[{self.prim}]"
@@ -48,6 +54,7 @@ class Free(Space):
 class CompactFree(Space):
     ring: Ring
     prim: PrimSet
+    shape = "free"
 
     def __str__(self):
         return f"F*[{self.prim}]"
@@ -57,6 +64,7 @@ class CompactFree(Space):
 class Biproduct(Space):
     lhs: Space
     rhs: Space
+    shape = "pair"
 
     def __post_init__(self):
         self._check_ring(self.lhs, self.rhs)
@@ -64,6 +72,10 @@ class Biproduct(Space):
     @property
     def ring(self):
         return self.lhs.ring
+
+    @property
+    def halves(self):
+        return self.lhs, self.rhs
 
     def __str__(self):
         return f"({self.lhs} ⊕ {self.rhs})"
@@ -74,6 +86,7 @@ class FinMap(Space):
     ring: Ring
     prim: PrimSet
     value: Space
+    shape = "map"
 
     def __post_init__(self):
         self._check_ring(self.value)
@@ -87,6 +100,7 @@ class CompactMap(Space):
     ring: Ring
     prim: PrimSet
     value: Space
+    shape = "map"
 
     def __post_init__(self):
         self._check_ring(self.value)
@@ -107,21 +121,36 @@ class Tensor(Space):
     def ring(self):
         return self.lhs.ring
 
-    # keyed like a map when the left factor is free, F[A] ⊗ U ≅ A ⇒ U
-    @property
-    def prim(self):
-        return self.lhs.prim
+    # a tensor takes the form of its left factor: F[A] ⊗ W ≅ A ⇒ W,
+    # (A ⇒ V) ⊗ W ≅ A ⇒ (V ⊗ W), (U ⊕ V) ⊗ W ≅ (U ⊗ W) ⊕ (V ⊗ W) and
+    # K ⊗ W ≅ W; a tensor on the left reassociates through its own left
+    # factor, (U ⊗ V) ⊗ W ≅ U ⊗ (V ⊗ W)
+    @cached_property
+    def shape(self):
+        left = self.lhs.shape
+        if left == "scalar":
+            return self.rhs.shape
+        return "map" if left == "free" else left
 
-    @property
+    @cached_property
+    def prim(self):
+        return (self.rhs if self.lhs.shape == "scalar" else self.lhs).prim
+
+    @cached_property
     def value(self):
-        return self.rhs
+        left = self.lhs.shape
+        if left == "scalar":
+            return self.rhs.value
+        return self.rhs if left == "free" else Tensor(self.lhs.value, self.rhs)
+
+    @cached_property
+    def halves(self):
+        if self.lhs.shape == "scalar":
+            return self.rhs.halves
+        return tuple(Tensor(h, self.rhs) for h in self.lhs.halves)
 
     def __str__(self):
         return f"({self.lhs} ⊗ {self.rhs})"
-
-
-def is_compact(space: Space) -> bool:
-    return isinstance(space, (CompactFree, CompactMap))
 
 
 def tensor_chain(ring: Ring, prims, compact: bool = False) -> Space:

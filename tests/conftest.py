@@ -144,6 +144,15 @@ def sample_spaces(ring):
         Tensor(Free(ring, STRING), Free(ring, INT)),
         Tensor(CompactFree(ring, STRING), CompactFree(ring, INT)),
         FinMap(ring, BOOL, Biproduct(Scalar(ring), Free(ring, INT))),
+        # tensors whose left factor is not free: each takes its left
+        # factor's form
+        Tensor(FinMap(ring, STRING, Free(ring, INT)), Free(ring, STRING)),
+        Tensor(CompactMap(ring, INT, CompactFree(ring, STRING)), CompactFree(ring, INT)),
+        Tensor(Biproduct(Free(ring, STRING), Free(ring, INT)), Free(ring, INT)),
+        Tensor(Scalar(ring), Free(ring, STRING)),
+        Tensor(Scalar(ring), Biproduct(Free(ring, STRING), Free(ring, STRING))),
+        Tensor(Tensor(Free(ring, STRING), Free(ring, INT)), Free(ring, STRING)),
+        Tensor(Tensor(Biproduct(Free(ring, STRING), Scalar(ring)), Free(ring, INT)), Scalar(ring)),
     ]
 
 

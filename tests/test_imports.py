@@ -1,6 +1,8 @@
-"""Every name a `polyalg` module imports is used in that module.
+"""Every name a `polyalg` module imports is used in that module, and every
+function or class it defines is named somewhere.
 
-`__init__.py` is exempt: its imports are the package's public re-exports.
+`__init__.py` is exempt from the import check: its imports are the
+package's public re-exports.
 """
 
 import ast
@@ -48,16 +50,18 @@ def test_modules_import_only_what_they_use():
     assert found == []
 
 
-def orphaned_helpers(sources):
-    """Private module-level functions and classes that no code in the
-    package refers to outside their own definition. `sources` maps module
+def orphaned_helpers(sources, defining=None, public=False):
+    """Module-level functions and classes, private ones unless `public`,
+    defined in the `defining` files (by default every file) that no code in
+    `sources` refers to outside their own definition. `sources` maps file
     names to source text."""
     helpers = []
-    where = {}  # name -> the (module, top-level statement) pairs reading it
+    where = {}  # name -> the (file, top-level statement) pairs reading it
     for mod, source in sources.items():
         for i, stmt in enumerate(ast.parse(source).body):
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_") \
-                    and not stmt.name.startswith("__"):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and (defining is None or mod in defining) \
+                    and (public or stmt.name.startswith("_")) and not stmt.name.startswith("__"):
                 helpers.append((mod, i, stmt.name))
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
@@ -88,4 +92,28 @@ def test_private_helpers_are_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     helpers, orphans = orphaned_helpers(sources)
     assert helpers
+    assert orphans == []
+
+
+def test_dead_code_check_reads_tests_and_scripts():
+    sources = {
+        "pkg/a.py": "def used():\n    pass\n\ndef spare():\n    return spare\n\nclass _Kept:\n    pass\n",
+        "pkg/b.py": "def unchecked():\n    pass\n",
+        "tests/t.py": "from pkg.a import used\n",
+        "bench/w.py": "import pkg.a as a\n\nprint(a._Kept)\n",
+    }
+    helpers, orphans = orphaned_helpers(sources, defining={"pkg/a.py"}, public=True)
+    assert len(helpers) == 3
+    assert orphans == ["pkg/a.py: spare"]
+
+
+def test_every_definition_is_named():
+    # a module-level function or class of the package that nothing in the
+    # package, its tests or the benchmark names is dead code
+    root = Path(__file__).resolve().parent.parent
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((root / d).rglob("*.py"))]
+    sources = {p.relative_to(root).as_posix(): p.read_text(encoding="utf-8") for p in files}
+    defining = {p.relative_to(root).as_posix() for p in (root / "src" / "polyalg").glob("*.py")}
+    helpers, orphans = orphaned_helpers(sources, defining, public=True)
+    assert len(helpers) > 100
     assert orphans == []

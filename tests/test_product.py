@@ -12,6 +12,7 @@ from polyalg import (
     STRING,
     Z,
     CompactFree,
+    Biproduct,
     CompactMap,
     FinMap,
     Free,
@@ -45,6 +46,7 @@ from polyalg.normal import FreeNF
 from polyalg.product import nf_product
 
 from conftest import rand_term
+from test_oracles import _pointwise_product, expand
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -284,14 +286,34 @@ def test_scalar_and_biproduct_products():
     assert rows == [((1, "a"), 1)]
 
 
-def test_product_requires_free_left_tensor_factor():
-    from polyalg import scalar
-
-    bad = Tensor(FinMap(Z, STRING, Scalar(Z)), FS)
-    entry = maps_to("k", scalar(Z, 1), FinMap(Z, STRING, Scalar(Z)))
-    x = tensor(entry, inject("a", FS))
-    with pytest.raises(SpaceError):
-        multiply([x, x])
+def test_products_over_tensors_of_every_left_factor(rng):
+    # a tensor takes its left factor's form, so the map, pair and scalar
+    # products multiply it: checked against full distributivity and the
+    # pointwise product of the expansions
+    for ring in (Z, GF2):
+        fs, fi = Free(ring, STRING), Free(ring, INT)
+        cs, ci = CompactFree(ring, STRING), CompactFree(ring, INT)
+        k = Scalar(ring)
+        spaces = [
+            Tensor(FinMap(ring, STRING, fi), fs),
+            Tensor(CompactMap(ring, INT, cs), ci),
+            Tensor(Biproduct(fs, ci), fi),
+            Tensor(k, cs),
+            Tensor(k, Biproduct(cs, fs)),
+            Tensor(Tensor(cs, fi), fs),
+            Tensor(Tensor(Biproduct(fs, k), ci), k),
+        ]
+        for space in spaces:
+            met = 0
+            for _ in range(16):
+                x = rand_term(rng, space, size=5)
+                y = x + rand_term(rng, space, size=4)  # so that the factors meet
+                out = multiply([x, y])
+                assert nf_equal(out, naive_multiply(x, y)), (space, x, y)
+                want = _pointwise_product(expand(x, ring), expand(y, ring), ring)
+                assert dict(enumerate_nf(out, allow_baseline=True)) == want, (space, x, y)
+                met += not out.is_zero()
+            assert met >= 3, space
 
 
 def test_random_two_way_join_edges_grow_near_linearly():
