@@ -20,8 +20,8 @@ class Counters:
         self.lookups = 0
         self.pair_products = 0
         # trace, when enabled, records (component_counts, chosen_index) per
-        # product level for enumerator-rule assertions; the index is None
-        # on a level walked in lockstep, where no factor is enumerated
+        # product level for enumerator-rule assertions; on an intersecting
+        # level the index is the restricting factor that was iterated
         self.trace = [] if trace else None
 
     def snapshot(self):

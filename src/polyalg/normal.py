@@ -79,7 +79,7 @@ _RING_VOPS = {}
 def ring_vops(ring):
     ops = _RING_VOPS.get(id(ring))
     if ops is None:
-        # exact equality: reusing a node must not change a real weight by a
+        # exact equality: reusing a level must not change a real weight by a
         # tolerance
         ops = ValueOps(add=ring.add, is_zero=ring.is_zero, same=operator.eq)
         _RING_VOPS[id(ring)] = ops
@@ -516,18 +516,6 @@ def nf_lookup(nf: NormalForm, key):
     raise SpaceError(f"lookup needs a keyed form, not {type(nf).__name__}")
 
 
-def _arity(space: Space) -> int:
-    if isinstance(space, Scalar):
-        return 0
-    if isinstance(space, (Free, CompactFree)):
-        return 1
-    if isinstance(space, (FinMap, CompactMap)):
-        return 1 + _arity(space.value)
-    if isinstance(space, Tensor):
-        return _arity(space.lhs) + _arity(space.rhs)
-    raise SpaceError(f"paths through {space} have no fixed shape")
-
-
 def nf_lookup_path(nf: NormalForm, path):
     """Coefficient at a full key path; `STAR` components read baselines."""
     value, consumed = _lookup_path(nf, tuple(path), 0)
@@ -544,19 +532,16 @@ def _lookup_path(nf, path, i):
         return nf_lookup(nf, path[i]), i + 1
     if isinstance(nf, MapNF):
         key = path[i]
-        if key is STAR:
-            if nf.base is None:
-                return ring.zero, i + 1 + _arity(nf.space.value)
-            return _lookup_path(nf.base, path, i + 1)
+        parts = [nf.base]
+        if key is not STAR:
+            parts.append(tries.lookup(nf.space.prim, nf.trie, key))
+        # with no entry, the zero form of the value space reads the rest of
+        # the path, side tags included, to find where it ends
+        parts = [p for p in parts if p is not None] or [zero_nf(nf.space.value)]
         total = ring.zero
-        j = None
-        for part in (nf.base, tries.lookup(nf.space.prim, nf.trie, key)):
-            if part is None:
-                continue
+        for part in parts:
             v, j = _lookup_path(part, path, i + 1)
             total = ring.add(total, v)
-        if j is None:
-            j = i + 1 + _arity(nf.space.value)
         return total, j
     if isinstance(nf, PairNF):
         tag = path[i]

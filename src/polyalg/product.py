@@ -3,11 +3,11 @@
 The evaluator works level by level on nested keyed forms. At each level
 the factors split into those that restrict the support, having no wildcard
 baseline, and those that do not. If a restricting factor exists, their
-tries are intersected by `tries.walk`: integer tries in lockstep, dropping
-a subtree as soon as one factor's prefix disagrees, so no key is looked up
-from a root; other key families enumerate the smallest trie and probe the
-rest. At each surviving key the non-restricting factors add their baseline
-to their deviation there. Otherwise every factor carries a baseline, the
+trie levels are intersected by `tries.walk`, which iterates the one with
+the fewest keys and probes the others by hash, so a key missing from any
+restricting factor is dropped before anything below it is visited. At
+each surviving key the non-restricting factors add their baseline to
+their deviation there. Otherwise every factor carries a baseline, the
 baseline product is hoisted once, and deviations are produced at the union
 of the factors' explicit keys, since an explicit key in any factor can
 deviate from the baseline product. Partial products that come out zero
@@ -16,8 +16,8 @@ prune the whole key before any deeper work is charged.
 All n factors are scheduled jointly: the recursion at a key carries one
 value per factor into the next level rather than folding pairwise, which
 is what makes the evaluation worst-case optimal on cyclic joins such as
-the triangle. An output that equals one of the inputs, in a trie node or a
-whole form, is that input, so unchanged subtrees are shared, not rebuilt.
+the triangle. An output that equals one of the inputs, in a trie level or
+a whole form, is that input, so unchanged levels are shared, not rebuilt.
 
 `naive_multiply` is the deliberately blunt alternative, full expansion by
 distributivity, kept as the differential-testing oracle.
@@ -155,8 +155,7 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
     restricting = [i for i in range(n) if is_zero(factors[i][1])]
 
     if restricting:
-        # a lockstep walk enumerates no factor
-        enum_i = None if tries.lockstep(prim) else min(restricting, key=lambda i: (tcs[i], i))
+        enum_i = min(restricting, key=lambda i: (tcs[i], i))
         base_out = zero
     else:
         enum_i = min(range(n), key=lambda i: (counts[i], i))
@@ -192,13 +191,15 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
         devs = {}
         for j in range(n):
             tj, _ = factors[j]
-            for key, d in tries.items(prim, tj):
+            if tj is None:
+                continue
+            m.trie_edges += len(tj)
+            for key, d in tj.items():
                 row = devs.get(key)
                 if row is None:
                     row = devs[key] = [None] * n
                 row[j] = d
-        for key in sorted(devs, key=prim.sort_key):
-            row = devs[key]
+        for key, row in devs.items():
             vals = []
             ok = True
             for j in range(n):

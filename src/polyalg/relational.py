@@ -5,18 +5,18 @@ free modules over the column types, with coefficients in the session ring.
 The data is held as a canonical form (a nested keyed trie in attribute
 order), as a term, or as both. Relations built from rows are born as
 forms, grouped column by column into one trie per node. Set operations,
-joins and single-column selection work on forms, so an update costs about
-the size of its delta rather than of the relation, and aggregation folds
-a form a level at a time without listing its rows. Reordering, projection
-and column maps rebuild a form from its rows, rearranged or mapped, into
-an output chain computed up front from the input chain's factors, each
-kept plain or compact, so an empty relation gets the same space as a full
-one. A Cartesian product stays one tensor of its inputs' terms, and a
-projection of a relation held only as a term stays symbolic, a
-`terms.linear_map` per chain level. Set operations on chains that differ
-widen both sides into the compact chain. Negative multiplicities are
-ordinary data (deletions), and wildcard baselines from outer joins are
-ordinary data too, flagged at rendering time.
+joins and single-column selection work on forms, so an update visits the
+entries of its delta and copies, in C, only the trie levels it changes;
+aggregation folds a form a level at a time without listing its rows.
+Reordering, projection and column maps rebuild a form from its rows,
+rearranged or mapped, into an output chain computed up front from the
+input chain's factors, each kept plain or compact, so an empty relation
+gets the same space as a full one. A Cartesian product stays one tensor
+of its inputs' terms, and a projection of a relation held only as a term
+stays symbolic, a `terms.linear_map` per chain level. Set operations on
+chains that differ widen both sides into the compact chain. Negative
+multiplicities are ordinary data (deletions), and wildcard baselines from
+outer joins are ordinary data too, flagged at rendering time.
 """
 
 from dataclasses import dataclass

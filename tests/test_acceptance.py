@@ -123,7 +123,7 @@ def test_criterion_05_nested_map_normalisation():
         + entry(("a", left("p")))
     )
     nf = normalize(t)
-    from polyalg.tries import items, lookup
+    from polyalg.tries import count, items, lookup
 
     prim = sp.prim
     # leaf coefficients: a -> (p: 2, 3: 1), b -> (4: 1)
@@ -132,9 +132,13 @@ def test_criterion_05_nested_map_normalisation():
         ((("a", ("R", 3)),), 1),
         ((("b", ("R", 4)),), 1),
     ]
-    # the trie itself curries: an outer string level over left/right slots
-    outer = {k: v for k, v in items(prim.fst, nf.trie)}
-    assert set(outer) == {"a", "b"}
+    # the level is flat: one entry per pair key, in the pair order
+    assert count(nf.trie) == 3
+    assert [k for k, _ in items(prim, nf.trie)] == [
+        ("a", ("L", "p")),
+        ("a", ("R", 3)),
+        ("b", ("R", 4)),
+    ]
     assert lookup(prim, nf.trie, ("a", ("L", "p"))).value == 2
     assert lookup(prim, nf.trie, ("a", ("R", 3))).value == 1
     assert lookup(prim, nf.trie, ("b", ("R", 4))).value == 1

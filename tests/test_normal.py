@@ -4,6 +4,7 @@ import pytest
 
 from polyalg import (
     GF2,
+    Biproduct,
     INT,
     REAL,
     STAR,
@@ -16,6 +17,7 @@ from polyalg import (
     InfiniteSupport,
     Prod,
     Scalar,
+    SpaceError,
     Sum,
     Tensor,
     enumerate_nf,
@@ -63,8 +65,8 @@ def test_nontrivial_zero():
 
 
 def test_nested_key_structure():
-    # entries over a pair-of-sum key space settle into the curried trie:
-    # outer string level, then the left/right split, then the leaf tries
+    # entries over a pair-of-sum key space settle into one flat level keyed
+    # by the pairs, enumerated in the pair order
     sp = FinMap(Z, Prod(STRING, Sum(STRING, INT)), Scalar(Z))
     e = lambda k: maps_to(k, one(Z), sp)
     t = e(("a", left("p"))) + e(("b", right(4))) + e(("a", right(3))) + e(("a", left("p")))
@@ -74,7 +76,7 @@ def test_nested_key_structure():
         ((("a", ("R", 3)), ), 1),
         ((("b", ("R", 4)), ), 1),
     ]
-    # one outer entry per distinct first component
+    # one entry per distinct pair
     assert trie_count(nf.trie) == 3
     by_key = dict(enumerate_nf(nf))
     assert by_key[(("a", ("L", "p")),)] == 2
@@ -240,8 +242,23 @@ def test_lookup_path_through_chain():
     assert nf_lookup_path(nf, ("b", 1, "x")) == 0
 
 
+def test_lookup_path_past_an_absent_key_reads_side_tags():
+    # an absent key's value space is a biproduct, so only the path's own
+    # side tag says how many components the missing entry would take
+    cs_k = Biproduct(CS, Scalar(Z))
+    sp = FinMap(Z, INT, cs_k)
+    nf = normalize(maps_to(1, pair(inject("a", CS), zero(Scalar(Z))), sp))
+    assert nf_lookup_path(nf, (1, 1, "a")) == 1
+    assert nf_lookup_path(nf, (2, 1, "a")) == 0
+    assert nf_lookup_path(nf, (2, 2)) == 0
+    with pytest.raises(SpaceError):
+        nf_lookup_path(nf, (2, 2, "a"))
+    with pytest.raises(SpaceError):
+        nf_lookup_path(nf, (2, 1, "a", "b"))
+
+
 def test_linear_time_trie_work():
-    # normalising s single entries touches O(s * key bits) trie edges
+    # normalising s single entries touches O(s) trie edges
     def edges_for(s):
         t = sum_terms(FI, [inject(i, FI) for i in range(s)])
         with metrics.fresh() as m:
@@ -254,8 +271,8 @@ def test_linear_time_trie_work():
 
 
 def test_nested_prefix_keys_normalize_in_balanced_merges():
-    # each key is a prefix of the next; adding one key at a time to the
-    # growing trie walks the whole prefix chain, about n * n / 2 edges
+    # each key is a prefix of the next; the level is built once from all
+    # the entries, not by adding one key at a time to a growing level
     keys = ["a" * i for i in range(1, 2001)]
     t = sum_terms(FS, [inject(k, FS) for k in keys])
     with metrics.fresh() as m:
@@ -265,8 +282,8 @@ def test_nested_prefix_keys_normalize_in_balanced_merges():
 
 
 def test_nested_prefix_values_under_one_key_add_in_balanced_rounds():
-    # every row shares its first key, so 2,000 value tries add under it;
-    # one at a time, each addition would walk the whole prefix chain
+    # every row shares its first key, so 2,000 value levels add under it;
+    # one at a time, each addition would copy the growing level
     keys = ["a" * i for i in range(1, 2001)]
     t = sum_terms(Tensor(FI, FS), [tensor(inject(1, FI), inject(k, FS)) for k in keys])
     with metrics.fresh() as m:

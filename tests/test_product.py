@@ -204,14 +204,14 @@ def _traced_levels(factors):
 
 
 def test_enumerator_picks_fewest_components():
-    # integer levels are walked in lockstep, so no factor is enumerated
+    # an intersecting level iterates the smallest restricting factor
     x = inject(1, CI) + inject(2, CI)
-    assert _traced_levels([wild_one(CI), x]) == [((1, 2), None)]
+    assert _traced_levels([wild_one(CI), x]) == [((1, 2), 1)]
     a = inject(1, CI) + inject(2, CI) + inject(3, CI)
-    assert _traced_levels([a, x]) == [((3, 2), None)]
+    assert _traced_levels([a, x]) == [((3, 2), 1)]
     # all-baseline products record the global minimum
     assert _traced_levels([wild_one(CI) + inject(1, CI), wild_one(CI)]) == [((2, 1), 1)]
-    # string levels enumerate a restricting factor and probe the others
+    # string levels alike: iterate a restricting factor and probe the others
     x = strs(["a", "b"], CS)
     y = wild_one(CS)
     # the restricting factor, despite y's smaller count
@@ -223,9 +223,9 @@ def test_enumerator_picks_fewest_components():
 
 
 def test_zero_prune_skips_deeper_levels():
-    # the lockstep walk meets key 3 against key 2 and drops both, so none of
-    # their 50-entry subtrees is ever visited; measure the product alone on
-    # prebuilt forms
+    # the walk iterates y and probes x for key 3, which x lacks, so y's
+    # 50-entry subtree under 3 is never visited, nor x's under 2; measure
+    # the product alone on prebuilt forms
     cm = CompactMap(Z, INT, CI)
     inner_big = sum_terms(CI, [inject(j, CI) for j in range(50)])
     x = normalize(maps_to(1, inject(1, CI), cm) + maps_to(2, inner_big, cm))
@@ -234,7 +234,7 @@ def test_zero_prune_skips_deeper_levels():
         out = nf_product([y, x])
     rows = enumerate_nf(out)
     assert rows == [((1, 1), 1)]
-    # both levels intersect in lockstep: nothing is probed from a root
+    # both levels intersect inside the walk, whose probes are not lookups
     assert m.lookups == 0
     assert m.trie_edges < 40
 

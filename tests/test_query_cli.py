@@ -334,7 +334,7 @@ def test_cli_loads_csv_with_byte_order_mark(tmp_path):
 
 
 def test_cli_nested_prefix_keys(tmp_path):
-    # each key is a prefix of the next, so the string trie is 1,499 nodes deep
+    # each key is a prefix of the next: 1,499 nested prefixes
     keys = ["a" * i for i in range(1, 1500)]
     (tmp_path / "p.csv").write_text("A\n" + "\n".join(keys) + "\n")
     load_ok(tmp_path, "p.csv", "p", "A:str")

@@ -459,7 +459,7 @@ def test_update_cost_follows_the_delta():
         assert counts[0] == counts[1]
         assert rowdict(apply_update(db, delta)) == want
         edges.append(counts[0])
-    # renormalising the whole relation costs 23,104 and 99,840 edges here
+    # renormalising the whole relation costs 14,000 and 56,000 edges here
     assert edges[0] <= 3000, edges
     assert edges[1] <= 1.5 * edges[0], edges
 
@@ -691,9 +691,9 @@ def test_nested_prefix_column_deeper_than_the_recursion_limit():
     assert n > sys.getrecursionlimit()
     keys = ["a" * i for i in range(1, n + 1)]
     r = weighted([("S", STRING), ("K", INT)], [((k, i), 1) for i, k in enumerate(keys)])
-    doubled = nf_scale(2, r.nf())  # maps the radix trie's payloads
+    doubled = nf_scale(2, r.nf())  # maps the string level's payloads
     assert enumerate_nf(doubled) == [((k, i), 2) for i, k in enumerate(keys)]
-    # the join embeds and strips r's form, mapping the radix trie twice
+    # the join embeds and strips r's form, mapping the string level twice
     ends = natural_join([r, rel([("K", INT)], [(0,), (n - 1,)])])
     assert rowdict(ends) == {(keys[0], 0): 1, (keys[-1], n - 1): 1}
 

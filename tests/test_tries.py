@@ -3,7 +3,7 @@
 import random
 import sys
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polyalg import (
@@ -19,7 +19,7 @@ from polyalg import (
     Sum,
     metrics,
 )
-from polyalg.prims import INT64_MAX, INT64_MIN
+from polyalg.prims import INT64_MAX, INT64_MIN, left, right
 from polyalg.tries import (
     ValueOps,
     count,
@@ -29,6 +29,7 @@ from polyalg.tries import (
     lookup,
     map_values,
     merge,
+    walk,
 )
 
 VOPS = ValueOps(add=lambda a, b: a + b, is_zero=lambda v: v == 0)
@@ -56,9 +57,15 @@ def check_same(prim, trie, mapping, probes):
 
 COEFFS = st.integers(-5, 5).filter(bool)
 
+# CPython hashes an int by its residue modulo this prime, and -1 as -2
+P61 = 2**61 - 1
+
 INT_KEYS = st.one_of(
     st.integers(INT64_MIN, INT64_MAX),
-    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, -2, 0, 1, INT64_MAX - 1, INT64_MAX]),
+    # keys with one hash: k beside k + n * P61, and negatives beside -1
+    st.builds(lambda k, n: k + n * P61 if k >= 0 else k - n * P61,
+              st.sampled_from([0, 1, 7, -1, -2, -7]), st.integers(0, 3)),
 )
 
 STR_KEYS = st.one_of(
@@ -73,6 +80,7 @@ STR_KEYS = st.one_of(
 
 
 @given(st.dictionaries(INT_KEYS, COEFFS), st.dictionaries(INT_KEYS, COEFFS))
+@example({-1: 1, -2: 2, 7: 3, 7 + P61: 4, -1 - P61: 5}, {-2: -2, 7 + 2 * P61: 1, -1 - P61: 1})
 def test_int_trie_merge_matches_dict(da, db):
     t = merge(INT, build(INT, da), build(INT, db), VOPS)
     m = model_merge(da, db)
@@ -148,8 +156,8 @@ def test_map_values_drops_zero_images():
 
 
 def test_expand_tags_each_tries_entries_in_order():
-    # slot families split a level over sub-tries; the entries still come
-    # trie by trie, each trie's in key order, as `items` of each would
+    # the entries come level by level, each level's in key order, as
+    # `items` of each would give them
     families = MAP_FAMILIES + [
         (UNIT, [()]),
         (INT_WITH_INF, [-4, 7, INF]),
@@ -168,7 +176,8 @@ def test_expand_tags_each_tries_entries_in_order():
 
 
 def test_nested_prefix_keys_deeper_than_the_recursion_limit():
-    # each key is a prefix of the next: the radix trie is one node per key
+    # each key is a prefix of the next, and no operation's stack depth may
+    # grow with the chain
     n = 3000
     assert n > sys.getrecursionlimit()
     keys = ["a" * i for i in range(1, n + 1)]
@@ -203,14 +212,13 @@ def test_lookup_cost_independent_of_population():
     with metrics.fresh() as m:
         lookup(INT, big, 5)
     big_edges = m.trie_edges
-    # both walk at most the key's bit length
-    assert big_edges <= 65
-    assert small_edges <= 65
+    # one probe at any population
+    assert big_edges == small_edges == 1
 
 
 def test_builds_and_maps_charge_one_edge_per_node():
-    # sorted bottom-up builds and node-for-node maps visit each node once,
-    # where merging one-entry tries walked about log2(n) nodes per key
+    # a build charges each entry it keeps once, an enumeration or a map each
+    # entry it visits, however many repeated entries the build added up
     rng = random.Random(11)
     ints = rng.sample(range(-(2**40), 2**40), 3000)
     words = sorted({"".join(rng.choice("abc") for _ in range(rng.randint(0, 9)))
@@ -230,9 +238,60 @@ def test_builds_and_maps_charge_one_edge_per_node():
             doubled = map_values(prim, t, lambda v: 2 * v, VOPS)
         assert m.trie_edges == nodes, prim
         assert list(items(prim, doubled)) == [(k, 2 * v) for k, v in items(prim, t)]
-        # a level of tries at once: each trie's nodes once, empty tries none
+        # several levels at once: each level's entries once, empty levels none
         with metrics.fresh() as m:
             level = list(expand(prim, [t, None, doubled]))
         assert m.trie_edges == 2 * nodes, prim
         assert level == [(0, k, v) for k, v in items(prim, t)] + \
             [(2, k, v) for k, v in items(prim, doubled)]
+
+
+FAMILY_KEYS = [
+    (INT, INT_KEYS),
+    (STRING, STR_KEYS),
+    (BOOL, st.booleans()),
+    (UNIT, st.just(())),
+    (Sum(STRING, INT), st.one_of(st.builds(left, STR_KEYS), st.builds(right, INT_KEYS))),
+    (Prod(STRING, INT), st.tuples(STR_KEYS, INT_KEYS)),
+    (INT_WITH_INF, st.one_of(INT_KEYS, st.just(INF))),
+    (INT_WITH_NEG_INF, st.one_of(INT_KEYS, st.just(NEG_INF))),
+]
+
+
+@st.composite
+def walk_levels(draw):
+    """A key family and 1 to 3 levels over one small pool of its keys, so
+    that the levels meet."""
+    prim, keys = draw(st.sampled_from(FAMILY_KEYS))
+    pool = draw(st.lists(keys, min_size=1, max_size=8, unique=True))
+    levels = st.dictionaries(st.sampled_from(pool), COEFFS)
+    return prim, pool, draw(st.lists(levels, min_size=1, max_size=3))
+
+
+@given(walk_levels())
+def test_walk_matches_dict_intersection(case):
+    prim, pool, dicts = case
+    ts = [build(prim, d) for d in dicts]
+
+    def leaf(key, vals):
+        p = 1
+        for v in vals:
+            p *= v
+        return None if p % 3 == 0 else p
+
+    common = set(dicts[0]).intersection(*dicts[1:])
+    want = {}
+    for k in common:
+        p = 1
+        for d in dicts:
+            p *= d[k]
+        if p % 3:
+            want[k] = p
+    check_same(prim, walk(prim, ts, leaf, VOPS), want, pool)
+    # an intersection that keeps all of the first level's entries, with its
+    # payloads, returns that level itself
+    kept = walk(prim, ts, lambda key, vals: vals[0], VOPS)
+    if dicts[0] and common == set(dicts[0]):
+        assert kept is ts[0]
+    else:
+        check_same(prim, kept, {k: dicts[0][k] for k in common}, pool)
