@@ -18,13 +18,12 @@ import os
 import tempfile
 from pathlib import Path
 
-from .prims import BOOL, INT, STRING
-from .relational import Relation, Schema, relation_from_rows
+from .prims import BOOL, INT
+from .relational import TYPE_NAMES, Relation, Schema, relation_from_rows
 from .rings import Ring, ring_by_name
 
 WEIGHT_COLUMN = "#weight"
-
-_CSV_TYPES = {"int": INT, "str": STRING, "bool": BOOL}
+_ENTRY_FIELDS = ("path", "schema", "ring")
 
 
 class CatalogError(ValueError):
@@ -41,9 +40,9 @@ def parse_schema(text: str) -> Schema:
         if ":" not in part:
             raise CatalogError(f"bad schema column {part!r}; expected name:type")
         name, tname = (x.strip() for x in part.split(":", 1))
-        prim = _CSV_TYPES.get(tname)
+        prim = TYPE_NAMES.get(tname)
         if prim is None:
-            raise CatalogError(f"unknown type {tname!r}; expected one of {sorted(_CSV_TYPES)}")
+            raise CatalogError(f"unknown type {tname!r}; expected one of {sorted(TYPE_NAMES)}")
         cols.append((name, prim))
     if not cols:
         raise CatalogError("empty schema")
@@ -69,6 +68,15 @@ def _parse_cell(text: str, prim, where: str):
     return text
 
 
+def _records(reader, path):
+    """The reader's records; a malformed file, such as one with a cell
+    longer than `csv.field_size_limit()`, fails at its line."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise CatalogError(f"{path}:{reader.line_num}: {e}") from None
+
+
 def load_csv(path, sch: Schema, ring: Ring) -> Relation:
     path = Path(path)
     try:
@@ -76,7 +84,7 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
     except OSError as e:
         raise CatalogError(f"cannot read {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _records(csv.reader(fh), path)
         try:
             header = next(reader)
         except StopIteration:
@@ -112,10 +120,10 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
 
 
 class Catalog:
-    """Named relations; optionally backed by a JSON manifest of CSV sources."""
+    """Named relations, persisted as a JSON manifest of CSV sources."""
 
-    def __init__(self, manifest_path=None):
-        self.manifest_path = Path(manifest_path) if manifest_path else None
+    def __init__(self, manifest_path):
+        self.manifest_path = Path(manifest_path)
         self.entries = {}  # name -> {"path", "schema", "ring"}
         self._cache = {}
 
@@ -123,17 +131,23 @@ class Catalog:
     def open(cls, manifest_path) -> "Catalog":
         cat = cls(manifest_path)
         p = cat.manifest_path
-        if p is not None and p.exists():
+        if p.exists():
             try:
                 data = json.loads(p.read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as e:
                 raise CatalogError(f"cannot read catalog {p}: {e}") from None
-            cat.entries = data.get("relations", {})
+            entries = data.get("relations", {}) if isinstance(data, dict) else None
+            if not isinstance(entries, dict):
+                raise CatalogError(f"catalog {p} is not an object with a \"relations\" object")
+            for name, entry in entries.items():
+                if not (isinstance(entry, dict)
+                        and all(isinstance(entry.get(f), str) for f in _ENTRY_FIELDS)):
+                    raise CatalogError(f"catalog {p}: relation {name!r} needs string "
+                                       f"fields {', '.join(_ENTRY_FIELDS)}")
+            cat.entries = entries
         return cat
 
     def save(self):
-        if self.manifest_path is None:
-            return
         path = self.manifest_path
         text = json.dumps({"relations": self.entries}, indent=2, sort_keys=True) + "\n"
         # write beside the manifest, then rename over it: a failed write
@@ -161,9 +175,6 @@ class Catalog:
         self._cache[name] = relation
         return relation
 
-    def put(self, name: str, relation: Relation):
-        self._cache[name] = relation
-
     def get(self, name: str):
         if name in self._cache:
             return self._cache[name]
@@ -177,4 +188,4 @@ class Catalog:
         return relation
 
     def names(self):
-        return sorted(set(self.entries) | set(self._cache))
+        return sorted(self.entries)

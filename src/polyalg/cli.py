@@ -98,23 +98,14 @@ def _cmd_load(args) -> int:
 
 def _cmd_query(args) -> int:
     cat = Catalog.open(args.catalog)
-    view = _CatalogView(cat)
     with metrics.fresh() as m:
-        r = run_query(args.expr, view)
+        r = run_query(args.expr, cat)
         out = render_relation(r, args.format)
     print(out)
     if args.stats:
         print()
         print(_stats_table(m))
     return 0
-
-
-class _CatalogView:
-    def __init__(self, cat):
-        self.cat = cat
-
-    def get(self, name):
-        return self.cat.get(name)
 
 
 def _cmd_show(args) -> int:

@@ -2,21 +2,22 @@
 
 A relation is a named, typed schema plus its data in the tensor chain of
 free modules over the column types, with coefficients in the session ring.
-The data is held as a canonical form (a nested keyed trie in attribute
-order), as a term, or as both. Relations built from rows are born as
-forms, grouped column by column into one trie per node. Set operations,
-joins and single-column selection work on forms, so an update visits the
+The data is held as one canonical form, a nested keyed trie in attribute
+order. Relations built from rows are born as forms, grouped column by
+column into one trie per node. Set operations, joins, products and
+single-column selection work on forms, so an update visits the
 entries of its delta and copies, in C, only the trie levels it changes;
 aggregation folds a form a level at a time without listing its rows.
 Reordering, projection and column maps rebuild a form from its rows,
 rearranged or mapped, into an output chain computed up front from the
 input chain's factors, each kept plain or compact, so an empty relation
-gets the same space as a full one. A Cartesian product stays one tensor
-of its inputs' terms, and a projection of a relation held only as a term
-stays symbolic, a `terms.linear_map` per chain level. Set operations on
-chains that differ widen both sides into the compact chain. Negative
-multiplicities are ordinary data (deletions), and wildcard baselines from
-outer joins are ordinary data too, flagged at rendering time.
+gets the same space as a full one. A Cartesian product is the left
+input's form with the right input's form grafted under each of its
+coefficients, shared unchanged wherever the coefficient is one. Set
+operations on chains that differ widen both sides into the compact
+chain. Negative multiplicities are ordinary data (deletions), and
+wildcard baselines from outer joins are ordinary data too, flagged at
+rendering time.
 """
 
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .normal import (
     nf_add,
     nf_equal,
     nf_sub,
+    nf_tensor,
     nf_weight,
     normalize,
     readback,
@@ -51,8 +53,8 @@ from .prims import (
     Str,
 )
 from .rings import GF2Ring, Ring
-from .spaces import CompactFree, Tensor, chain_factors, chain_space, tensor_chain
-from .terms import Term, linear_map, scale, tensor, weight
+from .spaces import CompactFree, SpaceError, Tensor, chain_factors, chain_space, tensor_chain
+from .terms import Term
 
 
 class RelationError(ValueError):
@@ -94,9 +96,6 @@ class Schema:
                 return i
         raise RelationError(f"unknown attribute {name!r}")
 
-    def prim_of(self, name: str) -> PrimSet:
-        return self.columns[self.position(name)][1]
-
     def __len__(self):
         return len(self.columns)
 
@@ -109,51 +108,47 @@ def schema(*cols) -> Schema:
 
 
 class Relation:
-    """Schema, ring and data held as a canonical form, a term, or both.
+    """Schema, ring and data held as one canonical form in the chain of the
+    schema's column factors.
 
-    `relation_from_rows` and the form-level operators make relations that
-    hold only a form. `nf()` normalises a missing form and caches it; `term`
-    reads a missing term back from the form on each access and never stores
-    it. Operators read a held form as it is and otherwise normalise afresh
-    without storing, so they leave their inputs as they found them."""
+    A given form is stored as it is; a term given without one must live in
+    a chain of free factors and is normalised once, here. `chain_term()`
+    reads the form back into a term on each call."""
 
     def __init__(self, sch: Schema, ring: Ring, term: Term | None = None, nf=None):
-        if term is None and nf is None:
-            raise RelationError("a relation needs a term or a normal form")
+        if nf is None:
+            if term is None:
+                raise RelationError("a relation needs a term or a normal form")
+            try:
+                chained = chain_space(chain_factors(term.space)) == term.space
+            except SpaceError:
+                chained = False
+            if not chained:
+                raise RelationError(f"{term.space} is not a chain of free factors")
+            nf = normalize(term)
         self.schema = sch
         self.ring = ring
-        self._term = term
         self._nf = nf
 
-    @property
-    def term(self) -> Term:
-        if self._term is None:
-            return readback(self._nf)
-        return self._term
-
     def nf(self):
-        if self._nf is None:
-            self._nf = normalize(_to_chain(self._term))
         return self._nf
 
     def chain_term(self) -> Term:
-        return _to_chain(self.term)
+        return readback(self._nf)
 
     def weight(self):
-        if self._nf is not None:
-            return nf_weight(self._nf)
-        return weight(self._term)
+        return nf_weight(self._nf)
 
     def has_baseline(self) -> bool:
-        return has_baseline(self.nf())
+        return has_baseline(self._nf)
 
     def rows(self, allow_baseline: bool = True):
         """Sorted (tuple, coefficient) rows; wildcard slots appear as STAR."""
-        return enumerate_nf(self.nf(), allow_baseline=allow_baseline)
+        return enumerate_nf(self._nf, allow_baseline=allow_baseline)
 
     def lookup(self, row):
         """Coefficient at a full tuple; STAR components read baselines."""
-        return normal.nf_lookup_path(self.nf(), tuple(row))
+        return normal.nf_lookup_path(self._nf, tuple(row))
 
     def equals(self, other: "Relation") -> bool:
         if self.schema != other.schema or self.ring is not other.ring:
@@ -202,24 +197,6 @@ def _rows_nf(space, rows, i):
     return MapNF(space, trie, None if base is None or base.is_zero() else base)
 
 
-# chain plumbing ---------------------------------------------------------------
-
-def _to_chain(t: Term) -> Term:
-    """Reassociate an arbitrarily nested tensor of free factors into the
-    right-nested chain. Linear in the term; no normalisation."""
-    out = chain_space(chain_factors(t.space))
-    if out == t.space:
-        return t
-    return linear_map(t, out, lambda g: _chain_append(_to_chain(g.lhs), _to_chain(g.rhs), out))
-
-
-def _chain_append(u: Term, w: Term, out) -> Term:
-    """Chain concatenation into `out`: distribute the tail into the right spine."""
-    if not isinstance(u.space, Tensor):
-        return tensor(u, w)
-    return linear_map(u, out, lambda g: tensor(g.lhs, _chain_append(g.rhs, w, out.rhs)))
-
-
 # core operations ----------------------------------------------------------------
 
 def _require_same_schema(r: Relation, s: Relation, what: str):
@@ -231,17 +208,10 @@ def _require_same_schema(r: Relation, s: Relation, what: str):
         raise RelationError(f"{what} needs matching rings")
 
 
-def _form(r: Relation):
-    """The held form, or a fresh one that is not stored back."""
-    if r._nf is not None:
-        return r._nf
-    return normalize(r.chain_term())
-
-
 def _aligned_forms(r: Relation, s: Relation):
     """Both sides' forms; chains that mix compact and plain factors
     differently are both widened into the compact chain."""
-    a, b = _form(r), _form(s)
+    a, b = r.nf(), s.nf()
     if a.space != b.space:
         cols = list(r.schema.columns)
         a, b = product.embed(a, cols, cols), product.embed(b, cols, cols)
@@ -276,9 +246,12 @@ def cartesian(r: Relation, s: Relation) -> Relation:
     overlap = set(r.schema.names) & set(s.schema.names)
     if overlap:
         raise RelationError(f"product inputs share attributes {sorted(overlap)}")
-    sch = Schema(r.schema.columns + s.schema.columns)
-    # one symbolic node; expansion deferred indefinitely
-    return Relation(sch, r.ring, tensor(r.term, s.term))
+    if r.ring is not s.ring:
+        raise RelationError("product needs matching rings")
+    a, b = r.nf(), s.nf()
+    space = chain_space(chain_factors(a.space) + chain_factors(b.space))
+    return Relation(Schema(r.schema.columns + s.schema.columns), r.ring,
+                    nf=nf_tensor(a, b, space))
 
 
 def select(r: Relation, pred) -> Relation:
@@ -291,15 +264,19 @@ def select(r: Relation, pred) -> Relation:
     if col is not None:
         pos = r.schema.position(col)
         keep = pred.value_test(r.schema.prims[pos])
-        return Relation(r.schema, r.ring, nf=_select_level(_form(r), pos, keep, col))
-    # general tuple predicate: expand
+        return Relation(r.schema, r.ring, nf=_select_level(r.nf(), pos, keep, col))
     row_test = pred.row_test(r.schema)
+    return _kept_rows(r, lambda row, c: row_test(row), "select on")
+
+
+def _kept_rows(r: Relation, keep, what: str) -> Relation:
+    """`r`'s rows for which `keep(row, coefficient)` holds; rows with a
+    wildcard have no finite filter."""
     try:
-        rows = enumerate_nf(_form(r), allow_baseline=False)
+        rows = enumerate_nf(r.nf(), allow_baseline=False)
     except InfiniteSupport:
-        raise RelationError("cannot select on a relation with wildcard rows") from None
-    kept = [(row, c) for row, c in rows if row_test(row)]
-    return relation_from_rows(r.schema, r.ring, kept)
+        raise RelationError(f"cannot {what} a relation with wildcard rows") from None
+    return relation_from_rows(r.schema, r.ring, [(row, c) for row, c in rows if keep(row, c)])
 
 
 def _select_level(nf, pos, keep, col):
@@ -323,62 +300,32 @@ def _select_level(nf, pos, keep, col):
 def project(r: Relation, names) -> Relation:
     """Keep the named columns, in the order named; each discarded key or
     wildcard weighs one, so multiplicities are preserved rather than
-    collapsed. A relation held only as a term, such as a deferred Cartesian
-    product, is projected symbolically; otherwise the form's rows are."""
+    collapsed."""
     if not names:
         raise RelationError("projection needs at least one attribute")
     positions = [r.schema.position(n) for n in names]
     if len(set(positions)) != len(positions):
         raise RelationError(f"repeated attributes in projection {names}")
-    if r._nf is not None:
-        return _keep_columns(r, positions)
-    keep_sorted = sorted(positions)
-    mask = [i in positions for i in range(len(r.schema))]
-    sch = Schema(tuple(r.schema.columns[i] for i in keep_sorted))
-    out = Relation(sch, r.ring, _project_term(r.chain_term(), mask))
-    if keep_sorted != positions:
-        out = rename(out, [keep_sorted.index(p) for p in positions])
-    return out
-
-
-def _project_term(t: Term, mask) -> Term:
-    kept = [f for f, m in zip(chain_factors(t.space), mask) if m]
-
-    def at(u, mask, out):
-        if not isinstance(u.space, Tensor):
-            return u
-        head, rest = mask[0], mask[1:]
-        if head and any(rest):
-            return linear_map(u, out, lambda g: tensor(g.lhs, at(g.rhs, rest, out.rhs)))
-        if head:
-            return linear_map(u, out, lambda g: scale(weight(g.rhs), g.lhs))
-        return linear_map(u, out, lambda g: scale(weight(g.lhs), at(g.rhs, rest, out)))
-
-    return at(t, mask, chain_space(kept))
-
-
-def rename(r: Relation, perm) -> Relation:
-    """Permute column order; output column i is input column perm[i]."""
-    if sorted(perm) != list(range(len(r.schema))):
-        raise RelationError(f"{perm} is not a permutation of the columns")
-    if list(perm) == list(range(len(r.schema))):
-        return Relation(r.schema, r.ring, r._term, r._nf)
-    return _keep_columns(r, list(perm))
-
-
-def _keep_columns(r: Relation, positions) -> Relation:
-    """Output column i is input column positions[i]; unlisted columns are
-    summed out."""
     sch = Schema(tuple(r.schema.columns[p] for p in positions))
     return _rebuilt(r, sch, lambda fs: [fs[p] for p in positions],
                     lambda row: tuple(row[p] for p in positions))
+
+
+def rename(r: Relation, perm) -> Relation:
+    """Permute column order; output column i is input column perm[i]: a
+    projection that keeps every column."""
+    if sorted(perm) != list(range(len(r.schema))):
+        raise RelationError(f"{perm} is not a permutation of the columns")
+    if list(perm) == list(range(len(r.schema))):
+        return r
+    return project(r, [r.schema.columns[p][0] for p in perm])
 
 
 def _rebuilt(r: Relation, sch: Schema, factor_map, row_map) -> Relation:
     """`r`'s rows, wildcard slots included, each sent through `row_map` and
     built into the chain that `factor_map` makes of `r`'s chain factors, so
     an empty relation keeps its factors plain or compact."""
-    nf = _form(r)
+    nf = r.nf()
     rows = [(row_map(row), c) for row, c in enumerate_nf(nf, allow_baseline=True)]
     space = chain_space(factor_map(chain_factors(nf.space)))
     return Relation(sch, r.ring, nf=_rows_nf(space, rows, 0))
@@ -389,7 +336,7 @@ def relabel(r: Relation, new_names) -> Relation:
     if len(new_names) != len(r.schema):
         raise RelationError("wrong number of attribute names")
     sch = Schema(tuple((n, p) for n, (_, p) in zip(new_names, r.schema.columns)))
-    return Relation(sch, r.ring, r._term, r._nf)
+    return Relation(sch, r.ring, nf=r._nf)
 
 
 def _join_target(rs):
@@ -419,7 +366,7 @@ def _embedded(rs, target: Schema):
         order = [n for n in target.names if n in r.schema.names]
         if order != r.schema.names:
             r = rename(r, [r.schema.position(n) for n in order])
-        out.append(product.embed(_form(r), list(r.schema.columns), list(target.columns)))
+        out.append(product.embed(r.nf(), list(r.schema.columns), list(target.columns)))
     return out
 
 
@@ -494,7 +441,7 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
 
     ring = r.ring
     mul, coerce = ring.mul, ring.coerce
-    nf = _form(r)
+    nf = r.nf()
     factors = chain_factors(nf.space)
     last = len(factors) - 1
     chain_group = sorted(gpos)
@@ -581,11 +528,7 @@ def clamp_nonneg(r: Relation) -> Relation:
     barrier between update batches."""
     if r.ring.name != "z":
         raise RelationError("clamp is defined for integer multiplicities")
-    try:
-        rows = enumerate_nf(_form(r), allow_baseline=False)
-    except InfiniteSupport:
-        raise RelationError("cannot clamp a relation with wildcard rows") from None
-    return relation_from_rows(r.schema, r.ring, [(row, c) for row, c in rows if c > 0])
+    return _kept_rows(r, lambda row, c: c > 0, "clamp")
 
 
 # predicate and function registries ---------------------------------------------

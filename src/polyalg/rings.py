@@ -7,6 +7,8 @@ object supplies the operations, so mixing rings is a type error at
 construction time rather than something checked per operation.
 """
 
+import math
+
 REAL_DEFAULT_TOLERANCE = 1e-9
 
 
@@ -192,7 +194,10 @@ class RealRing(Ring):
         raise TypeError(f"{a!r} is not a real multiplicity")
 
     def parse(self, text):
-        return float(text)
+        v = float(text)
+        if not math.isfinite(v):  # nan is unequal to itself; inf - inf is nan
+            raise ValueError(f"{text!r} is not a finite weight")
+        return v
 
     def render(self, a):
         # repr of a float is the shortest decimal that round-trips

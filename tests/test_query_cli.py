@@ -375,6 +375,65 @@ def test_catalog_failed_save_keeps_previous_manifest(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cat.json", "x.csv", "y.csv"]
 
 
+def test_cli_rejects_malformed_manifests(tmp_path, capsys):
+    (tmp_path / "x.csv").write_text(X_CSV)
+    entry = {"path": str(tmp_path / "x.csv"), "ring": "z"}
+    for shape in ([], {"relations": []}, {"relations": {"x": entry}},
+                  {"relations": {"x": "x.csv"}}, {"relations": {"x": dict(entry, schema=1)}}):
+        manifest = tmp_path / "cat.json"
+        manifest.write_text(json.dumps(shape))
+        for args in (["show", "x"], ["query", "(union x x)"]):
+            assert main(["--catalog", str(manifest), *args]) == 2, shape
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: catalog {manifest}"), err
+            assert len(err.splitlines()) == 1
+        with pytest.raises(CatalogError):
+            Catalog.open(manifest)
+
+
+def test_csv_cell_past_the_field_size_limit(tmp_path, capsys):
+    import csv
+
+    p = tmp_path / "long.csv"
+    p.write_text("A,B\na,1\n" + "b" * (csv.field_size_limit() + 1) + ",2\n")
+    with pytest.raises(CatalogError) as e:
+        load_csv(p, parse_schema("A:str,B:int"), Z)
+    assert str(e.value).startswith(f"{p}:3: field larger than field limit"), str(e.value)
+    code = main(["--catalog", str(tmp_path / "c.json"), "load", str(p), "--as", "long",
+                 "--schema", "A:str,B:int"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {p}:3: ")
+
+
+def test_cli_rejects_non_finite_real_weights(tmp_path, capsys):
+    catalog = str(tmp_path / "c.json")
+    for weight in ("nan", "inf", "-inf", "-Infinity", "1e400"):
+        p = tmp_path / "w.csv"
+        p.write_text(f"A,#weight\na,{weight}\n")
+        code = main(["--catalog", catalog, "load", str(p), "--as", "w", "--schema", "A:str",
+                     "--ring", "real"])
+        assert code == 2, weight
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {p}:2: bad weight: "), err
+        assert len(err.splitlines()) == 1
+    (tmp_path / "ok.csv").write_text("A,#weight\na,0.5\nb,-2\n")
+    assert main(["--catalog", catalog, "load", str(tmp_path / "ok.csv"), "--as", "ok",
+                 "--schema", "A:str", "--ring", "real"]) == 0
+
+
+def test_cli_product_of_different_rings(tmp_path, capsys):
+    (tmp_path / "x.csv").write_text(X_CSV)
+    (tmp_path / "w.csv").write_text("W\n1\n")
+    catalog = str(tmp_path / "c.json")
+    for name, path, sch, ring in (("x", "x.csv", "A:str,B:int", "z"),
+                                  ("w", "w.csv", "W:int", "real")):
+        assert main(["--catalog", catalog, "load", str(tmp_path / path), "--as", name,
+                     "--schema", sch, "--ring", ring]) == 0
+    capsys.readouterr()
+    assert main(["--catalog", catalog, "query", "(product x w)"]) == 2
+    assert capsys.readouterr().err == "error: product needs matching rings (at offset 1)\n"
+
+
 def test_cli_bench_small(tmp_path):
     out = run_cli(
         ["bench", "triangle", "--sizes", "2,3", "--repeats", "1", "--with-naive"],

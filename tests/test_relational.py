@@ -34,7 +34,6 @@ from polyalg import (
     union,
     weight,
 )
-from polyalg.terms import GenTerm, ScaleTerm, TensorGen
 
 
 def rel(cols, rows, ring=Z):
@@ -113,18 +112,16 @@ def test_select_drops_unselected_rows_from_the_term():
     r = rel([("K", INT), ("S", STRING), ("V", INT)],
             [(k, f"s{k % 7}", 3 * k) for k in range(2000)])
     out = select(r, Compare("<", "K", 10))
-    assert len(list(linear_combination(out.term))) == 10
+    assert len(list(linear_combination(out.chain_term()))) == 10
     assert len(out.rows()) == 10
 
 
-def test_project_stays_symbolic():
-    # a projection of a product keeps m * (sum) unexpanded in the term
+def test_project_of_a_product_weighs_discarded_columns():
+    # each discarded key weighs one: B's rows count the three A keys
     r = rel([("A", STRING)], [("a1",), ("a2",), ("a3",)])
     s = rel([("B", INT)], [(1,), (2,)])
     t = cartesian(r, s)
     out = project(t, ["B"])
-    term = out.term
-    assert isinstance(term, ScaleTerm) and term.coeff == 3
     assert rowdict(out) == {(1,): 3, (2,): 3}
 
 
@@ -147,7 +144,7 @@ def test_rename_permutes_and_inverts(rng):
     assert rowdict(out) == {("p", "a", 1): 1, ("q", "b", 2): 1, ("p", "b", 5): 1}
     back = rename(out, [1, 2, 0])
     assert back.equals(r)
-    assert weight(out.term) == weight(r.term)
+    assert out.weight() == r.weight() == weight(r.chain_term()) == 3
     with pytest.raises(RelationError):
         rename(r, [0, 0, 1])
 
@@ -164,13 +161,19 @@ def test_union_diff_intersect_goldens():
         union(r, rel([("B", STRING)], [("a",)]))
 
 
-def test_cartesian_is_one_node_and_weights_multiply():
+def test_cartesian_shares_the_right_form_and_weights_multiply():
+    from polyalg import tries
+
     r = rel([("A", STRING)], [("a1",), ("a2",), ("a3",)])
     s = rel([("B", INT)], [(1,), (2,)])
     t = cartesian(r, s)
-    assert isinstance(t.term, GenTerm) and isinstance(t.term.gen, TensorGen)
-    assert weight(t.term) == 6
+    # every unit coefficient of r carries s's own form, not a copy
+    values = [v for _, v in tries.items(STRING, t.nf().trie)]
+    assert len(values) == 3 and all(v is s.nf() for v in values)
+    assert t.weight() == 6
     assert len(t.rows()) == 6
+    w = cartesian(weighted([("A", STRING)], [(("a",), 2)]), s)
+    assert rowdict(w) == {("a", 1): 2, ("a", 2): 2}
     empty = cartesian(rel([("A", STRING)], []), s)
     assert rowdict(empty) == {}
     with pytest.raises(RelationError):
@@ -611,11 +614,24 @@ def test_empty_relations_keep_their_chain_through_every_rewrite():
             assert out.rows() == []
 
 
-def test_row_operators_leave_their_input_uncached():
+def test_relation_from_a_term_needs_a_chain_of_free_factors():
+    from polyalg import Biproduct, Free, Relation, Tensor, zero
+
+    a, b, c = (Free(Z, p) for p in (STRING, INT, INT))
+    sch = schema(("A", STRING), ("B", INT), ("C", INT))
+    assert Relation(sch, Z, zero(Tensor(a, Tensor(b, c)))).rows() == []
+    for space in (Tensor(Tensor(a, b), c), Biproduct(a, b)):
+        with pytest.raises(RelationError):
+            Relation(sch, Z, zero(space))
+    with pytest.raises(RelationError):
+        Relation(sch, Z)
+
+
+def test_row_operators_on_relations_built_from_terms():
     from polyalg import Relation
 
     def held_as_term(rel):
-        return Relation(rel.schema, rel.ring, rel.term)
+        return Relation(rel.schema, rel.ring, rel.chain_term())
 
     r = held_as_term(weighted(
         [("A", STRING), ("B", INT), ("C", INT)],
@@ -627,7 +643,6 @@ def test_row_operators_leave_their_input_uncached():
     either = BoolPred("or", (Compare("=", "A", "b"), Compare("<", "B", other_column="C")))
     picked = select(r, either)
     same = r.equals(other)
-    assert r._nf is None and other._nf is None
     assert rowdict(agg) == {("a",): 3, ("b",): 4}
     assert rowdict(kept) == {("a", 1, 5): 2, ("b", 3, 4): 1}
     assert rowdict(picked) == {("a", 1, 5): 2, ("a", 2, 7): -1, ("b", 3, 4): 1}
@@ -717,10 +732,14 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
     x = rel(AB, X3)
     y = rel([("B", INT), ("C", STRING)], Y3)
     z = rel([("A", STRING), ("C", STRING)], [("b", "p"), ("c", "z")])
+    w = rel([("W", INT)], [(1,), (2,)])
     calls.clear()
     joined = natural_join([x, y, z])
     left = outer_join("left", x, y)
     picked = select(x, Compare("<", "B", 3))
+    crossed = cartesian(x, w)
+    kept = project(crossed, ["W", "A"])
+    swapped = rename(crossed, [2, 0, 1])
     left_b = select(left, Compare("=", "A", "b"))
     # a wildcard in the filtered column has no finite selection
     with pytest.raises(RelationError):
@@ -730,4 +749,7 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
     assert rowdict(joined) == {("b", 2, "p"): 1}
     assert rowdict(left) == {(a, b, STAR): 1 for a, b in X3} | {("b", 2, "p"): 1, ("c", 3, "q"): 1}
     assert rowdict(picked) == {("a", 1): 1, ("b", 2): 1}
+    assert rowdict(crossed) == {(a, b, c): 1 for a, b in X3 for c in (1, 2)}
+    assert rowdict(kept) == {(c, a): 1 for a, _ in X3 for c in (1, 2)}
+    assert rowdict(swapped) == {(c, a, b): 1 for a, b in X3 for c in (1, 2)}
     assert calls == []

@@ -105,3 +105,10 @@ def test_ring_registry():
     assert ring_by_name("gf2") is GF2
     with pytest.raises(ValueError):
         ring_by_name("q")
+
+
+def test_real_parse_rejects_non_finite_weights():
+    assert REAL.parse("-2.5") == -2.5
+    for text in ("nan", "NaN", "inf", "-inf", "1e999"):
+        with pytest.raises(ValueError):
+            REAL.parse(text)
