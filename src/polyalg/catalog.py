@@ -152,16 +152,19 @@ class Catalog:
         text = json.dumps({"relations": self.entries}, indent=2, sort_keys=True) + "\n"
         # write beside the manifest, then rename over it: a failed write
         # leaves the previous manifest whole
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as e:
+            raise CatalogError(f"cannot write catalog {path}: {e.strerror or e}") from None
 
     def add_csv(self, name: str, path, schema_text: str, ring_name: str) -> Relation:
         sch = parse_schema(schema_text)

@@ -229,10 +229,10 @@ def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
     if isinstance(x, ScalarNF):
         return ScalarNF(space, space.ring.add(x.value, y.value))
     if isinstance(x, FreeNF):
-        t = tries.merge(space.prim, x.trie, y.trie, ring_vops(space.ring))
+        t = tries.merge(x.trie, y.trie, ring_vops(space.ring))
         return FreeNF(space, t, space.ring.add(x.base, y.base))
     if isinstance(x, MapNF):
-        t = tries.merge(space.prim, x.trie, y.trie, NF_VOPS)
+        t = tries.merge(x.trie, y.trie, NF_VOPS)
         if x.base is None:
             base = y.base
         elif y.base is None:
@@ -257,10 +257,10 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
     if isinstance(x, ScalarNF):
         return ScalarNF(space, ring.mul(r, x.value))
     if isinstance(x, FreeNF):
-        t = tries.map_values(space.prim, x.trie, lambda c: ring.mul(r, c), ring_vops(ring))
+        t = tries.map_values(x.trie, lambda c: ring.mul(r, c), ring_vops(ring))
         return FreeNF(space, t, ring.mul(r, x.base))
     if isinstance(x, MapNF):
-        t = tries.map_values(space.prim, x.trie, lambda nf: nf_scale(r, nf), NF_VOPS)
+        t = tries.map_values(x.trie, lambda nf: nf_scale(r, nf), NF_VOPS)
         base = None
         if x.base is not None:
             base = nf_scale(r, x.base)
@@ -286,12 +286,12 @@ def nf_tensor(l: NormalForm, r: NormalForm, space: Tensor) -> NormalForm:
     of `l` becomes c·r, each value form v becomes v ⊗ r, a pair tensors
     each half, and a scalar scales `r`, which keeps its own form."""
     if isinstance(l, FreeNF):
-        t = tries.map_values(space.prim, l.trie, lambda c: nf_scale(c, r), NF_VOPS)
+        t = tries.map_values(l.trie, lambda c: nf_scale(c, r), NF_VOPS)
         base = nf_scale(l.base, r)
         return MapNF(space, t, None if base.is_zero() else base)
     if isinstance(l, MapNF):
         value = space.value
-        t = tries.map_values(space.prim, l.trie, lambda v: nf_tensor(v, r, value), NF_VOPS)
+        t = tries.map_values(l.trie, lambda v: nf_tensor(v, r, value), NF_VOPS)
         base = None if l.base is None else nf_tensor(l.base, r, value)
         return MapNF(space, t, None if base is None or base.is_zero() else base)
     if isinstance(l, PairNF):
@@ -360,22 +360,18 @@ def _keyed_nf(t: Term) -> NormalForm:
                 bases.append(nf.base)
     if space.shape == "free":
         base = reduce(ring.add, bases, ring.zero)
-        return FreeNF(space, tries.from_items(prim, entries, ring_vops(ring)), base)
+        return FreeNF(space, tries.from_items(entries, ring_vops(ring)), base)
     # wildcard generators are few, so the baseline's shares are simply added
     base = reduce(nf_add, bases, zero_nf(space.value))
-    return MapNF(space, tries.from_items(prim, entries, NF_VOPS), None if base.is_zero() else base)
-
-
-def _product_nf(g: MulGen) -> NormalForm:
-    from .product import nf_product
-
-    return nf_product([normalize(f) for f in g.factors])
+    return MapNF(space, tries.from_items(entries, NF_VOPS), None if base.is_zero() else base)
 
 
 def force_product(g: MulGen) -> Term:
     """A symbolic product evaluated by the product engine and read back as
     a term, for `terms.linear_map`, which acts generator by generator."""
-    return readback(_product_nf(g))
+    from .product import multiply
+
+    return readback(multiply(g.factors))
 
 
 def _gen_nf(c, g, space) -> NormalForm:
@@ -386,7 +382,9 @@ def _gen_nf(c, g, space) -> NormalForm:
     if isinstance(g, TensorGen):
         return nf_scale(c, nf_tensor(normalize(g.lhs), normalize(g.rhs), space))
     if isinstance(g, MulGen):
-        return nf_scale(c, _product_nf(g))
+        from .product import multiply
+
+        return nf_scale(c, multiply(g.factors))
     raise SpaceError(f"unexpected generator in {space}")
 
 
@@ -498,7 +496,7 @@ def nf_lookup(nf: NormalForm, key):
         if key is STAR:
             return nf.base
         space.prim.check(key)
-        dev = tries.lookup(space.prim, nf.trie, key)
+        dev = tries.lookup(nf.trie, key)
         if dev is None:
             return nf.base
         return space.ring.add(nf.base, dev)
@@ -507,7 +505,7 @@ def nf_lookup(nf: NormalForm, key):
         if key is STAR:
             return base
         space.prim.check(key)
-        dev = tries.lookup(space.prim, nf.trie, key)
+        dev = tries.lookup(nf.trie, key)
         if dev is None:
             return base
         if nf.base is None:
@@ -534,7 +532,7 @@ def _lookup_path(nf, path, i):
         key = path[i]
         parts = [nf.base]
         if key is not STAR:
-            parts.append(tries.lookup(nf.space.prim, nf.trie, key))
+            parts.append(tries.lookup(nf.trie, key))
         # with no entry, the zero form of the value space reads the rest of
         # the path, side tags included, to find where it ends
         parts = [p for p in parts if p is not None] or [zero_nf(nf.space.value)]
@@ -666,7 +664,8 @@ def strip_space(space: Space) -> Space:
 def strip_compact(nf: NormalForm, target: Space | None = None) -> NormalForm:
     """Reinterpret a baseline-free compact form in the plain space `target`,
     by default `strip_space` of its own; each sub-form is given its part of
-    the target, so the space is stripped once."""
+    the target, so the space is stripped once. Relations always hold
+    compact chains; `perfbench/workloads.traced_join` is the last caller."""
     space = nf.space
     if target is None:
         target = strip_space(space)
@@ -680,7 +679,7 @@ def strip_compact(nf: NormalForm, target: Space | None = None) -> NormalForm:
         if nf.base is not None:
             raise InfiniteSupport(f"{space} form has a baseline; cannot restrict")
         value = target.value
-        t = tries.map_values(space.prim, nf.trie, lambda v: strip_compact(v, value), NF_VOPS)
+        t = tries.map_values(nf.trie, lambda v: strip_compact(v, value), NF_VOPS)
         return MapNF(target, t, None)
     if isinstance(nf, PairNF):
         lhs, rhs = target.halves

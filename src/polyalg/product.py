@@ -107,7 +107,6 @@ def nf_product(nfs) -> NormalForm:
             return acc
 
         trie, base = _level(
-            space.prim,
             [(nf.trie, nf.base) for nf in nfs],
             prod=ring_prod,
             add=ring.add,
@@ -123,7 +122,6 @@ def nf_product(nfs) -> NormalForm:
     if isinstance(nfs[0], MapNF):  # maps, and tensors keyed by their left factor
         zsub = zero_nf(space.value)
         trie, base = _level(
-            space.prim,
             [(nf.trie, nf.base if nf.base is not None else zsub) for nf in nfs],
             prod=nf_product,
             add=nf_add,
@@ -144,7 +142,7 @@ def nf_product(nfs) -> NormalForm:
     )
 
 
-def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
+def _level(factors, prod, add, sub, is_zero, zero, vops):
     """One level of the joint product. `factors` are (trie, baseline) pairs
     with non-vanishing baselines encoded by `is_zero`; returns the result's
     trie and baseline."""
@@ -175,7 +173,7 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
             for j in others:
                 tj, v = factors[j]
                 if tj is not None:
-                    d = tries.lookup(prim, tj, key)
+                    d = tries.lookup(tj, key)
                     m.lookups += 1
                     if d is not None:
                         v = add(v, d)
@@ -185,7 +183,7 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
             v = prod(vals)
             return None if is_zero(v) else v
 
-        return tries.walk(prim, [factors[i][0] for i in restricting], leaf, vops), base_out
+        return tries.walk([factors[i][0] for i in restricting], leaf, vops), base_out
     else:
         # every factor has a baseline: any explicit key anywhere can deviate
         devs = {}
@@ -217,7 +215,7 @@ def _level(prim, factors, prod, add, sub, is_zero, zero, vops):
             if not is_zero(dv):
                 entries.append((key, dv))
 
-    return tries.from_items(prim, entries, vops), base_out
+    return tries.from_items(entries, vops), base_out
 
 
 # the blunt oracle -------------------------------------------------------------
@@ -314,22 +312,25 @@ def embed(x, source, target):
 
 def _embed(nf, src, tgt, out):
     """The form `nf` over the attribute names `src` into the compact chain
-    `out` over the names `tgt`."""
+    `out` over the names `tgt`. A sub-form already in its target space is
+    shared: for chains, equal spaces mean equal remaining attributes."""
+    if nf.space == out:
+        return nf
     if src[0] != tgt[0]:
         # a missing attribute is a wildcard level
         rest = _embed(nf, src, tgt[1:], out.rhs)
         return MapNF(out, None, None if rest.is_zero() else rest)
     if len(tgt) == 1:
-        return nf if nf.space == out else FreeNF(out, nf.trie, nf.base)
+        return FreeNF(out, nf.trie, nf.base)
     if len(src) == 1:
         # the last source attribute: each coefficient c becomes c times the
         # unit of the missing attributes after it
         unit = unit_nf(out.rhs)
-        t = tries.map_values(out.prim, nf.trie, lambda c: nf_scale(c, unit), NF_VOPS)
+        t = tries.map_values(nf.trie, lambda c: nf_scale(c, unit), NF_VOPS)
         base = None if out.ring.is_zero(nf.base) else nf_scale(nf.base, unit)
         return MapNF(out, t, base)
     src, tgt = src[1:], tgt[1:]
-    t = tries.map_values(out.prim, nf.trie, lambda v: _embed(v, src, tgt, out.rhs), NF_VOPS)
+    t = tries.map_values(nf.trie, lambda v: _embed(v, src, tgt, out.rhs), NF_VOPS)
     base = None if nf.base is None else _embed(nf.base, src, tgt, out.rhs)
     return MapNF(out, t, base)
 

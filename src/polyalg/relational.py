@@ -8,15 +8,15 @@ column into one trie per node. Set operations, joins, products and
 single-column selection work on forms, so an update visits the
 entries of its delta and copies, in C, only the trie levels it changes;
 aggregation folds a form a level at a time without listing its rows.
-Reordering, projection and column maps rebuild a form from its rows,
-rearranged or mapped, into an output chain computed up front from the
-input chain's factors, each kept plain or compact, so an empty relation
-gets the same space as a full one. A Cartesian product is the left
-input's form with the right input's form grafted under each of its
-coefficients, shared unchanged wherever the coefficient is one. Set
-operations on chains that differ widen both sides into the compact
-chain. Negative multiplicities are ordinary data (deletions), and
-wildcard baselines from outer joins are ordinary data too, flagged at
+Every relation over a schema and ring lives in one chain, the compact
+chain of its column types: finite relations with zero baselines, outer
+joins with wildcard ones. So set operations use both forms as they are,
+and a join's product is its output. Reordering, projection and column
+maps rebuild a form from its rows, rearranged or mapped. A Cartesian
+product is the left input's form with the right input's form grafted
+under each of its coefficients, shared unchanged wherever the
+coefficient is one. Negative multiplicities are ordinary data
+(deletions), and wildcard baselines are ordinary data too, flagged at
 rendering time.
 """
 
@@ -39,7 +39,7 @@ from .normal import (
     normalize,
     readback,
     ring_vops,
-    strip_compact,
+    strip_space,
     unit_nf,
 )
 from .prims import (
@@ -53,7 +53,7 @@ from .prims import (
     Str,
 )
 from .rings import GF2Ring, Ring
-from .spaces import CompactFree, SpaceError, Tensor, chain_factors, chain_space, tensor_chain
+from .spaces import Tensor, tensor_chain
 from .terms import Term
 
 
@@ -102,30 +102,37 @@ class Schema:
     def render(self) -> str:
         return ",".join(f"{n}:{type_name(p)}" for n, p in self.columns)
 
+    def chain(self, ring: Ring):
+        """The one space of every relation over this schema and `ring`."""
+        return tensor_chain(ring, self.prims, compact=True)
+
 
 def schema(*cols) -> Schema:
     return Schema(tuple(cols))
 
 
 class Relation:
-    """Schema, ring and data held as one canonical form in the chain of the
-    schema's column factors.
+    """Schema, ring and data held as one canonical form in `sch.chain(ring)`,
+    the one place where a relation's chain is chosen.
 
-    A given form is stored as it is; a term given without one must live in
-    a chain of free factors and is normalised once, here. `chain_term()`
-    reads the form back into a term on each call."""
+    A form in that chain is stored as it is. A form, or a term given
+    without one, in another right-nested chain of the schema's column
+    types over `ring`, each factor plain or compact, is normalised and
+    widened once, here; any other data is rejected. `chain_term()` reads
+    the form back into a term on each call."""
 
     def __init__(self, sch: Schema, ring: Ring, term: Term | None = None, nf=None):
+        data = term if nf is None else nf
+        if data is None:
+            raise RelationError("a relation needs a term or a normal form")
+        chain = sch.chain(ring)
+        if data.space != chain and strip_space(data.space) != tensor_chain(ring, sch.prims):
+            raise RelationError(f"{data.space} is not a chain of the columns "
+                                f"{sch.render()} over {ring}")
         if nf is None:
-            if term is None:
-                raise RelationError("a relation needs a term or a normal form")
-            try:
-                chained = chain_space(chain_factors(term.space)) == term.space
-            except SpaceError:
-                chained = False
-            if not chained:
-                raise RelationError(f"{term.space} is not a chain of free factors")
             nf = normalize(term)
+        if nf.space != chain:
+            nf = product.embed(nf, sch.columns, sch.columns)
         self.schema = sch
         self.ring = ring
         self._nf = nf
@@ -153,7 +160,7 @@ class Relation:
     def equals(self, other: "Relation") -> bool:
         if self.schema != other.schema or self.ring is not other.ring:
             return False
-        return nf_equal(*_aligned_forms(self, other))
+        return nf_equal(self._nf, other._nf)
 
     def __repr__(self):
         return f"Relation({self.schema.render()}, {self.ring}, {len(self.rows())} rows)"
@@ -170,30 +177,28 @@ def relation_from_rows(sch: Schema, ring: Ring, rows) -> Relation:
         for p, v in zip(prims, row):
             p.check(v)
         checked.append((row, ring.coerce(coeff)))
-    return Relation(sch, ring, nf=_rows_nf(tensor_chain(ring, prims), checked, 0))
+    return Relation(sch, ring, nf=_rows_nf(sch.chain(ring), checked, 0))
 
 
 def _rows_nf(space, rows, i):
     """The chain form of checked (row, coefficient) pairs from column `i`
     on: the rows are grouped by that column and each group's form is built
     below its key, one trie per node; the last column's trie holds the
-    coefficients. On a compact level, the rows with `STAR` there make up
-    the baseline."""
+    coefficients. The rows with `STAR` at a level make up its baseline."""
     ring = space.ring
     if not isinstance(space, Tensor):
-        ents = [(row[i], c) for row, c in rows]
-        base = ring.zero
-        if isinstance(space, CompactFree):
-            base = ring.sum(c for k, c in ents if k is STAR)
-            ents = [e for e in ents if e[0] is not STAR]
-        return FreeNF(space, tries.from_items(space.prim, ents, ring_vops(ring)), base)
+        # the level is built first and a STAR entry taken out of it after,
+        # so rows without wildcards, the common case, take no extra pass
+        trie = tries.from_items([(row[i], c) for row, c in rows], ring_vops(ring))
+        base = ring.zero if trie is None else trie.pop(STAR, ring.zero)
+        return FreeNF(space, trie or None, base)
     groups = {}
     for rc in rows:
         groups.setdefault(rc[0][i], []).append(rc)
     stars = groups.pop(STAR, None)
     base = None if stars is None else _rows_nf(space.rhs, stars, i + 1)
     entries = [(k, _rows_nf(space.rhs, g, i + 1)) for k, g in groups.items()]
-    trie = tries.from_items(space.prim, entries, NF_VOPS)
+    trie = tries.from_items(entries, NF_VOPS)
     return MapNF(space, trie, None if base is None or base.is_zero() else base)
 
 
@@ -208,20 +213,10 @@ def _require_same_schema(r: Relation, s: Relation, what: str):
         raise RelationError(f"{what} needs matching rings")
 
 
-def _aligned_forms(r: Relation, s: Relation):
-    """Both sides' forms; chains that mix compact and plain factors
-    differently are both widened into the compact chain."""
-    a, b = r.nf(), s.nf()
-    if a.space != b.space:
-        cols = list(r.schema.columns)
-        a, b = product.embed(a, cols, cols), product.embed(b, cols, cols)
-    return a, b
-
-
 def _combine(r: Relation, s: Relation, what: str, op) -> Relation:
-    """`op` on the two sides' aligned forms."""
+    """`op` on the two sides' forms."""
     _require_same_schema(r, s, what)
-    return Relation(r.schema, r.ring, nf=op(*_aligned_forms(r, s)))
+    return Relation(r.schema, r.ring, nf=op(r.nf(), s.nf()))
 
 
 def union(r: Relation, s: Relation) -> Relation:
@@ -248,10 +243,8 @@ def cartesian(r: Relation, s: Relation) -> Relation:
         raise RelationError(f"product inputs share attributes {sorted(overlap)}")
     if r.ring is not s.ring:
         raise RelationError("product needs matching rings")
-    a, b = r.nf(), s.nf()
-    space = chain_space(chain_factors(a.space) + chain_factors(b.space))
-    return Relation(Schema(r.schema.columns + s.schema.columns), r.ring,
-                    nf=nf_tensor(a, b, space))
+    sch = Schema(r.schema.columns + s.schema.columns)
+    return Relation(sch, r.ring, nf=nf_tensor(r.nf(), s.nf(), sch.chain(r.ring)))
 
 
 def select(r: Relation, pred) -> Relation:
@@ -287,13 +280,13 @@ def _select_level(nf, pos, keep, col):
             return _select_level(v, pos - 1, keep, col)
 
         base = None if nf.base is None else sub(nf.base)
-        trie = tries.map_values(space.prim, nf.trie, sub, NF_VOPS)
+        trie = tries.map_values(nf.trie, sub, NF_VOPS)
         return MapNF(space, trie, None if base is None or base.is_zero() else base)
     keyed = isinstance(nf, MapNF)
     if nf.base is not None if keyed else not space.ring.is_zero(nf.base):
         raise RelationError(f"cannot select on wildcard-bearing column {col!r}")
     kept = [(k, v) for k, v in tries.items(space.prim, nf.trie) if keep(k)]
-    trie = tries.from_items(space.prim, kept, NF_VOPS if keyed else ring_vops(space.ring))
+    trie = tries.from_items(kept, NF_VOPS if keyed else ring_vops(space.ring))
     return type(nf)(space, trie, nf.base)
 
 
@@ -307,8 +300,7 @@ def project(r: Relation, names) -> Relation:
     if len(set(positions)) != len(positions):
         raise RelationError(f"repeated attributes in projection {names}")
     sch = Schema(tuple(r.schema.columns[p] for p in positions))
-    return _rebuilt(r, sch, lambda fs: [fs[p] for p in positions],
-                    lambda row: tuple(row[p] for p in positions))
+    return _rebuilt(r, sch, lambda row: tuple(row[p] for p in positions))
 
 
 def rename(r: Relation, perm) -> Relation:
@@ -321,14 +313,11 @@ def rename(r: Relation, perm) -> Relation:
     return project(r, [r.schema.columns[p][0] for p in perm])
 
 
-def _rebuilt(r: Relation, sch: Schema, factor_map, row_map) -> Relation:
+def _rebuilt(r: Relation, sch: Schema, row_map) -> Relation:
     """`r`'s rows, wildcard slots included, each sent through `row_map` and
-    built into the chain that `factor_map` makes of `r`'s chain factors, so
-    an empty relation keeps its factors plain or compact."""
-    nf = r.nf()
-    rows = [(row_map(row), c) for row, c in enumerate_nf(nf, allow_baseline=True)]
-    space = chain_space(factor_map(chain_factors(nf.space)))
-    return Relation(sch, r.ring, nf=_rows_nf(space, rows, 0))
+    built into the chain of `sch`."""
+    rows = [(row_map(row), c) for row, c in enumerate_nf(r.nf(), allow_baseline=True)]
+    return Relation(sch, r.ring, nf=_rows_nf(sch.chain(r.ring), rows, 0))
 
 
 def relabel(r: Relation, new_names) -> Relation:
@@ -372,14 +361,13 @@ def _embedded(rs, target: Schema):
 
 def natural_join(rs) -> Relation:
     """Shared attributes are matched by name; inputs are renamed into the
-    first-appearance order, widened into the common compact chain, and
+    first-appearance order, embedded into the output schema's chain, and
     multiplied jointly."""
     rs = list(rs)
     if not rs:
         raise RelationError("join needs at least one input")
     target = _join_target(rs)
-    nf = product.nf_product(_embedded(rs, target))
-    return Relation(target, rs[0].ring, nf=_plain_if_finite(nf))
+    return Relation(target, rs[0].ring, nf=product.nf_product(_embedded(rs, target)))
 
 
 def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
@@ -394,17 +382,7 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
         x = nf_add(x, u)
     if kind != "right":
         y = nf_add(y, u)
-    nf = product.nf_product([x, y])
-    return Relation(target, r.ring, nf=_plain_if_finite(nf))
-
-
-def _plain_if_finite(nf):
-    """A join's form in the plain chain when no baseline survives in it,
-    else as it is; one walk, which stops at the first baseline."""
-    try:
-        return strip_compact(nf)
-    except InfiniteSupport:
-        return nf
+    return Relation(target, r.ring, nf=product.nf_product([x, y]))
 
 
 def aggregate(r: Relation, group, target, fold: str) -> Relation:
@@ -441,18 +419,19 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
 
     ring = r.ring
     mul, coerce = ring.mul, ring.coerce
-    nf = r.nf()
-    factors = chain_factors(nf.space)
-    last = len(factors) - 1
+    prims = r.schema.prims
+    last = len(prims) - 1
     chain_group = sorted(gpos)
-    keys, ws, forms = [()], [ring.one], [nf]
-    for p, f in enumerate(factors):
-        if isinstance(f, CompactFree) and any(
-                x.base is not None if p < last else not ring.is_zero(x.base) for x in forms):
+    keys, ws, forms = [()], [ring.one], [r.nf()]
+    for p, prim in enumerate(prims):
+        # no generator, and the leaf baselines tested once per distinct
+        # value: this runs at every level of every fold
+        if (any([x.base is not None for x in forms]) if p < last
+                else not all(map(ring.is_zero, {x.base for x in forms}))):
             raise RelationError("cannot aggregate a relation with wildcard rows")
         grouped = p in chain_group
         nkeys, nws, nforms = [], [], []
-        for i, k, v in tries.expand(f.prim, [x.trie for x in forms]):
+        for i, k, v in tries.expand(prim, [x.trie for x in forms]):
             nkeys.append(keys[i] + (k,) if grouped else keys[i])
             if p != tpos:
                 nws.append(ws[i])
@@ -510,17 +489,13 @@ def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Rela
                                 f"in column {name!r} outside {type_name(cod)}")
         return b
 
-    def factors(fs):
-        fs[pos] = type(fs[pos])(r.ring, cod)
-        return fs
-
     def row_map(row):
         a = row[pos]
         return row[:pos] + (a if a is STAR else checked(a),) + row[pos + 1:]
 
     cols = list(r.schema.columns)
     cols[pos] = (name, cod)
-    return _rebuilt(r, Schema(tuple(cols)), factors, row_map)
+    return _rebuilt(r, Schema(tuple(cols)), row_map)
 
 
 def clamp_nonneg(r: Relation) -> Relation:

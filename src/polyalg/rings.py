@@ -55,12 +55,6 @@ class Ring:
     def sort_key(self, a):
         return a
 
-    def sum(self, xs):
-        acc = self.zero
-        for x in xs:
-            acc = self.add(acc, x)
-        return acc
-
     def __repr__(self):
         return self.name
 

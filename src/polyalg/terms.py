@@ -389,9 +389,10 @@ def _gen_weight(g, space, ring):
     if isinstance(g, TensorGen):
         return ring.mul(weight(g.lhs), weight(g.rhs))
     # product: weigh its simplified value
-    from .normal import _product_nf, nf_weight
+    from .normal import nf_weight
+    from .product import multiply
 
-    return nf_weight(_product_nf(g))
+    return nf_weight(multiply(g.factors))
 
 
 def fold(t: Term, target: Space, gen_action, wild_action=None) -> Term:

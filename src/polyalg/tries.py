@@ -4,9 +4,9 @@ A level maps keys to non-vanishing payloads; the empty level is `None`,
 never an empty dict. Keys are the prims' own hashable values: a pair is a
 flat tuple, a sum a tagged tuple `("L", x)` or `("R", x)`, an adjoined
 marker is itself. Levels are never mutated once built, so an operation
-may return an input level as it is. The prim is read only to order a
-level when it is enumerated: Int64, Str and Bool keys sort naturally (code
-point order, which is UTF-8 byte order), other families by
+may return an input level as it is. Only the enumerations take the key
+family's prim, to order a level: Int64, Str and Bool keys sort naturally
+(code point order, which is UTF-8 byte order), other families by
 `prim.sort_key`.
 
 `merge` adds two levels: it copies the larger in C and adds the smaller's
@@ -52,7 +52,7 @@ def _entry_key(prim):
     return lambda kv: sort_key(kv[0])
 
 
-def merge(prim, a, b, vops):
+def merge(a, b, vops):
     """Additive union: a copy of the larger level with the smaller's
     entries added, linear in the smaller side."""
     if a is None:
@@ -77,7 +77,7 @@ def merge(prim, a, b, vops):
     return out or None
 
 
-def lookup(prim, t, key):
+def lookup(t, key):
     """Payload at `key`, or None."""
     if t is None:
         return None
@@ -106,7 +106,7 @@ def count(t) -> int:
     return 0 if t is None else len(t)
 
 
-def from_items(prim, pairs, vops):
+def from_items(pairs, vops):
     """Build a level from (key, payload) pairs. Colliding keys add, in
     balanced rounds, since a payload may itself be a form and adding one
     at a time to a growing sum can be quadratic; vanishing payloads and
@@ -136,7 +136,7 @@ def from_items(prim, pairs, vops):
     return out or None
 
 
-def walk(prim, ts, leaf, vops):
+def walk(ts, leaf, vops):
     """Intersect n >= 1 levels: `leaf(key, payloads)` receives the payloads
     of a key present in every level, in level order, and returns the output
     payload, or None to drop the key. The level with the fewest keys (the
@@ -167,7 +167,7 @@ def walk(prim, ts, leaf, vops):
     return out or None
 
 
-def map_values(prim, t, fn, vops):
+def map_values(t, fn, vops):
     """Apply fn to every payload; entries whose image is None or vanishes
     are dropped."""
     if t is None:

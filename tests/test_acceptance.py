@@ -139,10 +139,10 @@ def test_criterion_05_nested_map_normalisation():
         ("a", ("R", 3)),
         ("b", ("R", 4)),
     ]
-    assert lookup(prim, nf.trie, ("a", ("L", "p"))).value == 2
-    assert lookup(prim, nf.trie, ("a", ("R", 3))).value == 1
-    assert lookup(prim, nf.trie, ("b", ("R", 4))).value == 1
-    assert lookup(prim, nf.trie, ("b", ("L", "p"))) is None
+    assert lookup(nf.trie, ("a", ("L", "p"))).value == 2
+    assert lookup(nf.trie, ("a", ("R", 3))).value == 1
+    assert lookup(nf.trie, ("b", ("R", 4))).value == 1
+    assert lookup(nf.trie, ("b", ("L", "p"))) is None
     report(5, "four-entry nested map normalises to {a: (p:2, 3:1), b: (4:1)}")
 
 

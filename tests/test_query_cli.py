@@ -391,6 +391,18 @@ def test_cli_rejects_malformed_manifests(tmp_path, capsys):
             Catalog.open(manifest)
 
 
+def test_cli_manifest_in_a_missing_directory(tmp_path, capsys):
+    (tmp_path / "x.csv").write_text(X_CSV)
+    manifest = tmp_path / "missing" / "c.json"
+    code = main(["--catalog", str(manifest), "load", str(tmp_path / "x.csv"), "--as", "x",
+                 "--schema", "A:str,B:int"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write catalog {manifest}: "), err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_csv_cell_past_the_field_size_limit(tmp_path, capsys):
     import csv
 

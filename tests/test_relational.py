@@ -31,6 +31,7 @@ from polyalg import (
     rename,
     schema,
     select,
+    tensor_chain,
     union,
     weight,
 )
@@ -547,8 +548,7 @@ def test_union_of_product_and_loaded_relation():
 
 
 def _mixed_chain_inputs():
-    # (outer left R S) x T chains three compact factors and a plain one;
-    # (join R S) x T is plain throughout
+    # (outer left R S) x T has wildcard rows; (join R S) x T is finite
     r = rel([("K", INT), ("S", STRING)], [(1, "a"), (2, "b"), (3, "c")])
     s = rel([("K", INT), ("X", STRING)], [(1, "x"), (2, "y")])
     t = rel([("Z", INT)], [(7,), (8,)])
@@ -575,43 +575,75 @@ def test_equals_across_compact_and_plain_forms():
     assert left.has_baseline() and not inner.has_baseline()
     assert left.equals(inner) is False
     assert inner.equals(left) is False
-    # widened by a union with a cancelled compact relation, the same rows
+    # a finite relation and one with wildcard rows share one chain, so a
+    # union with a cancelled outer join changes neither the space nor the rows
     widened = union(inner, diff(left, left))
-    assert widened.chain_term().space != inner.chain_term().space
+    assert widened.nf().space == inner.nf().space == left.nf().space
     assert widened.equals(inner) is True
     assert inner.equals(widened) is True
 
 
 def test_empty_relations_keep_their_chain_through_every_rewrite():
-    # a zero term has no generators to read an output space from, so each
-    # rewrite must compute it from the chain's factors, each kept plain or
-    # compact
-    from functools import reduce
+    # every relation over a schema lives in the schema's compact chain, so a
+    # rewrite's output space follows from its schema alone: with rows or
+    # without, and whatever chain its input's data came in
+    from polyalg import CompactFree, Free, Relation, Tensor, normalize, strip_compact
 
-    from polyalg import CompactFree, Free, Relation, Tensor, zero
-
-    mixed, _ = _mixed_chain_inputs()
-    plain_kinds = dict.fromkeys("KSXZW", Free)
-    mixed_kinds = dict(plain_kinds, K=CompactFree, S=CompactFree, X=CompactFree)
-    empties = [
-        (rel([("K", INT), ("S", STRING), ("X", STRING), ("Z", INT)], []), plain_kinds),
-        (Relation(mixed.schema, Z, zero(mixed.chain_term().space)), mixed_kinds),
-    ]
+    cols = [("K", INT), ("S", STRING), ("X", STRING), ("Z", INT)]
+    sch = schema(*cols)
+    plain = tensor_chain(Z, sch.prims)
+    mixed = Tensor(CompactFree(Z, INT),
+                   Tensor(Free(Z, STRING), Tensor(CompactFree(Z, STRING), Free(Z, INT))))
     w = rel([("W", INT)], [(1,)])
-    for e, kinds in empties:
-        outs = [
+    v = rel([("K", INT), ("V", INT)], [(1, 5), (3, 6)])
+
+    def rewrites(e):
+        return [
+            e,
             rename(e, [3, 0, 1, 2]),
             project(e, ["Z", "K"]),
             select(e, Compare("=", "K", 1)),
+            select(e, Compare("<", "S", other_column="X")),
             map_col(e, "K", "inc"),
             cartesian(e, w),
             union(e, e),
+            intersect(e, e),
+            natural_join([e, v]),
+            outer_join("left", e, v),
+            aggregate(e, ["S"], "Z", "sum"),
+            aggregate(e, ["S"], "Z", "min"),
+            clamp_nonneg(e),
         ]
-        for out in outs:
-            factors = [kinds[n](Z, p) for n, p in out.schema.columns]
-            want = reduce(lambda acc, f: Tensor(f, acc), reversed(factors[:-1]), factors[-1])
-            assert out.chain_term().space == want, out.schema.render()
-            assert out.rows() == []
+
+    for data in ([], [((1, "a", "x", 7), 1), ((2, "b", "y", 7), 2), ((2, "c", "a", 8), -1)]):
+        born = weighted(cols, data)
+        want = [out.rows() for out in rewrites(born)]
+        assert want[0] == sorted(data)
+        inputs = [
+            born,
+            Relation(sch, Z, nf=strip_compact(born.nf())),
+            Relation(sch, Z, row_sum(plain, data)),
+            Relation(sch, Z, row_sum(mixed, data)),
+            Relation(sch, Z, nf=normalize(row_sum(mixed, data))),
+        ]
+        for e in inputs:
+            outs = rewrites(e)
+            for out in outs:
+                chain = tensor_chain(Z, out.schema.prims, compact=True)
+                assert out.nf().space == chain, out.schema.render()
+            assert [out.rows() for out in outs] == want
+
+
+def test_relation_data_must_fit_its_schema_and_ring():
+    from polyalg import Relation
+
+    x = rel(AB, X3)
+    with pytest.raises(RelationError):
+        Relation(schema(("Q", INT)), GF2, x.chain_term())
+    with pytest.raises(RelationError):
+        Relation(schema(("Q", INT), ("P", STRING)), Z, nf=x.nf())
+    with pytest.raises(RelationError):
+        Relation(schema(*AB), REAL, nf=x.nf())
 
 
 def test_relation_from_a_term_needs_a_chain_of_free_factors():
@@ -667,16 +699,17 @@ SCHEMAS = [
 ]
 
 
-def row_sum(sch, ring, rows):
-    """The rows as one term: a sum of scaled tensors of generators."""
-    from polyalg import Tensor, inject, scale, sum_terms, tensor, tensor_chain
+def row_sum(space, rows):
+    """The rows as one term in the chain `space`: a sum of scaled tensors of
+    generators."""
+    from polyalg import Tensor, inject, scale, sum_terms, tensor
 
     def gen(row, space):
         if isinstance(space, Tensor):
             return tensor(inject(row[0], space.lhs), gen(row[1:], space.rhs))
         return inject(row[0], space)
 
-    space = tensor_chain(ring, sch.prims)
+    ring = space.ring
     return sum_terms(space, [scale(ring.coerce(c), gen(row, space)) for row, c in rows])
 
 
@@ -694,7 +727,7 @@ def test_rows_build_the_normal_form_of_their_sum(data):
         again = data.draw(st.lists(st.sampled_from(rows), max_size=6))
         rows += [(r, c if data.draw(st.booleans()) else ring.neg(c)) for r, c in again]
     got = relation_from_rows(sch, ring, rows).nf()
-    want = normalize(row_sum(sch, ring, rows))
+    want = normalize(row_sum(tensor_chain(ring, sch.prims, compact=True), rows))
     assert nf_equal(got, want)
     assert got.sort_key() == want.sort_key()
 
@@ -726,9 +759,17 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
         return counted
 
     for mod in (normal, product, relational):
-        for name in ("normalize", "readback"):
+        for name in ("normalize", "readback", "strip_compact"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    embedded = []
+
+    def spy_embedded(rs, target):
+        embedded.append(embed_all(rs, target))
+        return embedded[-1]
+
+    embed_all = relational._embedded
+    monkeypatch.setattr(relational, "_embedded", spy_embedded)
     x = rel(AB, X3)
     y = rel([("B", INT), ("C", STRING)], Y3)
     z = rel([("A", STRING), ("C", STRING)], [("b", "p"), ("c", "z")])
@@ -745,6 +786,9 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
     with pytest.raises(RelationError):
         select(left, Compare("=", "C", "p"))
     assert calls == []
+    # y's attributes (B, C) are a suffix of the join's (A, B, C): its form is
+    # shared under the wildcard A level, not rebuilt
+    assert embedded[0][1].trie is None and embedded[0][1].base is y.nf()
     assert rowdict(left_b) == {("b", 2, STAR): 1, ("b", 2, "p"): 1}
     assert rowdict(joined) == {("b", 2, "p"): 1}
     assert rowdict(left) == {(a, b, STAR): 1 for a, b in X3} | {("b", 2, "p"): 1, ("c", 3, "q"): 1}

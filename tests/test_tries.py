@@ -35,8 +35,8 @@ from polyalg.tries import (
 VOPS = ValueOps(add=lambda a, b: a + b, is_zero=lambda v: v == 0)
 
 
-def build(prim, mapping):
-    return from_items(prim, mapping.items(), VOPS)
+def build(mapping):
+    return from_items(mapping.items(), VOPS)
 
 
 def model_merge(a, b):
@@ -52,7 +52,7 @@ def check_same(prim, trie, mapping, probes):
     want = sorted(mapping.items(), key=lambda kv: prim.sort_key(kv[0]))
     assert got == want
     for k in probes:
-        assert lookup(prim, trie, k) == mapping.get(k)
+        assert lookup(trie, k) == mapping.get(k)
 
 
 COEFFS = st.integers(-5, 5).filter(bool)
@@ -82,7 +82,7 @@ STR_KEYS = st.one_of(
 @given(st.dictionaries(INT_KEYS, COEFFS), st.dictionaries(INT_KEYS, COEFFS))
 @example({-1: 1, -2: 2, 7: 3, 7 + P61: 4, -1 - P61: 5}, {-2: -2, 7 + 2 * P61: 1, -1 - P61: 1})
 def test_int_trie_merge_matches_dict(da, db):
-    t = merge(INT, build(INT, da), build(INT, db), VOPS)
+    t = merge(build(da), build(db), VOPS)
     m = model_merge(da, db)
     probes = list(da) + list(db) + [0, -1, INT64_MIN, INT64_MAX]
     check_same(INT, t, m, probes)
@@ -90,7 +90,7 @@ def test_int_trie_merge_matches_dict(da, db):
 
 @given(st.dictionaries(STR_KEYS, COEFFS), st.dictionaries(STR_KEYS, COEFFS))
 def test_str_trie_merge_matches_dict(da, db):
-    t = merge(STRING, build(STRING, da), build(STRING, db), VOPS)
+    t = merge(build(da), build(db), VOPS)
     m = model_merge(da, db)
     probes = list(da) + list(db) + ["", "zz", "a", "aa", "\U0001f600"]
     probes += [k[:-1] for k in probes if k] + [k + "a" for k in probes]
@@ -99,39 +99,39 @@ def test_str_trie_merge_matches_dict(da, db):
 
 def test_negative_ints_enumerate_first():
     mapping = {5: 1, -3: 1, 0: 2, -(2**62): 4, 2**62: 7}
-    t = build(INT, mapping)
+    t = build(mapping)
     keys = [k for k, _ in items(INT, t)]
     assert keys == sorted(mapping)
 
 
 def test_unit_and_bool_and_sum_and_prod():
-    u = build(UNIT, {(): 3})
-    assert lookup(UNIT, u, ()) == 3 and count(u) == 1
+    u = build({(): 3})
+    assert lookup(u, ()) == 3 and count(u) == 1
 
-    b = build(BOOL, {True: 2, False: -1})
+    b = build({True: 2, False: -1})
     assert [k for k, _ in items(BOOL, b)] == [False, True]
 
     sp = Sum(STRING, INT)
-    s = build(sp, {("L", "p"): 2, ("R", 3): 1, ("R", -1): 4})
+    s = build({("L", "p"): 2, ("R", 3): 1, ("R", -1): 4})
     assert [k for k, _ in items(sp, s)] == [("L", "p"), ("R", -1), ("R", 3)]
-    assert lookup(sp, s, ("R", 3)) == 1
-    assert lookup(sp, s, ("L", "q")) is None
+    assert lookup(s, ("R", 3)) == 1
+    assert lookup(s, ("L", "q")) is None
 
     pp = Prod(STRING, INT)
-    p = build(pp, {("a", 2): 1, ("a", 1): 2, ("b", 0): 3})
+    p = build({("a", 2): 1, ("a", 1): 2, ("b", 0): 3})
     assert [k for k, _ in items(pp, p)] == [("a", 1), ("a", 2), ("b", 0)]
     assert count(p) == 3
-    assert lookup(pp, p, ("a", 2)) == 1
-    assert lookup(pp, p, ("c", 2)) is None
+    assert lookup(p, ("a", 2)) == 1
+    assert lookup(p, ("c", 2)) is None
 
 
 def test_cancellation_prunes_structure():
-    a = build(STRING, {"ab": 2, "abc": 1})
-    b = build(STRING, {"ab": -2})
-    t = merge(STRING, a, b, VOPS)
+    a = build({"ab": 2, "abc": 1})
+    b = build({"ab": -2})
+    t = merge(a, b, VOPS)
     assert count(t) == 1
     assert list(items(STRING, t)) == [("abc", 1)]
-    both = merge(STRING, a, build(STRING, {"ab": -2, "abc": -1}), VOPS)
+    both = merge(a, build({"ab": -2, "abc": -1}), VOPS)
     assert both is None
 
 
@@ -147,12 +147,12 @@ MAP_FAMILIES = [
 def test_map_values_drops_zero_images():
     # one test over the families, not parametrised, so its id stays the same
     for prim, keys in MAP_FAMILIES:
-        t = build(prim, {k: 3 if i == 1 else 2 for i, k in enumerate(keys)})
-        halved = map_values(prim, t, lambda v: v - 2, VOPS)
+        t = build({k: 3 if i == 1 else 2 for i, k in enumerate(keys)})
+        halved = map_values(t, lambda v: v - 2, VOPS)
         assert list(items(prim, halved)) == [(keys[1], 1)], prim
         assert count(halved) == 1, prim
-        assert map_values(prim, t, lambda v: 0, VOPS) is None, prim
-        assert map_values(prim, t, lambda v: None, VOPS) is None, prim
+        assert map_values(t, lambda v: 0, VOPS) is None, prim
+        assert map_values(t, lambda v: None, VOPS) is None, prim
 
 
 def test_expand_tags_each_tries_entries_in_order():
@@ -164,8 +164,8 @@ def test_expand_tags_each_tries_entries_in_order():
         (INT_WITH_NEG_INF, [NEG_INF, -4, 7]),
     ]
     for prim, keys in families:
-        ts = [build(prim, {k: i + 1 for i, k in enumerate(keys)}), None,
-              build(prim, {k: 10 for k in keys[-2:]}), build(prim, {keys[0]: 5})]
+        ts = [build({k: i + 1 for i, k in enumerate(keys)}), None,
+              build({k: 10 for k in keys[-2:]}), build({keys[0]: 5})]
         with metrics.fresh() as m:
             want = [(i, k, v) for i, t in enumerate(ts) for k, v in items(prim, t)]
         with metrics.fresh() as m2:
@@ -181,36 +181,36 @@ def test_nested_prefix_keys_deeper_than_the_recursion_limit():
     n = 3000
     assert n > sys.getrecursionlimit()
     keys = ["a" * i for i in range(1, n + 1)]
-    evens = from_items(STRING, [(k, 1) for k in keys[1::2]], VOPS)
-    odds = from_items(STRING, [(k, 1) for k in keys[0::2]], VOPS)
-    t = merge(STRING, evens, odds, VOPS)
+    evens = from_items([(k, 1) for k in keys[1::2]], VOPS)
+    odds = from_items([(k, 1) for k in keys[0::2]], VOPS)
+    t = merge(evens, odds, VOPS)
     assert count(t) == n
     assert list(items(STRING, t)) == [(k, 1) for k in keys]
-    assert lookup(STRING, t, keys[-1]) == 1
-    assert lookup(STRING, t, keys[-1] + "a") is None
-    doubled = map_values(STRING, t, lambda v: 2 * v, VOPS)
+    assert lookup(t, keys[-1]) == 1
+    assert lookup(t, keys[-1] + "a") is None
+    doubled = map_values(t, lambda v: 2 * v, VOPS)
     assert list(items(STRING, doubled)) == [(k, 2) for k in keys]
-    assert merge(STRING, t, map_values(STRING, t, lambda v: -v, VOPS), VOPS) is None
+    assert merge(t, map_values(t, lambda v: -v, VOPS), VOPS) is None
 
 
 def test_merge_shares_subtrees():
     rng = random.Random(5)
     base = {rng.randint(-100, 100): 1 for _ in range(40)}
-    t = build(INT, base)
-    t2 = merge(INT, t, build(INT, {999: 5}), VOPS)
+    t = build(base)
+    t2 = merge(t, build({999: 5}), VOPS)
     assert count(t2) == count(t) + 1
     # the original is untouched
-    assert lookup(INT, t, 999) is None
+    assert lookup(t, 999) is None
 
 
 def test_lookup_cost_independent_of_population():
-    small = build(INT, {i: 1 for i in range(8)})
-    big = build(INT, {i: 1 for i in range(4096)})
+    small = build({i: 1 for i in range(8)})
+    big = build({i: 1 for i in range(4096)})
     with metrics.fresh() as m:
-        lookup(INT, small, 5)
+        lookup(small, 5)
     small_edges = m.trie_edges
     with metrics.fresh() as m:
-        lookup(INT, big, 5)
+        lookup(big, 5)
     big_edges = m.trie_edges
     # one probe at any population
     assert big_edges == small_edges == 1
@@ -227,7 +227,7 @@ def test_builds_and_maps_charge_one_edge_per_node():
         # repeated entries add up before the build
         pairs = [(k, 1) for k in keys] + [(k, 2) for k in keys[:10]]
         with metrics.fresh() as m:
-            t = from_items(prim, pairs, VOPS)
+            t = from_items(pairs, VOPS)
         built = m.trie_edges
         check_same(prim, t, {k: 3 if i < 10 else 1 for i, k in enumerate(keys)}, keys[:20])
         with metrics.fresh() as m:
@@ -235,7 +235,7 @@ def test_builds_and_maps_charge_one_edge_per_node():
         nodes = m.trie_edges
         assert built == nodes <= 2 * len(keys) + 1, prim
         with metrics.fresh() as m:
-            doubled = map_values(prim, t, lambda v: 2 * v, VOPS)
+            doubled = map_values(t, lambda v: 2 * v, VOPS)
         assert m.trie_edges == nodes, prim
         assert list(items(prim, doubled)) == [(k, 2 * v) for k, v in items(prim, t)]
         # several levels at once: each level's entries once, empty levels none
@@ -271,7 +271,7 @@ def walk_levels(draw):
 @given(walk_levels())
 def test_walk_matches_dict_intersection(case):
     prim, pool, dicts = case
-    ts = [build(prim, d) for d in dicts]
+    ts = [build(d) for d in dicts]
 
     def leaf(key, vals):
         p = 1
@@ -287,10 +287,10 @@ def test_walk_matches_dict_intersection(case):
             p *= d[k]
         if p % 3:
             want[k] = p
-    check_same(prim, walk(prim, ts, leaf, VOPS), want, pool)
+    check_same(prim, walk(ts, leaf, VOPS), want, pool)
     # an intersection that keeps all of the first level's entries, with its
     # payloads, returns that level itself
-    kept = walk(prim, ts, lambda key, vals: vals[0], VOPS)
+    kept = walk(ts, lambda key, vals: vals[0], VOPS)
     if dicts[0] and common == set(dicts[0]):
         assert kept is ts[0]
     else:
