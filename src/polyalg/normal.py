@@ -2,9 +2,12 @@
 
 A normal form has no zero coefficients, no repeated generators, biproducts
 stored as a single pair, and keys enumerating in the index set's total
-order. Compact spaces keep their wildcard component out of band, in a
-dedicated baseline slot next to the key trie, so lookups are baseline plus
-per-key deviation.
+order. Free modules and maps share one keyed form, `MapNF`: a key trie of
+non-vanishing payloads plus a wildcard baseline in a dedicated slot next
+to it, so lookups are baseline plus per-key deviation. A free level's
+payloads and baseline are ring coefficients, F[A] ≅ A ⇒ K; any other
+level's are forms of its value space. At every level a missing wildcard
+is `None`, never a vanishing payload.
 
 Every space has one form, and a tensor takes the form of its left factor
 (`Space.shape`), with forms of the right factor where the left has
@@ -139,30 +142,10 @@ class ScalarNF(NormalForm):
         return ("K", self.space.ring.sort_key(self.value))
 
 
-class FreeNF(NormalForm):
-    """Coefficient trie plus, for compact spaces, the unit's coefficient."""
-
-    __slots__ = ("trie", "base")
-
-    def __init__(self, space, trie, base):
-        super().__init__(space)
-        self.trie = trie
-        self.base = base
-
-    def is_zero(self):
-        return self.trie is None and self.space.ring.is_zero(self.base)
-
-    def _make_key(self):
-        ring = self.space.ring
-        prim = self.space.prim
-        entries = tuple(
-            (prim.sort_key(k), ring.sort_key(v)) for k, v in tries.items(prim, self.trie)
-        )
-        return ("F", ring.sort_key(self.base), entries)
-
-
 class MapNF(NormalForm):
-    """Trie of non-zero value forms plus, for compact maps, a baseline."""
+    """Key trie of non-vanishing payloads plus, for compact spaces, a
+    non-vanishing baseline or None: ring coefficients at a free level,
+    forms of the value space at any other."""
 
     __slots__ = ("trie", "base")
 
@@ -175,12 +158,11 @@ class MapNF(NormalForm):
         return self.trie is None and self.base is None
 
     def _make_key(self):
-        prim = self.space.prim
-        entries = tuple(
-            (prim.sort_key(k), v.sort_key()) for k, v in tries.items(prim, self.trie)
-        )
-        base = () if self.base is None else self.base.sort_key()
-        return ("M", base, entries)
+        space = self.space
+        prim = space.prim
+        key = space.ring.sort_key if space.shape == "free" else NormalForm.sort_key
+        entries = tuple((prim.sort_key(k), key(v)) for k, v in tries.items(prim, self.trie))
+        return ("M", () if self.base is None else key(self.base), entries)
 
 
 class PairNF(NormalForm):
@@ -201,12 +183,25 @@ class PairNF(NormalForm):
 NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=lambda n: n.is_zero())
 
 
+def payload_ops(space: Space) -> ValueOps:
+    """Addition and zero test of a keyed level's payloads: the ring's at a
+    free level, the forms' at any other."""
+    return ring_vops(space.ring) if space.shape == "free" else NF_VOPS
+
+
+def map_payloads(nf: MapNF, fn, vops: ValueOps, space: Space) -> MapNF:
+    """The keyed form in `space` holding `fn` of each payload and of the
+    baseline of `nf`; `vops` tests the images, and vanishing ones go."""
+    base = None if nf.base is None else fn(nf.base)
+    if base is not None and vops.is_zero(base):
+        base = None
+    return MapNF(space, tries.map_values(nf.trie, fn, vops), base)
+
+
 def zero_nf(space: Space) -> NormalForm:
     form = space.shape
-    if form == "map":
+    if form in ("free", "map"):
         return MapNF(space, None, None)
-    if form == "free":
-        return FreeNF(space, None, space.ring.zero)
     if form == "scalar":
         return ScalarNF(space, space.ring.zero)
     lhs, rhs = space.halves
@@ -215,9 +210,7 @@ def zero_nf(space: Space) -> NormalForm:
 
 def unit_nf(space: Space) -> NormalForm:
     """The unit of a compact chain: weight one on the wildcard of every level."""
-    if isinstance(space, Tensor):
-        return MapNF(space, None, unit_nf(space.rhs))
-    return FreeNF(space, None, space.ring.one)
+    return MapNF(space, None, unit_nf(space.rhs) if isinstance(space, Tensor) else space.ring.one)
 
 
 # addition, scaling ----------------------------------------------------------
@@ -228,18 +221,16 @@ def nf_add(x: NormalForm, y: NormalForm) -> NormalForm:
         raise SpaceError(f"cannot add forms of {space} and {y.space}")
     if isinstance(x, ScalarNF):
         return ScalarNF(space, space.ring.add(x.value, y.value))
-    if isinstance(x, FreeNF):
-        t = tries.merge(x.trie, y.trie, ring_vops(space.ring))
-        return FreeNF(space, t, space.ring.add(x.base, y.base))
     if isinstance(x, MapNF):
-        t = tries.merge(x.trie, y.trie, NF_VOPS)
+        vops = payload_ops(space)
+        t = tries.merge(x.trie, y.trie, vops)
         if x.base is None:
             base = y.base
         elif y.base is None:
             base = x.base
         else:
-            base = nf_add(x.base, y.base)
-            if base.is_zero():
+            base = vops.add(x.base, y.base)
+            if vops.is_zero(base):
                 base = None
         return MapNF(space, t, base)
     if isinstance(x, PairNF):
@@ -256,17 +247,10 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
         return x
     if isinstance(x, ScalarNF):
         return ScalarNF(space, ring.mul(r, x.value))
-    if isinstance(x, FreeNF):
-        t = tries.map_values(x.trie, lambda c: ring.mul(r, c), ring_vops(ring))
-        return FreeNF(space, t, ring.mul(r, x.base))
     if isinstance(x, MapNF):
-        t = tries.map_values(x.trie, lambda nf: nf_scale(r, nf), NF_VOPS)
-        base = None
-        if x.base is not None:
-            base = nf_scale(r, x.base)
-            if base.is_zero():
-                base = None
-        return MapNF(space, t, base)
+        if space.shape == "free":
+            return map_payloads(x, lambda c: ring.mul(r, c), ring_vops(ring), space)
+        return map_payloads(x, lambda v: nf_scale(r, v), NF_VOPS, space)
     if isinstance(x, PairNF):
         return PairNF(space, nf_scale(r, x.lhs), nf_scale(r, x.rhs))
     raise SpaceError(f"cannot scale {type(x).__name__}")
@@ -285,15 +269,11 @@ def nf_tensor(l: NormalForm, r: NormalForm, space: Tensor) -> NormalForm:
     """l ⊗ r in `space`, in the form of the left factor: each coefficient c
     of `l` becomes c·r, each value form v becomes v ⊗ r, a pair tensors
     each half, and a scalar scales `r`, which keeps its own form."""
-    if isinstance(l, FreeNF):
-        t = tries.map_values(l.trie, lambda c: nf_scale(c, r), NF_VOPS)
-        base = nf_scale(l.base, r)
-        return MapNF(space, t, None if base.is_zero() else base)
     if isinstance(l, MapNF):
+        if l.space.shape == "free":
+            return map_payloads(l, lambda c: nf_scale(c, r), NF_VOPS, space)
         value = space.value
-        t = tries.map_values(l.trie, lambda v: nf_tensor(v, r, value), NF_VOPS)
-        base = None if l.base is None else nf_tensor(l.base, r, value)
-        return MapNF(space, t, None if base is None or base.is_zero() else base)
+        return map_payloads(l, lambda v: nf_tensor(v, r, value), NF_VOPS, space)
     if isinstance(l, PairNF):
         lhs, rhs = space.halves
         return PairNF(space, nf_tensor(l.lhs, r, lhs), nf_tensor(l.rhs, r, rhs))
@@ -302,7 +282,7 @@ def nf_tensor(l: NormalForm, r: NormalForm, space: Tensor) -> NormalForm:
         return ScalarNF(space, x.value)
     if isinstance(x, PairNF):
         return PairNF(space, x.lhs, x.rhs)
-    return type(x)(space, x.trie, x.base)
+    return MapNF(space, x.trie, x.base)
 
 
 # normalisation --------------------------------------------------------------
@@ -328,12 +308,10 @@ def _keyed_nf(t: Term) -> NormalForm:
     """Free, map and chain forms alike: every generator gives (key, payload)
     entries or a share of the wildcard baseline, and the key trie is built
     by one `tries.from_items` call, so repeated keys add in balanced merges.
-    A chain generator `lhs ⊗ rhs` maps each key of `lhs` to `rhs` scaled by
-    that key's coefficient, and the unit's share of `lhs` to the baseline;
-    a product or another tensor gives the entries of its form."""
+    A tensor, a chain generator included, or a product gives the entries
+    and baseline of its form."""
     space = t.space
     ring = space.ring
-    prim = space.prim
     entries = []
     bases = []
     for c, g in linear_combination(t):
@@ -347,23 +325,17 @@ def _keyed_nf(t: Term) -> NormalForm:
             entries.append((g.key, nf_scale(c, normalize(g.body))))
         elif isinstance(g, WildMapsToGen):
             bases.append(nf_scale(c, normalize(g.body)))
-        elif isinstance(g, TensorGen) and isinstance(space.lhs, (Free, CompactFree)):
-            l = normalize(g.lhs)
-            r = normalize(g.rhs)
-            entries.extend((k, nf_scale(ring.mul(c, a), r)) for k, a in tries.items(prim, l.trie))
-            if not ring.is_zero(l.base):
-                bases.append(nf_scale(ring.mul(c, l.base), r))
         else:
             nf = _gen_nf(c, g, space)
-            entries.extend(tries.items(prim, nf.trie))
+            entries.extend(tries.items(space.prim, nf.trie))
             if nf.base is not None:
                 bases.append(nf.base)
-    if space.shape == "free":
-        base = reduce(ring.add, bases, ring.zero)
-        return FreeNF(space, tries.from_items(entries, ring_vops(ring)), base)
+    vops = payload_ops(space)
     # wildcard generators are few, so the baseline's shares are simply added
-    base = reduce(nf_add, bases, zero_nf(space.value))
-    return MapNF(space, tries.from_items(entries, NF_VOPS), None if base.is_zero() else base)
+    base = reduce(vops.add, bases) if bases else None
+    if base is not None and vops.is_zero(base):
+        base = None
+    return MapNF(space, tries.from_items(entries, vops), base)
 
 
 def force_product(g: MulGen) -> Term:
@@ -404,21 +376,21 @@ def readback(nf: NormalForm) -> Term:
         if nf.is_zero():
             return zero(space)
         return scale(nf.value, one(space.ring))
-    if isinstance(nf, FreeNF):
-        parts = [scaled(c, inject(k, space)) for k, c in tries.items(space.prim, nf.trie)]
-        if not space.ring.is_zero(nf.base):
-            parts.append(scale(nf.base, wild_one(space)))
-        return sum_terms(space, parts)
-    if isinstance(nf, MapNF) and isinstance(space, Tensor):  # a chain
-        lhs = space.lhs
-        parts = [tensor(inject(k, lhs), readback(v)) for k, v in tries.items(space.prim, nf.trie)]
-        if nf.base is not None:
-            parts.append(tensor(wild_one(lhs), readback(nf.base)))
-        return sum_terms(space, parts)
     if isinstance(nf, MapNF):
-        parts = [maps_to(k, readback(v), space) for k, v in tries.items(space.prim, nf.trie)]
-        if nf.base is not None:
-            parts.append(wild_maps_to(readback(nf.base), space))
+        items = tries.items(space.prim, nf.trie)
+        if space.shape == "free":
+            parts = [scaled(c, inject(k, space)) for k, c in items]
+            if nf.base is not None:
+                parts.append(scale(nf.base, wild_one(space)))
+        elif isinstance(space, Tensor):  # a chain
+            lhs = space.lhs
+            parts = [tensor(inject(k, lhs), readback(v)) for k, v in items]
+            if nf.base is not None:
+                parts.append(tensor(wild_one(lhs), readback(nf.base)))
+        else:
+            parts = [maps_to(k, readback(v), space) for k, v in items]
+            if nf.base is not None:
+                parts.append(wild_maps_to(readback(nf.base), space))
         return sum_terms(space, parts)
     if isinstance(nf, PairNF):
         return pair(readback(nf.lhs), readback(nf.rhs))
@@ -450,34 +422,32 @@ def nf_weight(nf: NormalForm):
     ring = nf.space.ring
     if isinstance(nf, ScalarNF):
         return nf.value
-    if isinstance(nf, FreeNF):
-        total = nf.base
-        for _, c in tries.items(nf.space.prim, nf.trie):
-            total = ring.add(total, c)
-        return total
     if isinstance(nf, MapNF):
-        total = ring.zero if nf.base is None else nf_weight(nf.base)
-        for _, v in tries.items(nf.space.prim, nf.trie):
-            total = ring.add(total, nf_weight(v))
-        return total
+        weights = [v for _, v in tries.items(nf.space.prim, nf.trie)]
+        if nf.base is not None:
+            weights.insert(0, nf.base)
+        if nf.space.shape != "free":
+            weights = map(nf_weight, weights)
+        return reduce(ring.add, weights, ring.zero)
     if isinstance(nf, PairNF):
         return ring.add(nf_weight(nf.lhs), nf_weight(nf.rhs))
     raise SpaceError(f"cannot weigh {type(nf).__name__}")
 
 
 def has_baseline(nf: NormalForm) -> bool:
-    """True when any wildcard slot anywhere in the form is non-zero."""
+    """True when any level anywhere in the form holds a baseline."""
     if isinstance(nf, ScalarNF):
         return False
-    if isinstance(nf, FreeNF):
-        return not nf.space.ring.is_zero(nf.base)
     if isinstance(nf, MapNF):
         # a level at a time: the values of a map form share one space
         level = [nf]
         while level and isinstance(level[0], MapNF):
             if any(x.base is not None for x in level):
                 return True
-            level = [v for _, _, v in tries.expand(level[0].space.prim, [x.trie for x in level])]
+            space = level[0].space
+            if space.shape == "free":
+                return False
+            level = [v for _, _, v in tries.expand(space.prim, [x.trie for x in level])]
         return any(has_baseline(x) for x in level)
     if isinstance(nf, PairNF):
         return has_baseline(nf.lhs) or has_baseline(nf.rhs)
@@ -488,30 +458,26 @@ def nf_lookup(nf: NormalForm, key):
     """Value at a key: baseline plus deviation. `STAR` reads the baseline.
 
     Free forms return a ring element, map forms a normal form of the value
-    space. Plain (non-compact) forms have a zero baseline.
+    space; a missing baseline, as in every plain (non-compact) form, reads
+    as zero.
     """
     metrics.current.lookups += 1
+    if not isinstance(nf, MapNF):
+        raise SpaceError(f"lookup needs a keyed form, not {type(nf).__name__}")
     space = nf.space
-    if isinstance(nf, FreeNF):
-        if key is STAR:
-            return nf.base
+    if key is not STAR:
         space.prim.check(key)
         dev = tries.lookup(nf.trie, key)
-        if dev is None:
-            return nf.base
-        return space.ring.add(nf.base, dev)
-    if isinstance(nf, MapNF):
-        base = nf.base if nf.base is not None else zero_nf(space.value)
-        if key is STAR:
-            return base
-        space.prim.check(key)
-        dev = tries.lookup(nf.trie, key)
-        if dev is None:
-            return base
-        if nf.base is None:
-            return dev
-        return nf_add(base, dev)
-    raise SpaceError(f"lookup needs a keyed form, not {type(nf).__name__}")
+        if dev is not None:
+            return dev if nf.base is None else payload_ops(space).add(nf.base, dev)
+    return _payload_or_zero(nf.base, space)
+
+
+def _payload_or_zero(payload, space):
+    """`payload` of a keyed level of `space`, a missing one read as zero."""
+    if payload is not None:
+        return payload
+    return space.ring.zero if space.shape == "free" else zero_nf(space.value)
 
 
 def nf_lookup_path(nf: NormalForm, path):
@@ -526,9 +492,9 @@ def _lookup_path(nf, path, i):
     ring = nf.space.ring
     if isinstance(nf, ScalarNF):
         return nf.value, i
-    if isinstance(nf, FreeNF):
-        return nf_lookup(nf, path[i]), i + 1
     if isinstance(nf, MapNF):
+        if nf.space.shape == "free":
+            return nf_lookup(nf, path[i]), i + 1
         key = path[i]
         parts = [nf.base]
         if key is not STAR:
@@ -554,7 +520,7 @@ def enumerate_nf(nf: NormalForm, allow_baseline: bool = False):
     """Fully expanded basis rows as (key path, coefficient), in key order.
 
     Wildcard components appear as `STAR` path elements and are only
-    produced under `allow_baseline`; without it a non-zero baseline is an
+    produced under `allow_baseline`; without it any baseline is an
     error, since the expansion would have infinite support. A tensor's form
     follows its left factor, so its rows come out as the left factor's path
     followed by the right factor's, already in key order.
@@ -569,23 +535,19 @@ def _enum(nf, allow):
         if not ring.is_zero(nf.value):
             yield (), nf.value
         return
-    if isinstance(nf, FreeNF):
-        if not ring.is_zero(nf.base):
-            if not allow:
-                raise InfiniteSupport(f"{space} form has infinite support")
-            yield (STAR,), nf.base
-        for k, c in tries.items(space.prim, nf.trie):
-            yield (k,), c
-        return
     if isinstance(nf, MapNF):
+        if nf.base is not None and not allow:
+            raise InfiniteSupport(f"{space} form has infinite support")
+        entries = tries.items(space.prim, nf.trie)
         if nf.base is not None:
-            if not allow:
-                raise InfiniteSupport(f"{space} form has infinite support")
-            for p, c in _enum(nf.base, allow):
-                yield (STAR,) + p, c
-        for k, v in tries.items(space.prim, nf.trie):
-            for p, c in _enum(v, allow):
-                yield (k,) + p, c
+            entries.insert(0, (STAR, nf.base))
+        if space.shape == "free":
+            for k, c in entries:
+                yield (k,), c
+        else:
+            for k, v in entries:
+                for p, c in _enum(v, allow):
+                    yield (k,) + p, c
         return
     if isinstance(nf, PairNF):
         for p, c in _enum(nf.lhs, allow):
@@ -613,23 +575,15 @@ def _nf_eq(x, y):
     ring = x.space.ring
     if isinstance(x, ScalarNF):
         return ring.eq(x.value, y.value)
-    if isinstance(x, FreeNF):
-        if not ring.eq(x.base, y.base):
-            return False
-        xs = list(tries.items(x.space.prim, x.trie))
-        ys = list(tries.items(y.space.prim, y.trie))
-        return len(xs) == len(ys) and all(
-            a == b and ring.eq(u, v) for (a, u), (b, v) in zip(xs, ys)
-        )
     if isinstance(x, MapNF):
-        bx = x.base if x.base is not None else zero_nf(x.space.value)
-        by = y.base if y.base is not None else zero_nf(y.space.value)
-        if not _nf_eq(bx, by):
+        space = x.space
+        eq = ring.eq if space.shape == "free" else _nf_eq
+        if not eq(_payload_or_zero(x.base, space), _payload_or_zero(y.base, space)):
             return False
-        xs = list(tries.items(x.space.prim, x.trie))
-        ys = list(tries.items(y.space.prim, y.trie))
+        xs = tries.items(space.prim, x.trie)
+        ys = tries.items(space.prim, y.trie)
         return len(xs) == len(ys) and all(
-            a == b and _nf_eq(u, v) for (a, u), (b, v) in zip(xs, ys)
+            a == b and eq(u, v) for (a, u), (b, v) in zip(xs, ys)
         )
     if isinstance(x, PairNF):
         return _nf_eq(x.lhs, y.lhs) and _nf_eq(x.rhs, y.rhs)
@@ -671,16 +625,13 @@ def strip_compact(nf: NormalForm, target: Space | None = None) -> NormalForm:
         target = strip_space(space)
     if isinstance(nf, ScalarNF):
         return nf
-    if isinstance(nf, FreeNF):
-        if not space.ring.is_zero(nf.base):
-            raise InfiniteSupport(f"{space} form has a baseline; cannot restrict")
-        return FreeNF(target, nf.trie, space.ring.zero)
     if isinstance(nf, MapNF):
         if nf.base is not None:
             raise InfiniteSupport(f"{space} form has a baseline; cannot restrict")
+        if space.shape == "free":
+            return MapNF(target, nf.trie, None)
         value = target.value
-        t = tries.map_values(nf.trie, lambda v: strip_compact(v, value), NF_VOPS)
-        return MapNF(target, t, None)
+        return map_payloads(nf, lambda v: strip_compact(v, value), NF_VOPS, target)
     if isinstance(nf, PairNF):
         lhs, rhs = target.halves
         return PairNF(target, strip_compact(nf.lhs, lhs), strip_compact(nf.rhs, rhs))

@@ -1,17 +1,20 @@
 """Products of collections: intersections and joins.
 
-The evaluator works level by level on nested keyed forms. At each level
-the factors split into those that restrict the support, having no wildcard
-baseline, and those that do not. If a restricting factor exists, their
-trie levels are intersected by `tries.walk`, which iterates the one with
-the fewest keys and probes the others by hash, so a key missing from any
-restricting factor is dropped before anything below it is visited. At
-each surviving key the non-restricting factors add their baseline to
-their deviation there. Otherwise every factor carries a baseline, the
-baseline product is hoisted once, and deviations are produced at the union
-of the factors' explicit keys, since an explicit key in any factor can
-deviate from the baseline product. Partial products that come out zero
-prune the whole key before any deeper work is charged.
+The evaluator works level by level on nested keyed forms, one `_level` for
+every keyed level: a free level multiplies ring coefficients, any other
+multiplies its value forms by recursing, and both add and test payloads
+through the level's `ValueOps`. At each level the factors split into those
+that restrict the support, whose baseline is None, and those that do not.
+If a restricting factor exists, their trie levels are intersected by
+`tries.walk`, which iterates the one with the fewest keys and probes the
+others by hash, so a key missing from any restricting factor is dropped
+before anything below it is visited. At each surviving key the
+non-restricting factors add their baseline to their deviation there.
+Otherwise every factor carries a baseline, the baseline product is hoisted
+once, and deviations are produced at the union of the factors' explicit
+keys, since an explicit key in any factor can deviate from the baseline
+product. Partial products that come out zero prune the whole key before
+any deeper work is charged.
 
 All n factors are scheduled jointly: the recursion at a key carries one
 value per factor into the next level rather than folding pairwise, which
@@ -26,15 +29,15 @@ distributivity, kept as the differential-testing oracle.
 from . import metrics, tries
 from .normal import (
     NF_VOPS,
-    FreeNF,
     MapNF,
     NormalForm,
     PairNF,
     ScalarNF,
     force_product,
-    nf_add,
-    nf_scale,
+    map_payloads,
+    nf_neg,
     nf_sub,
+    nf_tensor,
     normalize,
     readback,
     ring_vops,
@@ -60,7 +63,6 @@ from .terms import (
     sum_terms,
     tensor,
     wild_maps_to,
-    zero,
 )
 
 
@@ -95,44 +97,24 @@ def nf_product(nfs) -> NormalForm:
             acc = ring.mul(acc, nf.value)
             m.ring_mults += 1
         return ScalarNF(space, acc)
-    if isinstance(nfs[0], FreeNF):
-        ring = space.ring
-        m = metrics.current
+    if isinstance(nfs[0], MapNF):  # free levels, maps, and tensors keyed by their left factor
+        if space.shape == "free":
+            ring = space.ring
+            m = metrics.current
 
-        def ring_prod(vals):
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = ring.mul(acc, v)
-                m.ring_mults += 1
-            return acc
+            def prod(vals):
+                acc = vals[0]
+                for v in vals[1:]:
+                    acc = ring.mul(acc, v)
+                    m.ring_mults += 1
+                return acc
 
-        trie, base = _level(
-            [(nf.trie, nf.base) for nf in nfs],
-            prod=ring_prod,
-            add=ring.add,
-            sub=ring.sub,
-            is_zero=ring.is_zero,
-            zero=ring.zero,
-            vops=ring_vops(ring),
-        )
+            sub, neg, vops = ring.sub, ring.neg, ring_vops(ring)
+        else:
+            prod, sub, neg, vops = nf_product, nf_sub, nf_neg, NF_VOPS
+        trie, base = _level([(nf.trie, nf.base) for nf in nfs], prod, sub, neg, vops)
         for nf in nfs:
-            if nf.trie is trie and nf.base == base:
-                return nf
-        return FreeNF(space, trie, base)
-    if isinstance(nfs[0], MapNF):  # maps, and tensors keyed by their left factor
-        zsub = zero_nf(space.value)
-        trie, base = _level(
-            [(nf.trie, nf.base if nf.base is not None else zsub) for nf in nfs],
-            prod=nf_product,
-            add=nf_add,
-            sub=nf_sub,
-            is_zero=lambda v: v.is_zero(),
-            zero=zsub,
-            vops=NF_VOPS,
-        )
-        base = None if base.is_zero() else base
-        for nf in nfs:
-            if nf.trie is trie and nf.base is base:
+            if nf.trie is trie and vops.same(nf.base, base):
                 return nf
         return MapNF(space, trie, base)
     return PairNF(
@@ -142,27 +124,25 @@ def nf_product(nfs) -> NormalForm:
     )
 
 
-def _level(factors, prod, add, sub, is_zero, zero, vops):
-    """One level of the joint product. `factors` are (trie, baseline) pairs
-    with non-vanishing baselines encoded by `is_zero`; returns the result's
-    trie and baseline."""
+def _level(factors, prod, sub, neg, vops):
+    """One level of the joint product. `factors` are (trie, baseline)
+    pairs, a missing baseline being None; returns the result's trie and
+    baseline. `vops` adds and tests payloads."""
     m = metrics.current
     n = len(factors)
-    tcs = [tries.count(t) for t, _ in factors]
-    counts = [tcs[i] + (0 if is_zero(factors[i][1]) else 1) for i in range(n)]
-    restricting = [i for i in range(n) if is_zero(factors[i][1])]
-
-    if restricting:
-        enum_i = min(restricting, key=lambda i: (tcs[i], i))
-        base_out = zero
-    else:
-        enum_i = min(range(n), key=lambda i: (counts[i], i))
-        bases = [b for _, b in factors]
-        base_out = prod(bases)
+    add, is_zero = vops.add, vops.is_zero
+    restricting = [i for i in range(n) if factors[i][1] is None]
+    base_out = None if restricting else prod([b for _, b in factors])
     if m.trace is not None:
+        # what the trace records only: `tries.walk` picks its own level
+        tcs = [tries.count(t) for t, _ in factors]
+        counts = [tcs[i] + (0 if factors[i][1] is None else 1) for i in range(n)]
+        if restricting:
+            enum_i = min(restricting, key=lambda i: (tcs[i], i))
+        else:
+            enum_i = min(range(n), key=lambda i: (counts[i], i))
         m.trace.append((tuple(counts), enum_i))
 
-    entries = []
     if restricting:
         others = [j for j in range(n) if j not in restricting]
 
@@ -183,39 +163,36 @@ def _level(factors, prod, add, sub, is_zero, zero, vops):
             v = prod(vals)
             return None if is_zero(v) else v
 
-        return tries.walk([factors[i][0] for i in restricting], leaf, vops), base_out
-    else:
-        # every factor has a baseline: any explicit key anywhere can deviate
-        devs = {}
-        for j in range(n):
-            tj, _ = factors[j]
-            if tj is None:
-                continue
-            m.trie_edges += len(tj)
-            for key, d in tj.items():
-                row = devs.get(key)
-                if row is None:
-                    row = devs[key] = [None] * n
-                row[j] = d
-        for key, row in devs.items():
-            vals = []
-            ok = True
-            for j in range(n):
-                bj = factors[j][1]
-                d = row[j]
-                v = bj if d is None else add(bj, d)
-                if is_zero(v):
-                    ok = False
-                    break
-                vals.append(v)
-            if not ok:
-                dv = sub(zero, base_out)
-            else:
-                dv = sub(prod(vals), base_out)
-            if not is_zero(dv):
-                entries.append((key, dv))
+        return tries.walk([factors[i][0] for i in restricting], leaf, vops), None
 
-    return tries.from_items(entries, vops), base_out
+    # every factor has a baseline: any explicit key anywhere can deviate
+    devs = {}
+    for j in range(n):
+        tj, _ = factors[j]
+        if tj is None:
+            continue
+        m.trie_edges += len(tj)
+        for key, d in tj.items():
+            row = devs.get(key)
+            if row is None:
+                row = devs[key] = [None] * n
+            row[j] = d
+    entries = []
+    for key, row in devs.items():
+        vals = []
+        for j in range(n):
+            bj = factors[j][1]
+            d = row[j]
+            v = bj if d is None else add(bj, d)
+            if is_zero(v):
+                dv = neg(base_out)
+                break
+            vals.append(v)
+        else:
+            dv = sub(prod(vals), base_out)
+        if not is_zero(dv):
+            entries.append((key, dv))
+    return tries.from_items(entries, vops), None if is_zero(base_out) else base_out
 
 
 # the blunt oracle -------------------------------------------------------------
@@ -321,18 +298,13 @@ def _embed(nf, src, tgt, out):
         rest = _embed(nf, src, tgt[1:], out.rhs)
         return MapNF(out, None, None if rest.is_zero() else rest)
     if len(tgt) == 1:
-        return FreeNF(out, nf.trie, nf.base)
+        return MapNF(out, nf.trie, nf.base)
     if len(src) == 1:
         # the last source attribute: each coefficient c becomes c times the
         # unit of the missing attributes after it
-        unit = unit_nf(out.rhs)
-        t = tries.map_values(nf.trie, lambda c: nf_scale(c, unit), NF_VOPS)
-        base = None if out.ring.is_zero(nf.base) else nf_scale(nf.base, unit)
-        return MapNF(out, t, base)
+        return nf_tensor(nf, unit_nf(out.rhs), out)
     src, tgt = src[1:], tgt[1:]
-    t = tries.map_values(nf.trie, lambda v: _embed(v, src, tgt, out.rhs), NF_VOPS)
-    base = None if nf.base is None else _embed(nf.base, src, tgt, out.rhs)
-    return MapNF(out, t, base)
+    return map_payloads(nf, lambda v: _embed(v, src, tgt, out.rhs), NF_VOPS, out)
 
 
 def triangle(x: Term, y: Term, z: Term) -> NormalForm:

@@ -9,7 +9,7 @@ single-column selection work on forms, so an update visits the
 entries of its delta and copies, in C, only the trie levels it changes;
 aggregation folds a form a level at a time without listing its rows.
 Every relation over a schema and ring lives in one chain, the compact
-chain of its column types: finite relations with zero baselines, outer
+chain of its column types: finite relations with no baselines, outer
 joins with wildcard ones. So set operations use both forms as they are,
 and a join's product is its output. Reordering, projection and column
 maps rebuild a form from its rows, rearranged or mapped. A Cartesian
@@ -26,17 +26,18 @@ from . import normal, product, tries
 from .normal import (
     NF_VOPS,
     STAR,
-    FreeNF,
     InfiniteSupport,
     MapNF,
     enumerate_nf,
     has_baseline,
+    map_payloads,
     nf_add,
     nf_equal,
     nf_sub,
     nf_tensor,
     nf_weight,
     normalize,
+    payload_ops,
     readback,
     ring_vops,
     strip_space,
@@ -185,13 +186,12 @@ def _rows_nf(space, rows, i):
     on: the rows are grouped by that column and each group's form is built
     below its key, one trie per node; the last column's trie holds the
     coefficients. The rows with `STAR` at a level make up its baseline."""
-    ring = space.ring
     if not isinstance(space, Tensor):
         # the level is built first and a STAR entry taken out of it after,
         # so rows without wildcards, the common case, take no extra pass
-        trie = tries.from_items([(row[i], c) for row, c in rows], ring_vops(ring))
-        base = ring.zero if trie is None else trie.pop(STAR, ring.zero)
-        return FreeNF(space, trie or None, base)
+        trie = tries.from_items([(row[i], c) for row, c in rows], ring_vops(space.ring))
+        base = None if trie is None else trie.pop(STAR, None)
+        return MapNF(space, trie or None, base)
     groups = {}
     for rc in rows:
         groups.setdefault(rc[0][i], []).append(rc)
@@ -276,18 +276,11 @@ def _select_level(nf, pos, keep, col):
     """`nf` with the keys at chain level `pos` filtered by `keep`."""
     space = nf.space
     if pos:
-        def sub(v):
-            return _select_level(v, pos - 1, keep, col)
-
-        base = None if nf.base is None else sub(nf.base)
-        trie = tries.map_values(nf.trie, sub, NF_VOPS)
-        return MapNF(space, trie, None if base is None or base.is_zero() else base)
-    keyed = isinstance(nf, MapNF)
-    if nf.base is not None if keyed else not space.ring.is_zero(nf.base):
+        return map_payloads(nf, lambda v: _select_level(v, pos - 1, keep, col), NF_VOPS, space)
+    if nf.base is not None:
         raise RelationError(f"cannot select on wildcard-bearing column {col!r}")
     kept = [(k, v) for k, v in tries.items(space.prim, nf.trie) if keep(k)]
-    trie = tries.from_items(kept, NF_VOPS if keyed else ring_vops(space.ring))
-    return type(nf)(space, trie, nf.base)
+    return MapNF(space, tries.from_items(kept, payload_ops(space)), None)
 
 
 def project(r: Relation, names) -> Relation:
@@ -420,14 +413,11 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
     ring = r.ring
     mul, coerce = ring.mul, ring.coerce
     prims = r.schema.prims
-    last = len(prims) - 1
     chain_group = sorted(gpos)
     keys, ws, forms = [()], [ring.one], [r.nf()]
     for p, prim in enumerate(prims):
-        # no generator, and the leaf baselines tested once per distinct
-        # value: this runs at every level of every fold
-        if (any([x.base is not None for x in forms]) if p < last
-                else not all(map(ring.is_zero, {x.base for x in forms}))):
+        # no generator: this runs at every level of every fold
+        if any([x.base is not None for x in forms]):
             raise RelationError("cannot aggregate a relation with wildcard rows")
         grouped = p in chain_group
         nkeys, nws, nforms = [], [], []

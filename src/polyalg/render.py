@@ -1,7 +1,7 @@
 """Deterministic textual rendering of terms, normal forms and key paths."""
 
 from . import tries
-from .normal import FreeNF, MapNF, NormalForm, PairNF, ScalarNF
+from .normal import MapNF, NormalForm, PairNF, ScalarNF
 from .terms import (
     AddTerm,
     InjGen,
@@ -49,19 +49,11 @@ def render_nf(nf: NormalForm) -> str:
     ring = nf.space.ring
     if isinstance(nf, ScalarNF):
         return ring.render(nf.value)
-    if isinstance(nf, FreeNF):
-        parts = []
-        if not ring.is_zero(nf.base):
-            parts.append(f"*: {ring.render(nf.base)}")
-        for k, c in tries.items(nf.space.prim, nf.trie):
-            parts.append(f"{nf.space.prim.render(k)}: {ring.render(c)}")
-        return "{" + ", ".join(parts) + "}"
     if isinstance(nf, MapNF):
-        parts = []
-        if nf.base is not None:
-            parts.append(f"*: {render_nf(nf.base)}")
-        for k, v in tries.items(nf.space.prim, nf.trie):
-            parts.append(f"{nf.space.prim.render(k)}: {render_nf(v)}")
+        prim = nf.space.prim
+        show = ring.render if nf.space.shape == "free" else render_nf
+        parts = [] if nf.base is None else [f"*: {show(nf.base)}"]
+        parts += [f"{prim.render(k)}: {show(v)}" for k, v in tries.items(prim, nf.trie)]
         return "{" + ", ".join(parts) + "}"
     if isinstance(nf, PairNF):
         return f"({render_nf(nf.lhs)}, {render_nf(nf.rhs)})"

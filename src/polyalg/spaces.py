@@ -153,16 +153,28 @@ class Tensor(Space):
         return f"({self.lhs} ⊗ {self.rhs})"
 
 
+_CHAINS = {}
+
+
 def tensor_chain(ring: Ring, prims, compact: bool = False) -> Space:
     """Right-nested chain of free factors, one per attribute.
 
     A single attribute is just the free module itself, no tensor wrapper.
+    There is one chain object per ring, prim list and compactness, and a
+    chain's right factor is the chain of its remaining prims, so equal
+    chains, and their tails, compare as identical objects.
     """
-    prims = list(prims)
-    if not prims:
-        raise SpaceError("a tensor chain needs at least one factor")
-    kind = CompactFree if compact else Free
-    return chain_space([kind(ring, p) for p in prims])
+    prims = tuple(prims)
+    key = (ring, prims, compact)
+    space = _CHAINS.get(key)
+    if space is None:
+        if not prims:
+            raise SpaceError("a tensor chain needs at least one factor")
+        space = (CompactFree if compact else Free)(ring, prims[0])
+        if len(prims) > 1:
+            space = Tensor(space, tensor_chain(ring, prims[1:], compact))
+        _CHAINS[key] = space
+    return space
 
 
 def chain_factors(space: Space) -> list:
@@ -179,14 +191,6 @@ def chain_factors(space: Space) -> list:
         else:
             raise SpaceError(f"{space} is not a chain of free factors")
     return out
-
-
-def chain_space(factors) -> Space:
-    """The right-nested tensor chain of the given free factors."""
-    space = factors[-1]
-    for f in reversed(factors[:-1]):
-        space = Tensor(f, space)
-    return space
 
 
 def chain_prims(space: Space):

@@ -117,3 +117,42 @@ def test_every_definition_is_named():
     helpers, orphans = orphaned_helpers(sources, defining, public=True)
     assert len(helpers) > 100
     assert orphans == []
+
+
+def _named(node, name):
+    return (isinstance(node, ast.Attribute) and node.attr == name) or (
+        isinstance(node, ast.Name) and node.id == name)
+
+
+def baseline_zero_tests(source: str):
+    """Lines of the calls that hand `is_zero`, as the callee or as an
+    argument, something read from a `.base` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and (
+                _named(node.func, "is_zero") or any(_named(a, "is_zero") for a in node.args)):
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "base"
+                   for a in node.args for sub in ast.walk(a)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_baseline_check_sees_direct_and_mapped_tests():
+    source = (
+        "def f(nf, ring, forms):\n"
+        "    if ring.is_zero(nf.base):\n"
+        "        return all(map(ring.is_zero, {x.base for x in forms}))\n"
+        "    return nf.base is None or is_zero(nf.value) or ring.is_zero(nf.trie)\n"
+    )
+    assert baseline_zero_tests(source) == [2, 3]
+
+
+def test_a_missing_baseline_is_only_none():
+    # a keyed form says "no wildcard" with None alone, never with a
+    # vanishing baseline, so no code tests a baseline with `is_zero`
+    found = [
+        f"{p.name}:{line}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for line in baseline_zero_tests(p.read_text(encoding="utf-8"))
+    ]
+    assert found == []

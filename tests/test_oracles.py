@@ -175,6 +175,11 @@ def test_real_products_match_oracle_within_tolerance():
         got = dict(enumerate_nf(multiply([x, y]), allow_baseline=True))
         for k in set(want) | set(got):
             assert REAL.eq(want.get(k, 0.0), got.get(k, 0.0)), k
+        # each factor's own form: a chain's tensor generators, built by
+        # nf_tensor, against their expansion
+        want, got = expand(x, REAL), dict(enumerate_nf(normalize(x), allow_baseline=True))
+        for k in set(want) | set(got):
+            assert REAL.eq(want.get(k, 0.0), got.get(k, 0.0)), k
 
 
 def test_lookup_path_matches_covering_sum():
