@@ -90,37 +90,17 @@ def ring_vops(ring):
 
 
 class NormalForm:
-    __slots__ = ("space", "_key", "_hash")
+    """A canonical form: every space has exactly one, so two forms denote
+    the same element when they match structurally, leaf by leaf in the
+    ring. `nf_equal` is that comparison; `==` on forms is identity."""
+
+    __slots__ = ("space",)
 
     def __init__(self, space):
         self.space = space
-        self._key = None
-        self._hash = None
 
     def is_zero(self) -> bool:
         raise NotImplementedError
-
-    def sort_key(self):
-        if self._key is None:
-            self._key = self._make_key()
-        return self._key
-
-    def _make_key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is type(self)
-            and self.space == other.space
-            and self.sort_key() == other.sort_key()
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((type(self).__name__, self.sort_key()))
-        return self._hash
 
     def __repr__(self):
         from .render import render_nf
@@ -138,9 +118,6 @@ class ScalarNF(NormalForm):
     def is_zero(self):
         return self.space.ring.is_zero(self.value)
 
-    def _make_key(self):
-        return ("K", self.space.ring.sort_key(self.value))
-
 
 class MapNF(NormalForm):
     """Key trie of non-vanishing payloads plus, for compact spaces, a
@@ -157,13 +134,6 @@ class MapNF(NormalForm):
     def is_zero(self):
         return self.trie is None and self.base is None
 
-    def _make_key(self):
-        space = self.space
-        prim = space.prim
-        key = space.ring.sort_key if space.shape == "free" else NormalForm.sort_key
-        entries = tuple((prim.sort_key(k), key(v)) for k, v in tries.items(prim, self.trie))
-        return ("M", () if self.base is None else key(self.base), entries)
-
 
 class PairNF(NormalForm):
     __slots__ = ("lhs", "rhs")
@@ -175,9 +145,6 @@ class PairNF(NormalForm):
 
     def is_zero(self):
         return self.lhs.is_zero() and self.rhs.is_zero()
-
-    def _make_key(self):
-        return ("P", self.lhs.sort_key(), self.rhs.sort_key())
 
 
 NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=lambda n: n.is_zero())
@@ -561,7 +528,7 @@ def _enum(nf, allow):
 # equality -------------------------------------------------------------------
 
 def nf_equal(x: NormalForm, y: NormalForm) -> bool:
-    """Extensional equality of normal forms.
+    """Extensional equality of normal forms, the one equality of forms.
 
     Every space has one canonical form, so this is a structural comparison
     with ring-aware leaf equality.

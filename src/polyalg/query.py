@@ -79,6 +79,10 @@ def tokenize(text: str):
             i = j
 
 
+#: the closing token of each opening one; a [...] list parses to a `VecNode`
+_CLOSING = {"(": ")", "[": "]"}
+
+
 def parse_sexpr(text: str):
     tokens = list(tokenize(text))
     depth = 0
@@ -94,24 +98,15 @@ def parse_sexpr(text: str):
         if k >= len(tokens):
             raise QueryError("unexpected end of input", len(text))
         tok, at = tokens[k]
-        if tok == "(":
+        if tok in _CLOSING:
+            close = _CLOSING[tok]
             items = []
             k += 1
             while True:
                 if k >= len(tokens):
-                    raise QueryError("missing )", at)
-                if tokens[k][0] == ")":
-                    return items, k + 1
-                item, k = parse_one(k)
-                items.append(item)
-        if tok == "[":
-            items = []
-            k += 1
-            while True:
-                if k >= len(tokens):
-                    raise QueryError("missing ]", at)
-                if tokens[k][0] == "]":
-                    return VecNode(items), k + 1
+                    raise QueryError(f"missing {close}", at)
+                if tokens[k][0] == close:
+                    return (VecNode(items) if close == "]" else items), k + 1
                 item, k = parse_one(k)
                 items.append(item)
         if tok in (")", "]"):

@@ -52,9 +52,6 @@ class Ring:
     def render(self, a) -> str:
         raise NotImplementedError
 
-    def sort_key(self, a):
-        return a
-
     def __repr__(self):
         return self.name
 

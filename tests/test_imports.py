@@ -6,6 +6,7 @@ package's public re-exports.
 """
 
 import ast
+import symtable
 from pathlib import Path
 
 import polyalg
@@ -14,29 +15,66 @@ PACKAGE = Path(polyalg.__file__).resolve().parent
 
 
 def unused_imports(source: str):
-    """Names bound by an import anywhere in the module and never read."""
-    tree = ast.parse(source)
-    imported = {}
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported.setdefault(name, node.lineno)
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+    """Names bound by an import and never read where that binding is seen.
+    Scopes follow Python's own rules, as `symtable` resolves them: a read in
+    a function that binds the same name, as a parameter, by assignment or
+    by its own import, reads that binding, and a store reads nothing."""
+    lines = {}  # (line of the enclosing def or class, 0 for the module, name) -> import line
+
+    def collect(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                for alias in child.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    lines.setdefault((scope, name), child.lineno)
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            collect(child, child.lineno if defines else scope)
+
+    collect(ast.parse(source), 0)
+    found = []
+
+    def check(table):
+        module = table.get_type() == "module"
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if sym.is_imported() and not sym.is_referenced() and not _read_below(table, name, module):
+                found.append((lines[0 if module else table.get_lineno(), name], name))
+        for child in table.get_children():
+            check(child)
+
+    check(symtable.symtable(source, "<module>", "exec"))
+    return sorted(found)
+
+
+def _read_below(table, name, module):
+    """Whether a scope nested in `table` reads `table`'s binding of `name`:
+    a global read for a module binding, a free one for a function's."""
+    for child in table.get_children():
+        if name in child.get_identifiers():
+            sym = child.lookup(name)
+            if sym.is_referenced() and (sym.is_global() if module else sym.is_free()):
+                return True
+            if sym.is_local() and not module:
+                continue  # shadowed here and in every scope nested in it
+        if _read_below(child, name, module):
+            return True
+    return False
 
 
 def test_unused_import_check_sees_function_level_imports():
     source = (
         "import os\n"
-        "from .terms import MulGen, scaled\n"
+        "from .terms import MulGen, scaled, zero\n"
         "def f(x):\n"
         "    from .normal import force_product\n"
         "    return scaled(1, x) if os.sep else None\n"
+        "def g(zero):\n"
+        "    return zero\n"
+        "def h(x):\n"
+        "    zero = x\n"
+        "    return zero\n"
     )
-    assert unused_imports(source) == [(2, "MulGen"), (4, "force_product")]
+    assert unused_imports(source) == [(2, "MulGen"), (2, "zero"), (4, "force_product")]
 
 
 def test_modules_import_only_what_they_use():

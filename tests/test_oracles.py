@@ -8,6 +8,10 @@ simplification pipeline at once.
 """
 
 import random
+from functools import reduce
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyalg import (
     GF2,
@@ -25,10 +29,14 @@ from polyalg import (
     Sum,
     Tensor,
     enumerate_nf,
+    fmap,
     multiply,
+    naive_multiply,
+    nf_equal,
     nf_lookup_path,
     normalize,
     tensor_chain,
+    weight,
 )
 from polyalg.terms import (
     AddTerm,
@@ -198,3 +206,35 @@ def test_lookup_path_matches_covering_sum():
                 if all(p is STAR or p == x for p, x in zip(path, probe)):
                     want += c
             assert nf_lookup_path(nf, probe) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([
+        Free(Z, INT), Free(GF2, STRING), CompactFree(Z, INT), CompactFree(Z, STRING),
+        CompactFree(GF2, INT),
+    ]),
+    st.randoms(use_true_random=False),
+)
+def test_products_inside_terms_match_oracle(space, rng):
+    # a symbolic product met as a generator inside a term, not normalised
+    # at the top: weight, fmap and the naive product each force it
+    ring = space.ring
+    x, y, z = (rand_term(rng, space, size=3) for _ in range(3))
+    xy = x * y
+    want = _pointwise_product(expand(x, ring), expand(y, ring), ring)
+    assert weight(xy) == reduce(ring.add, want.values(), ring.zero)
+
+    relabel = (lambda a: a % 3) if space.prim is INT else (lambda s: s[:1])
+    moved = {}
+    for (k,), c in want.items():
+        key = (k if k is STAR else relabel(k),)
+        moved[key] = ring.add(moved.get(key, ring.zero), c)
+    got = enumerate_nf(normalize(fmap(xy, relabel)), allow_baseline=True)
+    assert dict(got) == clean(moved, ring)
+
+    xyz = multiply([x, y, z])
+    assert dict(enumerate_nf(xyz, allow_baseline=True)) == _pointwise_product(
+        want, expand(z, ring), ring)
+    assert nf_equal(naive_multiply(xy, z), xyz)
+    assert nf_equal(naive_multiply(z, xy), xyz)

@@ -417,6 +417,35 @@ def test_csv_cell_past_the_field_size_limit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {p}:3: ")
 
 
+@pytest.mark.parametrize("text, sch, error", [
+    ("A,B\na,true\nb,FALSE\nc, true \n", "A:str,B:bool", None),
+    ("A,B\na,yes\n", "A:str,B:bool", ":2:2: 'yes' is not true/false"),
+    ("A,B\na,9223372036854775807\nb,9223372036854775808\n", "A:str,B:int",
+     ":3:2: '9223372036854775808' is out of 64-bit range"),
+    ("A,B\na,-9223372036854775809\n", "A:str,B:int", ":2:2: '-9223372036854775809' is out"),
+    ("", "A:str,B:int", ": missing header row"),
+    ("A,B\na,1\nb\n", "A:str,B:int", ":3: expected 2 cells, got 1"),
+    ("A,B\na,1\n", "A:str,B", "bad schema column 'B'; expected name:type"),
+    ("A,B\na,1\n", " , ", "empty schema"),
+])
+def test_cli_csv_contract(tmp_path, capsys, text, sch, error):
+    # bool cells, the 64-bit bound, header, row shape and schema syntax,
+    # each as the command line meets them
+    p = tmp_path / "b.csv"
+    p.write_text(text)
+    catalog = str(tmp_path / "c.json")
+    code = main(["--catalog", catalog, "load", str(p), "--as", "b", "--schema", sch])
+    err = capsys.readouterr().err
+    if error is not None:
+        assert code == 2
+        assert err.startswith("error: ") and error in err, err
+        assert len(err.splitlines()) == 1
+        return
+    assert code == 0, err
+    assert main(["--catalog", catalog, "query", "(select (= B true) b)", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "A,B,#weight\na,true,1\nc,true,1\n"
+
+
 def test_cli_rejects_non_finite_real_weights(tmp_path, capsys):
     catalog = str(tmp_path / "c.json")
     for weight in ("nan", "inf", "-inf", "-Infinity", "1e400"):
