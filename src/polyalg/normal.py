@@ -18,6 +18,9 @@ attribute order and products join it level by level. A map on the left
 keys it the same way, (A ⇒ V) ⊗ W ≅ A ⇒ (V ⊗ W); a biproduct splits it
 into a `PairNF`, (U ⊕ V) ⊗ W ≅ (U ⊗ W) ⊕ (V ⊗ W); a scalar leaves the
 right factor's form, K ⊗ W ≅ W; and a tensor reassociates.
+
+A form's rows are the expansion of its tries; `enumerate_nf` lists them a
+level at a time, so its depth does not grow with the column count.
 """
 
 import operator
@@ -91,8 +94,8 @@ def ring_vops(ring):
 
 class NormalForm:
     """A canonical form: every space has exactly one, so two forms denote
-    the same element when they match structurally, leaf by leaf in the
-    ring. `nf_equal` is that comparison; `==` on forms is identity."""
+    the same element when they have the same rows, coefficients compared
+    in the ring. `nf_equal` is that comparison; `==` on forms is identity."""
 
     __slots__ = ("space",)
 
@@ -294,7 +297,8 @@ def _keyed_nf(t: Term) -> NormalForm:
             bases.append(nf_scale(c, normalize(g.body)))
         else:
             nf = _gen_nf(c, g, space)
-            entries.extend(tries.items(space.prim, nf.trie))
+            if nf.trie is not None:
+                entries.extend(nf.trie.items())
             if nf.base is not None:
                 bases.append(nf.base)
     vops = payload_ops(space)
@@ -334,7 +338,7 @@ def readback(nf: NormalForm) -> Term:
     space = nf.space
     if isinstance(space, Tensor) and not isinstance(space.lhs, (Free, CompactFree)):
         parts = []
-        for path, c in _enum(nf, True):
+        for path, c in enumerate_nf(nf, allow_baseline=True):
             l, i = _basis_term(space.lhs, path, 0)
             r, _ = _basis_term(space.rhs, path, i)
             parts.append(scaled(c, tensor(l, r)))
@@ -386,39 +390,15 @@ def _basis_term(space, path, i):
 # observation ----------------------------------------------------------------
 
 def nf_weight(nf: NormalForm):
+    """The sum of the form's row coefficients, in row order."""
     ring = nf.space.ring
-    if isinstance(nf, ScalarNF):
-        return nf.value
-    if isinstance(nf, MapNF):
-        weights = [v for _, v in tries.items(nf.space.prim, nf.trie)]
-        if nf.base is not None:
-            weights.insert(0, nf.base)
-        if nf.space.shape != "free":
-            weights = map(nf_weight, weights)
-        return reduce(ring.add, weights, ring.zero)
-    if isinstance(nf, PairNF):
-        return ring.add(nf_weight(nf.lhs), nf_weight(nf.rhs))
-    raise SpaceError(f"cannot weigh {type(nf).__name__}")
+    return reduce(ring.add, [c for _, c in enumerate_nf(nf, allow_baseline=True)], ring.zero)
 
 
 def has_baseline(nf: NormalForm) -> bool:
-    """True when any level anywhere in the form holds a baseline."""
-    if isinstance(nf, ScalarNF):
-        return False
-    if isinstance(nf, MapNF):
-        # a level at a time: the values of a map form share one space
-        level = [nf]
-        while level and isinstance(level[0], MapNF):
-            if any(x.base is not None for x in level):
-                return True
-            space = level[0].space
-            if space.shape == "free":
-                return False
-            level = [v for _, _, v in tries.expand(space.prim, [x.trie for x in level])]
-        return any(has_baseline(x) for x in level)
-    if isinstance(nf, PairNF):
-        return has_baseline(nf.lhs) or has_baseline(nf.rhs)
-    raise SpaceError(f"unexpected form {type(nf).__name__}")
+    """True when any level anywhere in the form holds a baseline, that is
+    when `STAR` appears in some row's path."""
+    return any(STAR in path for path, _ in enumerate_nf(nf, allow_baseline=True))
 
 
 def nf_lookup(nf: NormalForm, key):
@@ -437,13 +417,8 @@ def nf_lookup(nf: NormalForm, key):
         dev = tries.lookup(nf.trie, key)
         if dev is not None:
             return dev if nf.base is None else payload_ops(space).add(nf.base, dev)
-    return _payload_or_zero(nf.base, space)
-
-
-def _payload_or_zero(payload, space):
-    """`payload` of a keyed level of `space`, a missing one read as zero."""
-    if payload is not None:
-        return payload
+    if nf.base is not None:
+        return nf.base
     return space.ring.zero if space.shape == "free" else zero_nf(space.value)
 
 
@@ -481,80 +456,65 @@ def _lookup_path(nf, path, i):
     raise SpaceError(f"cannot look up in {type(nf).__name__}")
 
 
-# enumeration ----------------------------------------------------------------
+# enumeration and equality ---------------------------------------------------
 
 def enumerate_nf(nf: NormalForm, allow_baseline: bool = False):
     """Fully expanded basis rows as (key path, coefficient), in key order.
 
-    Wildcard components appear as `STAR` path elements and are only
-    produced under `allow_baseline`; without it any baseline is an
-    error, since the expansion would have infinite support. A tensor's form
-    follows its left factor, so its rows come out as the left factor's path
-    followed by the right factor's, already in key order.
+    Wildcard components appear as `STAR` path elements, each before its
+    level's keys, and are only produced under `allow_baseline`; without it
+    any baseline is an error, since the expansion would have infinite
+    support. A tensor's form follows its left factor, so its rows come out
+    as the left factor's path followed by the right factor's, already in
+    key order.
+
+    The walk goes a level at a time: each keyed level replaces every
+    (path, form) pair, all in one space, by its baseline and entries.
+    Only a level of pairs recurses, into each pair's halves, so the depth
+    follows the nesting of biproducts, not the column count.
     """
-    return list(_enum(nf, allow_baseline))
+    return _rows([((), nf)], nf.space, allow_baseline)
 
 
-def _enum(nf, allow):
-    space = nf.space
-    ring = space.ring
-    if isinstance(nf, ScalarNF):
-        if not ring.is_zero(nf.value):
-            yield (), nf.value
-        return
-    if isinstance(nf, MapNF):
-        if nf.base is not None and not allow:
-            raise InfiniteSupport(f"{space} form has infinite support")
-        entries = tries.items(space.prim, nf.trie)
-        if nf.base is not None:
-            entries.insert(0, (STAR, nf.base))
-        if space.shape == "free":
-            for k, c in entries:
-                yield (k,), c
-        else:
-            for k, v in entries:
-                for p, c in _enum(v, allow):
-                    yield (k,) + p, c
-        return
-    if isinstance(nf, PairNF):
-        for p, c in _enum(nf.lhs, allow):
-            yield (1,) + p, c
-        for p, c in _enum(nf.rhs, allow):
-            yield (2,) + p, c
-        return
-    raise SpaceError(f"cannot enumerate {type(nf).__name__}")
+def _rows(level, space, allow):
+    """The rows below `level`, a list of (path, form) pairs in `space`."""
+    shape = space.shape
+    while shape in ("free", "map"):
+        prim = space.prim
+        below = []
+        for path, x in level:
+            if x.base is not None:
+                if not allow:
+                    raise InfiniteSupport(f"{space} form has infinite support")
+                below.append((path + (STAR,), x.base))
+            for k, v in tries.items(prim, x.trie):
+                below.append((path + (k,), v))
+        level = below
+        if shape == "free":
+            return level
+        space = space.value
+        shape = space.shape
+    if shape == "scalar":
+        is_zero = space.ring.is_zero
+        return [(path, x.value) for path, x in level if not is_zero(x.value)]
+    lhs, rhs = space.halves
+    rows = []
+    for path, x in level:
+        rows += _rows([(path + (1,), x.lhs)], lhs, allow)
+        rows += _rows([(path + (2,), x.rhs)], rhs, allow)
+    return rows
 
-
-# equality -------------------------------------------------------------------
 
 def nf_equal(x: NormalForm, y: NormalForm) -> bool:
-    """Extensional equality of normal forms, the one equality of forms.
-
-    Every space has one canonical form, so this is a structural comparison
-    with ring-aware leaf equality.
-    """
+    """Extensional equality of normal forms, the one equality of forms:
+    the same rows, with equal paths and coefficients equal in the ring.
+    Every space has one canonical form, so the same rows mean the same
+    element."""
     if x.space != y.space:
         raise SpaceError(f"cannot compare forms of {x.space} and {y.space}")
-    return _nf_eq(x, y)
-
-
-def _nf_eq(x, y):
-    ring = x.space.ring
-    if isinstance(x, ScalarNF):
-        return ring.eq(x.value, y.value)
-    if isinstance(x, MapNF):
-        space = x.space
-        eq = ring.eq if space.shape == "free" else _nf_eq
-        if not eq(_payload_or_zero(x.base, space), _payload_or_zero(y.base, space)):
-            return False
-        xs = tries.items(space.prim, x.trie)
-        ys = tries.items(space.prim, y.trie)
-        return len(xs) == len(ys) and all(
-            a == b and eq(u, v) for (a, u), (b, v) in zip(xs, ys)
-        )
-    if isinstance(x, PairNF):
-        return _nf_eq(x.lhs, y.lhs) and _nf_eq(x.rhs, y.rhs)
-    raise SpaceError(f"cannot compare {type(x).__name__}")
+    eq = x.space.ring.eq
+    xs, ys = enumerate_nf(x, allow_baseline=True), enumerate_nf(y, allow_baseline=True)
+    return len(xs) == len(ys) and all(p == q and eq(a, b) for (p, a), (q, b) in zip(xs, ys))
 
 
 def equal(x: Term, y: Term) -> bool:

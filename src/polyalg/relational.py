@@ -64,6 +64,11 @@ class RelationError(ValueError):
 
 TYPE_NAMES = {"int": INT, "str": STRING, "bool": BOOL}
 
+#: widest schema: building, embedding and joining chain forms recurse once
+#: per column, and 100 columns under a query nested `query.MAX_DEPTH` deep
+#: still fit the interpreter's default recursion limit
+MAX_COLUMNS = 100
+
 
 def type_name(prim: PrimSet) -> str:
     for name, p in TYPE_NAMES.items():
@@ -82,6 +87,8 @@ class Schema:
             raise RelationError(f"duplicate column names in {names}")
         if not names:
             raise RelationError("a schema needs at least one column")
+        if len(names) > MAX_COLUMNS:
+            raise RelationError(f"a schema has at most {MAX_COLUMNS} columns, not {len(names)}")
 
     @property
     def names(self):

@@ -44,7 +44,7 @@ from polyalg import (
     wild_one,
     zero,
 )
-from polyalg.normal import nf_lookup, nf_scale
+from polyalg.normal import MapNF, has_baseline, nf_lookup, nf_scale, nf_weight
 from polyalg.tries import count as trie_count
 
 from conftest import rand_term, sample_spaces
@@ -318,6 +318,23 @@ def test_deep_sums_do_not_overflow_stack():
     nf = normalize(t)
     assert sorted(dict(enumerate_nf(nf)).values()) != []
     assert sum(c for _, c in enumerate_nf(nf)) == 30000
+
+
+def test_deep_chain_walks_do_not_overflow_stack():
+    # a 3,000-level chain, nested by hand rather than by tensor_chain: the
+    # row walks go a level at a time, so their depth ignores the length
+    space = FI
+    nf = MapNF(space, {0: 1}, None)
+    for i in range(1, 3000):
+        space = Tensor(FI, space)
+        nf = MapNF(space, {i: nf}, None)
+    rows = enumerate_nf(nf)
+    assert len(rows) == 1
+    path, c = rows[0]
+    assert path == tuple(range(2999, -1, -1)) and c == 1
+    assert nf_weight(nf) == 1
+    assert nf_equal(nf, nf)
+    assert not has_baseline(nf)
 
 
 def test_scalar_space_normal_form():

@@ -10,6 +10,7 @@ simplification pipeline at once.
 import random
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +36,11 @@ from polyalg import (
     nf_equal,
     nf_lookup_path,
     normalize,
+    readback,
     tensor_chain,
     weight,
 )
+from polyalg.normal import InfiniteSupport, PairNF, ScalarNF, has_baseline
 from polyalg.terms import (
     AddTerm,
     GenTerm,
@@ -124,6 +127,54 @@ def _pointwise_product(da, db, ring):
 
 def clean(d, ring):
     return {k: v for k, v in d.items() if not ring.is_zero(v)}
+
+
+def reference_rows(nf):
+    """The rows of a form by recursion over its nodes: at a keyed node the
+    baseline, as `STAR`, then the keys in the set's order; a pair's left
+    half, tagged 1, before its right, tagged 2; vanishing scalars dropped."""
+    space = nf.space
+    ring = space.ring
+    if isinstance(nf, ScalarNF):
+        return [] if ring.is_zero(nf.value) else [((), nf.value)]
+    if isinstance(nf, PairNF):
+        return ([((1,) + p, c) for p, c in reference_rows(nf.lhs)]
+                + [((2,) + p, c) for p, c in reference_rows(nf.rhs)])
+    entries = sorted((nf.trie or {}).items(), key=lambda kv: space.prim.sort_key(kv[0]))
+    if nf.base is not None:
+        entries.insert(0, (STAR, nf.base))
+    if space.shape == "free":
+        return [((k,), c) for k, c in entries]
+    return [((k,) + p, c) for k, v in entries for p, c in reference_rows(v)]
+
+
+def _same_rows(xs, ys, ring):
+    return len(xs) == len(ys) and all(
+        p == q and ring.eq(a, b) for (p, a), (q, b) in zip(xs, ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([space for ring in (Z, GF2, REAL) for space in sample_spaces(ring)]),
+    st.randoms(use_true_random=False),
+)
+def test_enumeration_order_matches_reference(space, rng):
+    # the full row lists, order included: baselines before keys, pair
+    # halves in tag order, scalar leaves where they fall
+    ring = space.ring
+    x, y = (normalize(rand_term(rng, space, size=4)) for _ in range(2))
+    want = reference_rows(x)
+    assert enumerate_nf(x, allow_baseline=True) == want
+    starred = any(STAR in path for path, _ in want)
+    if starred:
+        with pytest.raises(InfiniteSupport):
+            enumerate_nf(x)
+    else:
+        assert enumerate_nf(x) == want
+    assert has_baseline(x) == starred
+    again = normalize(readback(x) + readback(y) - readback(y))
+    for a, b in ((x, x), (x, y), (y, x), (x, again)):
+        assert nf_equal(a, b) == _same_rows(reference_rows(a), reference_rows(b), ring)
 
 
 def test_normalize_matches_expansion_oracle():

@@ -13,7 +13,8 @@ import polyalg
 from polyalg import GF2, Z, QueryError, parse_sexpr, run
 from polyalg.catalog import Catalog, CatalogError, load_csv, parse_schema
 from polyalg.cli import main, render_relation
-from polyalg.relational import relation_from_rows
+from polyalg.query import MAX_DEPTH
+from polyalg.relational import MAX_COLUMNS, relation_from_rows
 
 X_CSV = "A,B\na,1\nb,2\nc,3\n"
 Y_CSV = "B,C\n2,p\n3,q\n4,r\n"
@@ -444,6 +445,47 @@ def test_cli_csv_contract(tmp_path, capsys, text, sch, error):
     assert code == 0, err
     assert main(["--catalog", catalog, "query", "(select (= B true) b)", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "A,B,#weight\na,true,1\nc,true,1\n"
+
+
+def test_cli_column_bound(tmp_path, capsys):
+    # every schema, loaded or built by an operator, has at most
+    # relational.MAX_COLUMNS columns; past the bound is one error line
+    catalog = str(tmp_path / "c.json")
+
+    def load(name, cols):
+        p = tmp_path / f"{name}.csv"
+        p.write_text(",".join(cols) + "\n" + ",".join(["1"] * len(cols)) + "\n"
+                     + ",".join(["2"] * len(cols)) + "\n")
+        code = main(["--catalog", catalog, "load", str(p), "--as", name,
+                     "--schema", ",".join(f"{c}:int" for c in cols)])
+        return code, capsys.readouterr().err
+
+    def one_error(code, err, what):
+        assert code == 2, err
+        assert err.startswith(f"error: a schema has at most {MAX_COLUMNS} columns, not {what}")
+        assert len(err.splitlines()) == 1
+
+    cols = [f"C{i}" for i in range(MAX_COLUMNS + 1)]
+    assert load("wide", cols[:MAX_COLUMNS]) == (0, "")
+    assert main(["--catalog", catalog, "show", "wide", "--format", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [",".join(cols[:MAX_COLUMNS]) + ",#weight",
+                   ",".join(["1"] * MAX_COLUMNS) + ",1", ",".join(["2"] * MAX_COLUMNS) + ",1"]
+    one_error(*load("wider", cols), MAX_COLUMNS + 1)
+
+    half = MAX_COLUMNS // 2
+    assert load("a", cols[:half + 1]) == (0, "")  # C0..C50
+    assert load("b", cols[half:MAX_COLUMNS]) == (0, "")  # C50..C99: joined with a, 100 columns
+    assert load("c", cols[half:]) == (0, "")  # C50..C100: joined with a, 101
+    assert load("d", [f"D{i}" for i in range(half)]) == (0, "")  # beside a, 101
+    for query in ("(product a d)", "(join a c)"):
+        code = main(["--catalog", catalog, "query", query])
+        one_error(code, capsys.readouterr().err, MAX_COLUMNS + 1)
+    deep = "(clamp " * (MAX_DEPTH - 1) + "(join a b)" + ")" * (MAX_DEPTH - 1)
+    assert main(["--catalog", catalog, "query", deep, "--format", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ",".join(cols[:MAX_COLUMNS]) + ",#weight"
+    assert out[1:] == [",".join(["1"] * MAX_COLUMNS) + ",1", ",".join(["2"] * MAX_COLUMNS) + ",1"]
 
 
 def test_cli_rejects_non_finite_real_weights(tmp_path, capsys):
