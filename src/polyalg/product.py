@@ -2,19 +2,24 @@
 
 The evaluator works level by level on nested keyed forms, one `_level` for
 every keyed level: a free level multiplies ring coefficients, any other
-multiplies its value forms by recursing, and both add and test payloads
-through the level's `ValueOps`. At each level the factors split into those
-that restrict the support, whose baseline is None, and those that do not.
-If a restricting factor exists, their trie levels are intersected by
-`tries.walk`, which iterates the one with the fewest keys and probes the
-others by hash, so a key missing from any restricting factor is dropped
-before anything below it is visited. At each surviving key the
-non-restricting factors add their baseline to their deviation there.
+multiplies its value forms by calling `nf_product` on them, and both add
+and test payloads through the level's `ValueOps`. At each level the
+factors split into those that restrict the support, whose baseline is
+None, and those that do not. If a restricting factor exists, their trie
+levels are intersected by `tries.walk`, which iterates the one with the
+fewest keys and probes the others by hash, so a key missing from any
+restricting factor is dropped before anything below it is visited. The
+level then works a column at a time: a non-restricting factor with a trie
+is probed at every surviving key and adds its baseline to its deviation
+there; one without a trie gives its baseline at every key. A free level
+multiplies its columns left to right in factor order, so real products
+are exact, and leaves out a baseline equal to the ring's one.
+`tries.keep` returns an input level when the products equal its entries.
 Otherwise every factor carries a baseline, the baseline product is hoisted
 once, and deviations are produced at the union of the factors' explicit
 keys, since an explicit key in any factor can deviate from the baseline
-product. Partial products that come out zero prune the whole key before
-any deeper work is charged.
+product. A factor that vanishes at a key drops the key before any later
+factor is probed or any deeper work is charged.
 
 All n factors are scheduled jointly: the recursion at a key carries one
 value per factor into the next level rather than folding pairwise, which
@@ -25,6 +30,9 @@ a whole form, is that input, so unchanged levels are shared, not rebuilt.
 `naive_multiply` is the deliberately blunt alternative, full expansion by
 distributivity, kept as the differential-testing oracle.
 """
+
+from functools import partial
+from itertools import compress, repeat
 
 from . import metrics, tries
 from .normal import (
@@ -90,33 +98,9 @@ def nf_product(nfs) -> NormalForm:
         if nf.is_zero():
             return zero_nf(space)
     if isinstance(nfs[0], ScalarNF):
-        ring = space.ring
-        m = metrics.current
-        acc = nfs[0].value
-        for nf in nfs[1:]:
-            acc = ring.mul(acc, nf.value)
-            m.ring_mults += 1
-        return ScalarNF(space, acc)
+        return ScalarNF(space, _ring_product(space.ring, [nf.value for nf in nfs]))
     if isinstance(nfs[0], MapNF):  # free levels, maps, and tensors keyed by their left factor
-        if space.shape == "free":
-            ring = space.ring
-            m = metrics.current
-
-            def prod(vals):
-                acc = vals[0]
-                for v in vals[1:]:
-                    acc = ring.mul(acc, v)
-                    m.ring_mults += 1
-                return acc
-
-            sub, neg, vops = ring.sub, ring.neg, ring_vops(ring)
-        else:
-            prod, sub, neg, vops = nf_product, nf_sub, nf_neg, NF_VOPS
-        trie, base = _level([(nf.trie, nf.base) for nf in nfs], prod, sub, neg, vops)
-        for nf in nfs:
-            if nf.trie is trie and vops.same(nf.base, base):
-                return nf
-        return MapNF(space, trie, base)
+        return _level(nfs, space)
     return PairNF(
         space,
         nf_product([nf.lhs for nf in nfs]),
@@ -124,75 +108,118 @@ def nf_product(nfs) -> NormalForm:
     )
 
 
-def _level(factors, prod, sub, neg, vops):
-    """One level of the joint product. `factors` are (trie, baseline)
-    pairs, a missing baseline being None; returns the result's trie and
-    baseline. `vops` adds and tests payloads."""
+def _ring_product(ring, vals):
+    """vals[0] * vals[1] * ..., multiplied left to right."""
+    acc = vals[0]
+    for v in vals[1:]:
+        acc = ring.mul(acc, v)
+    metrics.current.ring_mults += len(vals) - 1
+    return acc
+
+
+def _level(nfs, space):
+    """One level of the joint product of the keyed forms `nfs` in `space`:
+    the product form, or the factor it equals."""
     m = metrics.current
-    n = len(factors)
+    if space.shape == "free":
+        ring = space.ring
+        vops = ring_vops(ring)
+    else:
+        ring, vops = None, NF_VOPS
     add, is_zero = vops.add, vops.is_zero
-    restricting = [i for i in range(n) if factors[i][1] is None]
-    base_out = None if restricting else prod([b for _, b in factors])
     if m.trace is not None:
         # what the trace records only: `tries.walk` picks its own level
-        tcs = [tries.count(t) for t, _ in factors]
-        counts = [tcs[i] + (0 if factors[i][1] is None else 1) for i in range(n)]
+        tcs = [tries.count(nf.trie) for nf in nfs]
+        counts = [c + (nf.base is not None) for c, nf in zip(tcs, nfs)]
+        restricting = [i for i, nf in enumerate(nfs) if nf.base is None]
         if restricting:
             enum_i = min(restricting, key=lambda i: (tcs[i], i))
         else:
-            enum_i = min(range(n), key=lambda i: (counts[i], i))
+            enum_i = min(range(len(nfs)), key=lambda i: (counts[i], i))
         m.trace.append((tuple(counts), enum_i))
 
-    if restricting:
-        others = [j for j in range(n) if j not in restricting]
-
-        def leaf(key, devs):
-            vals = [None] * n
-            for i, d in zip(restricting, devs):
-                vals[i] = d
-            for j in others:
-                tj, v = factors[j]
-                if tj is not None:
-                    d = tries.lookup(tj, key)
-                    m.lookups += 1
-                    if d is not None:
-                        v = add(v, d)
-                        if is_zero(v):
-                            return None
-                vals[j] = v
-            v = prod(vals)
-            return None if is_zero(v) else v
-
-        return tries.walk([factors[i][0] for i in restricting], leaf, vops), None
-
-    # every factor has a baseline: any explicit key anywhere can deviate
-    devs = {}
-    for j in range(n):
-        tj, _ = factors[j]
-        if tj is None:
-            continue
-        m.trie_edges += len(tj)
-        for key, d in tj.items():
-            row = devs.get(key)
-            if row is None:
-                row = devs[key] = [None] * n
-            row[j] = d
-    entries = []
-    for key, row in devs.items():
-        vals = []
-        for j in range(n):
-            bj = factors[j][1]
-            d = row[j]
-            v = bj if d is None else add(bj, d)
-            if is_zero(v):
-                dv = neg(base_out)
-                break
-            vals.append(v)
+    ts = [nf.trie for nf in nfs if nf.base is None]
+    if ts:
+        keys, cols = tries.walk(ts)
+        # a column per factor: its payloads at `keys`, or None where its
+        # baseline stands at every key
+        cols = iter(cols)
+        columns = [next(cols) if nf.base is None else None for nf in nfs]
+        for j, nf in enumerate(nfs):
+            if nf.base is None or nf.trie is None:
+                continue
+            m.lookups += len(keys)
+            m.trie_edges += len(keys)
+            bj = nf.base
+            col = [bj if d is None else add(bj, d) for d in map(nf.trie.get, keys)]
+            if any(map(is_zero, col)):
+                # a vanishing factor drops its key before any later probe
+                mask = [not is_zero(v) for v in col]
+                keys = list(compress(keys, mask))
+                columns = [c if c is None else list(compress(c, mask)) for c in columns]
+                col = list(compress(col, mask))
+            columns[j] = col
+        if ring is None:
+            outs = list(map(nf_product, zip(*[
+                repeat(nf.base) if col is None else col for nf, col in zip(nfs, columns)
+            ])))
         else:
-            dv = sub(prod(vals), base_out)
-        if not is_zero(dv):
-            entries.append((key, dv))
-    return tries.from_items(entries, vops), None if is_zero(base_out) else base_out
+            # multiply left to right, leaving out a baseline that is the unit
+            mul, one = ring.mul, ring.one
+            outs = None
+            for nf, col in zip(nfs, columns):
+                if col is None:
+                    if nf.base == one:
+                        continue
+                    col = repeat(nf.base, len(keys))
+                if outs is None:
+                    outs = col
+                else:
+                    outs = map(mul, outs, col)
+                    m.ring_mults += len(keys)
+            outs = list(outs)
+        if any(map(is_zero, outs)):
+            mask = [not is_zero(v) for v in outs]
+            keys, outs = list(compress(keys, mask)), list(compress(outs, mask))
+        trie, base = tries.keep(ts, keys, outs, vops), None
+    else:
+        # every factor has a baseline: any explicit key anywhere can deviate
+        if ring is None:
+            prod, sub, neg = nf_product, nf_sub, nf_neg
+        else:
+            prod, sub, neg = partial(_ring_product, ring), ring.sub, ring.neg
+        n = len(nfs)
+        base_out = prod([nf.base for nf in nfs])
+        devs = {}
+        for j, nf in enumerate(nfs):
+            if nf.trie is None:
+                continue
+            m.trie_edges += len(nf.trie)
+            for key, d in nf.trie.items():
+                row = devs.get(key)
+                if row is None:
+                    row = devs[key] = [None] * n
+                row[j] = d
+        entries = []
+        for key, row in devs.items():
+            vals = []
+            for nf, d in zip(nfs, row):
+                v = nf.base if d is None else add(nf.base, d)
+                if is_zero(v):
+                    dv = neg(base_out)
+                    break
+                vals.append(v)
+            else:
+                dv = sub(prod(vals), base_out)
+            if not is_zero(dv):
+                entries.append((key, dv))
+        trie = tries.from_items(entries, vops)
+        base = None if is_zero(base_out) else base_out
+    same = vops.same
+    for nf in nfs:
+        if nf.trie is trie and same(nf.base, base):
+            return nf
+    return MapNF(space, trie, base)
 
 
 # the blunt oracle -------------------------------------------------------------

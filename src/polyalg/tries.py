@@ -12,16 +12,23 @@ family's prim, to order a level: Int64, Str and Bool keys sort naturally
 `merge` adds two levels: it copies the larger in C and adds the smaller's
 entries to the copy. `from_items` is the one multi-entry builder; the
 payloads of equal keys add in balanced rounds. `items` and `expand` are
-the enumerations, `map_values` maps payloads, and `walk` intersects
-levels: it iterates the level with the fewest keys and probes the others
-by hash, so its work is bounded by the smallest input, as Generic Join
-needs for worst-case optimality. An intersection that keeps every entry
-of an input with a payload `ValueOps.same` as the input's returns that
-input level.
+the enumerations, `map_values` maps payloads, and `walk` and `keep`
+intersect levels a column at a time. `walk(ts)` returns the keys present
+in every level, listed in the order of the level with the fewest keys, and
+one column of payloads per level. It intersects with chained
+`dict.keys() &` in level order, each step iterating the smaller side in C,
+so its work is bounded by the smallest input, as Generic Join needs for
+worst-case optimality. `keep(ts, keys, outs, vops)` turns the caller's
+outputs at those keys into a level: an input level whose entries are
+`ValueOps.same` as the outputs is returned as it is, and only otherwise is
+a new level built.
 
 Counting rule: each entry iterated, built or probed costs one
-`metrics.current.trie_edges`; a probe inside `walk` is not a lookup, and
-the C copy of the larger level in `merge` is not counted.
+`metrics.current.trie_edges`. `walk` charges the smallest level's entries
+plus, for each other level, the keys still standing when it is probed;
+a probe inside `walk` is not a lookup. `keep` charges a level it builds,
+not one it returns. The C copy of the larger level in `merge` is not
+counted.
 """
 
 import operator
@@ -36,7 +43,7 @@ from .prims import Bool, Int64, Str
 class ValueOps:
     add: Callable
     is_zero: Callable
-    # whether an output payload may stand for an input's, so `walk` can
+    # whether an output payload may stand for an input's, so `keep` can
     # return the input's level; identity unless payloads compare by value
     same: Callable = operator.is_
 
@@ -136,35 +143,38 @@ def from_items(pairs, vops):
     return out or None
 
 
-def walk(ts, leaf, vops):
-    """Intersect n >= 1 levels: `leaf(key, payloads)` receives the payloads
-    of a key present in every level, in level order, and returns the output
-    payload, or None to drop the key. The level with the fewest keys (the
-    leftmost on a tie) is iterated and the others probed."""
-    if any(t is None for t in ts):
-        return None
+def walk(ts):
+    """Intersect n >= 1 levels. Returns the keys present in every level, in
+    the order of the level with the fewest keys (the leftmost on a tie),
+    and one column per level of its payloads at those keys. The smallest
+    level is iterated and each other level, in level order, is probed only
+    for the keys that survived the levels before it."""
+    if None in ts:
+        return [], [[]] * len(ts)
     small = min(ts, key=len)
-    out = {}
+    common = small.keys()
     probes = 0
-    for k in small:
-        vals = []
-        for t in ts:
-            if t is not small:
-                probes += 1
-            v = t.get(k)
-            if v is None:
-                break
-            vals.append(v)
-        else:
-            w = leaf(k, vals)
-            if w is not None:
-                out[k] = w
-    metrics.current.trie_edges += len(small) + probes + len(out)
+    for t in ts:
+        if t is not small:
+            probes += len(common)
+            common = t.keys() & common
+    metrics.current.trie_edges += len(small) + probes
+    keys = list(small) if len(common) == len(small) else list(filter(common.__contains__, small))
+    return keys, [list(map(t.__getitem__, keys)) for t in ts]
+
+
+def keep(ts, keys, outs, vops):
+    """The level holding `outs` at `keys`, which lie in every level of `ts`:
+    a level of `ts` whose entries are exactly those, by `vops.same`, is
+    returned as it is; otherwise a new level is built."""
+    if not keys:
+        return None
     same = vops.same
     for t in ts:
-        if len(t) == len(out) and all(same(w, t[k]) for k, w in out.items()):
+        if len(t) == len(keys) and all(map(same, outs, map(t.__getitem__, keys))):
             return t
-    return out or None
+    metrics.current.trie_edges += len(keys)
+    return dict(zip(keys, outs))
 
 
 def map_values(t, fn, vops):

@@ -1,5 +1,12 @@
 """The join evaluator: goldens, algebra laws, scheduling, differential checks."""
 
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,7 +47,9 @@ from polyalg import (
     wild_one,
     zero,
 )
+import polyalg
 from polyalg import tries
+from polyalg.normal import MapNF
 from polyalg.bench import bipartite_relation, run_triangle
 from polyalg.product import nf_product
 
@@ -238,6 +247,21 @@ def test_zero_prune_skips_deeper_levels():
     assert m.trie_edges < 40
 
 
+def test_vanishing_factor_drops_its_key_before_later_probes():
+    # x vanishes at 1 (baseline 1, deviation -1), so key 1 is dropped before
+    # z is probed there or anything is multiplied: 3 lookups, not 4, and 2
+    # multiplies, at key 2 only
+    y = inject(1, CI) + inject(2, CI)
+    x = wild_one(CI) - inject(1, CI)
+    z = wild_one(CI) + inject(2, CI)
+    ins = [normalize(t) for t in (y, x, z)]
+    with metrics.fresh() as m:
+        out = nf_product(ins)
+    assert enumerate_nf(out) == [((2,), 2)]
+    assert m.lookups == 3
+    assert m.ring_mults == 2
+
+
 def test_triangle_small_instances():
     grid = [(i, j) for i in (1, 2) for j in (1, 2)]
     x = pairs_rel(grid, FI, FI)
@@ -401,17 +425,22 @@ def _c_tries(nf):
     return [t for sub in subs for t in _c_tries(sub)]
 
 
-def test_triangle_reuses_input_c_tries():
-    # every (a, b) pair of the grid keeps all of a's C-trie, so the walk
-    # returns that input trie instead of building k * k equal copies
-    k = 8
+def _triangle_grid_inputs(k):
+    """The three k x k grids of the triangle, embedded into (A, B, C)."""
     x, y, z = (bipartite_relation(k) for _ in range(3))
     A, B, C = ("A", INT), ("B", INT), ("C", INT)
-    ins = [
+    return [
         normalize(embed(x, [A, B], [A, B, C])),
         normalize(embed(y, [A, C], [A, B, C])),
         normalize(embed(z, [B, C], [A, B, C])),
     ]
+
+
+def test_triangle_reuses_input_c_tries():
+    # every (a, b) pair of the grid keeps all of a's C-trie, so the walk
+    # returns that input trie instead of building k * k equal copies
+    k = 8
+    ins = _triangle_grid_inputs(k)
     out = nf_product(ins)
     assert len(enumerate_nf(out)) == k**3
     got = _c_tries(out)
@@ -419,6 +448,74 @@ def test_triangle_reuses_input_c_tries():
     assert len({id(t) for t in got}) == k
     inputs = {id(t) for nf in ins for t in _c_tries(nf)}
     assert all(id(t) in inputs for t in got)
+
+
+def test_triangle_grid_counters():
+    # at C the first relation has only its unit baseline, which is left
+    # out: one multiply per output row. Each C-level walks its two 8-key
+    # levels (16 edges) and reuses an input level, whose entries are not
+    # charged again; the A and B levels also charge their k new entries:
+    # A 16 + 8, B 8 * (16 + 8), C 64 * 16
+    k = 8
+    ins = _triangle_grid_inputs(k)
+    with metrics.fresh() as m:
+        nf_product(ins)
+    assert m.ring_mults == k**3
+    assert m.trie_edges == 1_240
+    assert m.lookups == 0
+
+
+def test_free_level_multiplies_real_columns_in_factor_order():
+    # a factor with no trie multiplies its baseline in its own place, left
+    # to right, so real products are exactly (a * 0.1) * c
+    cr = CompactFree(REAL, INT)
+    a = MapNF(cr, {i: 0.1 * i + 0.3 for i in range(1, 40)}, None)
+    c = MapNF(cr, {i: 1.7 / i for i in range(5, 60)}, None)
+    out = nf_product([a, MapNF(cr, None, 0.1), c])
+    assert out.base is None
+    common = sorted(a.trie.keys() & c.trie.keys())
+    assert sorted(out.trie) == common
+    for k in common:
+        assert out.trie[k] == (a.trie[k] * 0.1) * c.trie[k], k
+    # the check tells the orders apart
+    assert any((a.trie[k] * 0.1) * c.trie[k] != a.trie[k] * (0.1 * c.trie[k]) for k in common)
+    # a unit baseline is left out, and a product equal to an input is it
+    ones = MapNF(cr, {k: 1.0 for k in a.trie}, None)
+    with metrics.fresh() as m:
+        out = nf_product([MapNF(cr, None, 1.0), a, ones])
+    assert out.trie is a.trie
+    assert m.ring_mults == len(a.trie)
+
+
+ORDER_SCRIPT = """
+import json
+from polyalg import STRING, Z, CompactFree, tries
+from polyalg.normal import MapNF
+from polyalg.product import nf_product
+small = {w: 2 for w in %r}
+big = {w: 3 for w in %r}
+keys, _ = tries.walk([big, small])
+cs = CompactFree(Z, STRING)
+out = nf_product([MapNF(cs, big, None), MapNF(cs, small, None)])
+print(json.dumps([keys, list(out.trie)]))
+"""
+
+
+def test_walk_and_product_follow_the_smallest_levels_order():
+    # a set of str keys iterates in an order that changes with the hash
+    # seed; the walk and the product's level follow the smallest level
+    words = [f"w{i:02d}" for i in range(60)]
+    rng = random.Random(7)
+    small = rng.sample(words[:40], 25)
+    big = rng.sample(words[10:], 50)
+    want = [w for w in small if w in big]
+    root = str(Path(polyalg.__file__).resolve().parent.parent)
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=root)
+        r = subprocess.run([sys.executable, "-c", ORDER_SCRIPT % (small, big)],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [want, want], seed
 
 
 def test_reuse_keeps_exact_real_weights():

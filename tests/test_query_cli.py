@@ -488,6 +488,35 @@ def test_cli_column_bound(tmp_path, capsys):
     assert out[1:] == [",".join(["1"] * MAX_COLUMNS) + ",1", ",".join(["2"] * MAX_COLUMNS) + ",1"]
 
 
+def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
+    # a 100-column join under MAX_DEPTH - 1 clamps runs within 650 frames
+    # above the caller: the joint product recurses two frames per column
+    catalog = str(tmp_path / "c.json")
+    cols = [f"C{i}" for i in range(MAX_COLUMNS)]
+    half = MAX_COLUMNS // 2
+    for name, cs in (("a", cols[:half + 1]), ("b", cols[half:])):
+        p = tmp_path / f"{name}.csv"
+        p.write_text(",".join(cs) + "\n" + ",".join(["1"] * len(cs)) + "\n"
+                     + ",".join(["2"] * len(cs)) + "\n")
+        assert main(["--catalog", catalog, "load", str(p), "--as", name,
+                     "--schema", ",".join(f"{c}:int" for c in cs)]) == 0
+    capsys.readouterr()
+    deep = "(clamp " * (MAX_DEPTH - 1) + "(join a b)" + ")" * (MAX_DEPTH - 1)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 650)
+    try:
+        code = main(["--catalog", catalog, "query", deep, "--format", "csv"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ",".join(cols) + ",#weight"
+    assert out[1:] == [",".join(["1"] * MAX_COLUMNS) + ",1", ",".join(["2"] * MAX_COLUMNS) + ",1"]
+
+
 def test_cli_rejects_non_finite_real_weights(tmp_path, capsys):
     catalog = str(tmp_path / "c.json")
     for weight in ("nan", "inf", "-inf", "-Infinity", "1e400"):

@@ -26,6 +26,7 @@ from polyalg.tries import (
     expand,
     from_items,
     items,
+    keep,
     lookup,
     map_values,
     merge,
@@ -272,12 +273,15 @@ def walk_levels(draw):
 def test_walk_matches_dict_intersection(case):
     prim, pool, dicts = case
     ts = [build(d) for d in dicts]
-
-    def leaf(key, vals):
+    keys, cols = walk(ts)
+    assert len(cols) == len(ts)
+    products = {}
+    for k, *vals in zip(keys, *cols):
         p = 1
         for v in vals:
             p *= v
-        return None if p % 3 == 0 else p
+        if p % 3:
+            products[k] = p
 
     common = set(dicts[0]).intersection(*dicts[1:])
     want = {}
@@ -287,10 +291,10 @@ def test_walk_matches_dict_intersection(case):
             p *= d[k]
         if p % 3:
             want[k] = p
-    check_same(prim, walk(ts, leaf, VOPS), want, pool)
+    check_same(prim, keep(ts, list(products), list(products.values()), VOPS), want, pool)
     # an intersection that keeps all of the first level's entries, with its
     # payloads, returns that level itself
-    kept = walk(ts, lambda key, vals: vals[0], VOPS)
+    kept = keep(ts, keys, cols[0], VOPS)
     if dicts[0] and common == set(dicts[0]):
         assert kept is ts[0]
     else:
