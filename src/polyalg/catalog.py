@@ -69,10 +69,14 @@ def _parse_cell(text: str, prim, where: str):
 
 
 def _records(reader, path):
-    """The reader's records; a malformed file, such as one with a cell
-    longer than `csv.field_size_limit()`, fails at its line."""
+    """The reader's records, each as (the file line it starts on, its
+    cells): a quoted cell may span lines. A malformed file, such as one
+    with a cell longer than `csv.field_size_limit()`, fails at its line."""
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as e:
         raise CatalogError(f"{path}:{reader.line_num}: {e}") from None
 
@@ -86,7 +90,7 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
     with fh:
         reader = _records(csv.reader(fh), path)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise CatalogError(f"{path}: missing header row") from None
         expected = list(sch.names)
@@ -98,7 +102,7 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
                 f"{path}: header {header} does not match schema columns {expected}"
             )
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row:
                 continue
             want = len(sch) + (1 if has_weight else 0)

@@ -20,8 +20,9 @@ class Counters:
         self.lookups = 0
         self.pair_products = 0
         # trace, when enabled, records (component_counts, chosen_index) per
-        # product level for enumerator-rule assertions; on an intersecting
-        # level the index is the restricting factor that was iterated
+        # intersecting product level for enumerator-rule assertions, an
+        # all-baseline level through its summands' levels; the index is the
+        # restricting factor that was iterated
         self.trace = [] if trace else None
 
     def snapshot(self):

@@ -15,11 +15,13 @@ there; one without a trie gives its baseline at every key. A free level
 multiplies its columns left to right in factor order, so real products
 are exact, and leaves out a baseline equal to the ring's one.
 `tries.keep` returns an input level when the products equal its entries.
-Otherwise every factor carries a baseline, the baseline product is hoisted
-once, and deviations are produced at the union of the factors' explicit
-keys, since an explicit key in any factor can deviate from the baseline
-product. A factor that vanishes at a key drops the key before any later
-factor is probed or any deeper work is charged.
+A factor that vanishes at a key drops the key before any later factor is
+probed or any deeper work is charged. A level where every factor carries
+a baseline is written with x_j = b_j + d_j, its baseline and its
+deviations, as b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n: the
+baselines' product is the output's baseline, and each summand is a level
+restricted by d_j, intersected as above, so only the factors' explicit
+keys and what lies below them are visited.
 
 All n factors are scheduled jointly: the recursion at a key carries one
 value per factor into the next level rather than folding pairwise, which
@@ -31,7 +33,6 @@ a whole form, is that input, so unchanged levels are shared, not rebuilt.
 distributivity, kept as the differential-testing oracle.
 """
 
-from functools import partial
 from itertools import compress, repeat
 
 from . import metrics, tries
@@ -43,8 +44,6 @@ from .normal import (
     ScalarNF,
     force_product,
     map_payloads,
-    nf_neg,
-    nf_sub,
     nf_tensor,
     normalize,
     readback,
@@ -119,7 +118,11 @@ def _ring_product(ring, vals):
 
 def _level(nfs, space):
     """One level of the joint product of the keyed forms `nfs` in `space`:
-    the product form, or the factor it equals."""
+    the product form, or the factor it equals. A free level multiplies its
+    columns left to right in factor order; an all-baseline level adds its
+    summands' levels in factor order, the summand of d_1 first, so a real
+    deviation is a sum of those products, never a product less the
+    baselines' product."""
     m = metrics.current
     if space.shape == "free":
         ring = space.ring
@@ -127,19 +130,28 @@ def _level(nfs, space):
     else:
         ring, vops = None, NF_VOPS
     add, is_zero = vops.add, vops.is_zero
-    if m.trace is not None:
-        # what the trace records only: `tries.walk` picks its own level
-        tcs = [tries.count(nf.trie) for nf in nfs]
-        counts = [c + (nf.base is not None) for c, nf in zip(tcs, nfs)]
-        restricting = [i for i, nf in enumerate(nfs) if nf.base is None]
-        if restricting:
-            enum_i = min(restricting, key=lambda i: (tcs[i], i))
-        else:
-            enum_i = min(range(len(nfs)), key=lambda i: (counts[i], i))
-        m.trace.append((tuple(counts), enum_i))
-
     ts = [nf.trie for nf in nfs if nf.base is None]
-    if ts:
+    if not ts:
+        # every factor is its baseline plus its deviations, x_j = b_j + d_j:
+        # x_1⋯x_n = b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n, and each
+        # summand is restricted by d_j, so only d_j's keys are visited
+        bs = [nf.base for nf in nfs]
+        bases = [MapNF(space, None, b) for b in bs]
+        trie = None
+        for j, nf in enumerate(nfs):
+            if nf.trie is not None:
+                part = _level([*nfs[:j], MapNF(space, nf.trie, None), *bases[j + 1:]], space)
+                trie = tries.merge(trie, part.trie, vops)
+        base = nf_product(bs) if ring is None else _ring_product(ring, bs)
+        if is_zero(base):
+            base = None
+    else:
+        if m.trace is not None:
+            # what the trace records only: `tries.walk` picks its own level
+            tcs = [tries.count(nf.trie) for nf in nfs]
+            restricting = [i for i, nf in enumerate(nfs) if nf.base is None]
+            enum_i = min(restricting, key=lambda i: (tcs[i], i))
+            m.trace.append((tuple(c + (nf.base is not None) for c, nf in zip(tcs, nfs)), enum_i))
         keys, cols = tries.walk(ts)
         # a column per factor: its payloads at `keys`, or None where its
         # baseline stands at every key
@@ -182,39 +194,6 @@ def _level(nfs, space):
             mask = [not is_zero(v) for v in outs]
             keys, outs = list(compress(keys, mask)), list(compress(outs, mask))
         trie, base = tries.keep(ts, keys, outs, vops), None
-    else:
-        # every factor has a baseline: any explicit key anywhere can deviate
-        if ring is None:
-            prod, sub, neg = nf_product, nf_sub, nf_neg
-        else:
-            prod, sub, neg = partial(_ring_product, ring), ring.sub, ring.neg
-        n = len(nfs)
-        base_out = prod([nf.base for nf in nfs])
-        devs = {}
-        for j, nf in enumerate(nfs):
-            if nf.trie is None:
-                continue
-            m.trie_edges += len(nf.trie)
-            for key, d in nf.trie.items():
-                row = devs.get(key)
-                if row is None:
-                    row = devs[key] = [None] * n
-                row[j] = d
-        entries = []
-        for key, row in devs.items():
-            vals = []
-            for nf, d in zip(nfs, row):
-                v = nf.base if d is None else add(nf.base, d)
-                if is_zero(v):
-                    dv = neg(base_out)
-                    break
-                vals.append(v)
-            else:
-                dv = sub(prod(vals), base_out)
-            if not is_zero(dv):
-                entries.append((key, dv))
-        trie = tries.from_items(entries, vops)
-        base = None if is_zero(base_out) else base_out
     same = vops.same
     for nf in nfs:
         if nf.trie is trie and same(nf.base, base):

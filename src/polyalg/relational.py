@@ -270,13 +270,15 @@ def select(r: Relation, pred) -> Relation:
 
 
 def _kept_rows(r: Relation, keep, what: str) -> Relation:
-    """`r`'s rows for which `keep(row, coefficient)` holds; rows with a
-    wildcard have no finite filter."""
+    """`r`'s rows for which `keep(row, coefficient)` holds, built into its
+    chain as `_rebuilt` builds, since rows read from a relation are checked
+    already; rows with a wildcard have no finite filter."""
     try:
         rows = enumerate_nf(r.nf(), allow_baseline=False)
     except InfiniteSupport:
         raise RelationError(f"cannot {what} a relation with wildcard rows") from None
-    return relation_from_rows(r.schema, r.ring, [(row, c) for row, c in rows if keep(row, c)])
+    kept = [(row, c) for row, c in rows if keep(row, c)]
+    return Relation(r.schema, r.ring, nf=_rows_nf(r.schema.chain(r.ring), kept, 0))
 
 
 def _select_level(nf, pos, keep, col):

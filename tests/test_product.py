@@ -217,8 +217,9 @@ def test_enumerator_picks_fewest_components():
     assert _traced_levels([wild_one(CI), x]) == [((1, 2), 1)]
     a = inject(1, CI) + inject(2, CI) + inject(3, CI)
     assert _traced_levels([a, x]) == [((3, 2), 1)]
-    # all-baseline products record the global minimum
-    assert _traced_levels([wild_one(CI) + inject(1, CI), wild_one(CI)]) == [((2, 1), 1)]
+    # an all-baseline product is a sum of restricted products, one per
+    # factor with deviations, each traced as its own intersecting level
+    assert _traced_levels([wild_one(CI) + inject(1, CI), wild_one(CI)]) == [((1, 1), 0)]
     # string levels alike: iterate a restricting factor and probe the others
     x = strs(["a", "b"], CS)
     y = wild_one(CS)
@@ -227,7 +228,7 @@ def test_enumerator_picks_fewest_components():
     # among restricting factors, the smaller one wins; ties go left
     assert _traced_levels([strs(["a", "b", "c"], CS), x]) == [((3, 2), 1)]
     assert _traced_levels([x, strs(["b", "c"], CS)]) == [((2, 2), 0)]
-    assert _traced_levels([wild_one(CS) + inject("a", CS), wild_one(CS)]) == [((2, 1), 1)]
+    assert _traced_levels([wild_one(CS) + inject("a", CS), wild_one(CS)]) == [((1, 1), 0)]
 
 
 def test_zero_prune_skips_deeper_levels():
@@ -365,6 +366,61 @@ def test_random_two_way_join_edges_grow_near_linearly():
 
     slope = fit_slope([(n, edges(n)) for n in (125, 250, 500, 1000)])
     assert slope <= 1.3, f"edge slope {slope:.3f}"
+
+
+def test_all_baseline_product_cost_follows_its_deviations():
+    # in a full outer join every factor carries a baseline at every level;
+    # the product visits only the factors' deviations, so each doubling of
+    # the input at most about doubles the trie edges, in rows and in columns
+    from polyalg import INT, outer_join, relation_from_rows, schema
+
+    def edges(r, s, want):
+        with metrics.fresh() as m:
+            got = dict(outer_join("full", r, s).rows())
+        assert got == want
+        return m.trie_edges
+
+    def wide(k):
+        # (r + 1)(s + 1): each of r's rows, or all wildcards, beside each of s's
+        r = relation_from_rows(schema(*[(f"a{i}", INT) for i in range(k)]), Z,
+                               [((0,) * k, 1), ((1,) * k, 1)])
+        s = relation_from_rows(schema(*[(f"b{i}", INT) for i in range(k)]), Z,
+                               [((0,) * k, 1), ((1,) * k, 1)])
+        sides = [(STAR,) * k, (0,) * k, (1,) * k]
+        return edges(r, s, {a + b: 1 for a in sides for b in sides})
+
+    def rows(n):
+        rng = random.Random(n)
+        ab = [(rng.randrange(n), rng.randrange(n // 10)) for _ in range(n)]
+        bc = [(rng.randrange(n // 10), rng.randrange(n)) for _ in range(n)]
+        r = relation_from_rows(schema(("A", INT), ("B", INT)), Z, [(t, 1) for t in ab])
+        s = relation_from_rows(schema(("B", INT), ("C", INT)), Z, [(t, 1) for t in bc])
+        want = {(STAR, STAR, STAR): 1}
+        for a, b in ab:
+            want[(a, b, STAR)] = want.get((a, b, STAR), 0) + 1
+            for b2, c in bc:
+                if b == b2:
+                    want[(a, b, c)] = want.get((a, b, c), 0) + 1
+        for b, c in bc:
+            want[(STAR, b, c)] = want.get((STAR, b, c), 0) + 1
+        return edges(r, s, want)
+
+    for cost in (wide, rows):
+        sizes = (10, 20, 40) if cost is wide else (100, 200, 400)
+        counts = [cost(n) for n in sizes]
+        for small, big in zip(counts, counts[1:]):
+            assert big <= 2.2 * small, (cost.__name__, counts)
+
+
+def test_all_baseline_real_product_keeps_small_deviations():
+    # the deviation at key 1 is 1e-3 times y's unit baseline, not the
+    # difference of two products near 1e8, which loses its low digits
+    sp = CompactFree(REAL, INT)
+    x = MapNF(sp, {1: 1e-3}, 1e8)
+    y = MapNF(sp, {2: 5.0}, 1.0)
+    out = nf_product([x, y])
+    assert out.base == 1e8
+    assert out.trie == {1: 1e-3, 2: 5e8}
 
 
 # keys anywhere in int64, at both ends, and in runs sharing 61 high bits

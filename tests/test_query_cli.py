@@ -426,6 +426,10 @@ def test_csv_cell_past_the_field_size_limit(tmp_path, capsys):
     ("A,B\na,-9223372036854775809\n", "A:str,B:int", ":2:2: '-9223372036854775809' is out"),
     ("", "A:str,B:int", ": missing header row"),
     ("A,B\na,1\nb\n", "A:str,B:int", ":3: expected 2 cells, got 1"),
+    # a record is cited at the file line it starts on, past a quoted cell
+    # that spans two lines and past a blank line
+    ('A,B\n1,"x\ny"\nzz,w\n', "A:int,B:str", ":4:1: 'zz' is not an integer"),
+    ('A,B\n1,"x\ny"\n\n2\n', "A:int,B:str", ":5: expected 2 cells, got 1"),
     ("A,B\na,1\n", "A:str,B", "bad schema column 'B'; expected name:type"),
     ("A,B\na,1\n", " , ", "empty schema"),
 ])
@@ -490,7 +494,8 @@ def test_cli_column_bound(tmp_path, capsys):
 
 def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
     # a 100-column join under MAX_DEPTH - 1 clamps runs within 650 frames
-    # above the caller: the joint product recurses two frames per column
+    # above the caller: the joint product recurses two frames per column,
+    # three at a level where every factor carries a baseline
     catalog = str(tmp_path / "c.json")
     cols = [f"C{i}" for i in range(MAX_COLUMNS)]
     half = MAX_COLUMNS // 2
@@ -515,6 +520,21 @@ def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ",".join(cols) + ",#weight"
     assert out[1:] == [",".join(["1"] * MAX_COLUMNS) + ",1", ",".join(["2"] * MAX_COLUMNS) + ",1"]
+    # the same columns as a full outer join, whose every level carries a
+    # baseline; `clamp` refuses wildcard rows, so nest it under `map`
+    deep = "(map abs C0 " * (MAX_DEPTH - 1) + "(outer full a b)" + ")" * (MAX_DEPTH - 1)
+    sys.setrecursionlimit(depth + 650)
+    try:
+        code = main(["--catalog", catalog, "query", deep, "--format", "csv"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    out = capsys.readouterr().out.splitlines()
+    star, one, two = ["*"], ["1"], ["2"]
+    padded = [star * MAX_COLUMNS, star * half + one * half, star * half + two * half,
+              one * (half + 1) + star * (half - 1), one * MAX_COLUMNS,
+              two * (half + 1) + star * (half - 1), two * MAX_COLUMNS]
+    assert out[1:] == [",".join(row) + ",1" for row in padded]
 
 
 def test_cli_rejects_non_finite_real_weights(tmp_path, capsys):
