@@ -7,7 +7,6 @@ trie-backed canonical forms; intersections and joins are evaluated by a
 jointly scheduled product that is worst-case optimal on cyclic joins.
 """
 
-from .isos import ISOS, iso
 from .metrics import Counters, fresh
 from .normal import (
     STAR,
@@ -113,3 +112,13 @@ from .terms import (
     wild_one,
     zero,
 )
+
+
+def __getattr__(name):
+    # the isomorphism catalogue is imported on first use: no command of the
+    # CLI runs it, so a `polyalg` process does not compile it
+    if name in ("ISOS", "iso"):
+        from . import isos
+
+        return getattr(isos, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

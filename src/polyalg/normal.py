@@ -150,7 +150,7 @@ class PairNF(NormalForm):
         return self.lhs.is_zero() and self.rhs.is_zero()
 
 
-NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=lambda n: n.is_zero())
+NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=operator.methodcaller("is_zero"))
 
 
 def payload_ops(space: Space) -> ValueOps:

@@ -1,24 +1,35 @@
 """Products of collections: intersections and joins.
 
-The evaluator works level by level on nested keyed forms, one `_level` for
-every keyed level: a free level multiplies ring coefficients, any other
-multiplies its value forms by calling `nf_product` on them, and both add
-and test payloads through the level's `ValueOps`. At each level the
-factors split into those that restrict the support, whose baseline is
-None, and those that do not. If a restricting factor exists, their trie
-levels are intersected by `tries.walk`, which iterates the one with the
-fewest keys and probes the others by hash, so a key missing from any
-restricting factor is dropped before anything below it is visited. The
-level then works a column at a time: a non-restricting factor with a trie
-is probed at every surviving key and adds its baseline to its deviation
-there; one without a trie gives its baseline at every key. A free level
-multiplies its columns left to right in factor order, so real products
-are exact, and leaves out a baseline equal to the ring's one.
-`tries.keep` returns an input level when the products equal its entries.
-A factor that vanishes at a key drops the key before any later factor is
-probed or any deeper work is charged. A level where every factor carries
-a baseline is written with x_j = b_j + d_j, its baseline and its
-deviations, as b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n: the
+A join is one joint product of positioned factors: each input's own
+canonical form together with the positions of its attributes in the
+output's compact chain (`nf_join`). The paper's algebraic join multiplies
+each input where its attributes appear and matches everything elsewhere,
+so no input is rewritten into the output's chain first. At an output
+level, a factor whose next attribute is that level gives its trie and its
+baseline; a factor that lacks the level is trie-less, its baseline at
+every key the factor itself, passed down unchanged; and a factor whose
+attributes have all been read is trie-less, its baseline its coefficient.
+A same-space product (`nf_product`: intersections, outer joins, symbolic
+products) is the case where every factor holds every level, dispatched
+on the form so that pairs and scalars split or multiply first.
+
+The evaluator works level by level, one `_level` for every keyed level: a
+free level multiplies ring coefficients, any other multiplies the factor
+values below each key. At each level the factors split into those that
+restrict the support, whose baseline is None, and those that do not. If a
+restricting factor exists, their trie levels are intersected by
+`tries.walk`, which iterates the one with the fewest keys and probes the
+others by hash, so a key missing from any restricting factor is dropped
+before anything below it is visited. The level then works a column at a
+time: a non-restricting factor with a trie is probed at every surviving
+key and adds its baseline to its deviation there; one without a trie
+gives its baseline at every key. A free level multiplies its columns left
+to right in factor order, the coefficients of ended factors each in its
+own place, so real products are exact, and leaves out a baseline equal to
+the ring's one. A factor that vanishes at a key drops the key before any
+later factor is probed or any deeper work is charged. A level where every
+factor carries a baseline is written with x_j = b_j + d_j, its baseline
+and its deviations, as b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n: the
 baselines' product is the output's baseline, and each summand is a level
 restricted by d_j, intersected as above, so only the factors' explicit
 keys and what lies below them are visited.
@@ -26,9 +37,15 @@ keys and what lies below them are visited.
 All n factors are scheduled jointly: the recursion at a key carries one
 value per factor into the next level rather than folding pairwise, which
 is what makes the evaluation worst-case optimal on cyclic joins such as
-the triangle. An output that equals one of the inputs, in a trie level or
-a whole form, is that input, so unchanged levels are shared, not rebuilt.
+the triangle. An output that equals one of the inputs is that input, so
+unchanged levels are shared, not rebuilt: `tries.keep` returns an input's
+trie level, a level whose trie and baseline are an input form's is that
+form when its space is the output level's, and below a key where every
+factor but one has ended with the coefficient one, the remaining factor's
+form is the output's when its space is.
 
+`embed` widens a form into a larger compact chain, filling the attributes
+it lacks with wildcard levels, for the unit padding of outer joins.
 `naive_multiply` is the deliberately blunt alternative, full expansion by
 distributivity, kept as the differential-testing oracle.
 """
@@ -46,12 +63,13 @@ from .normal import (
     map_payloads,
     nf_tensor,
     normalize,
+    payload_ops,
     readback,
     ring_vops,
     unit_nf,
     zero_nf,
 )
-from .spaces import SpaceError, chain_prims, tensor_chain
+from .spaces import SpaceError, chain_factors, chain_prims, tensor_chain
 from .terms import (
     GenTerm,
     InjGen,
@@ -99,12 +117,33 @@ def nf_product(nfs) -> NormalForm:
     if isinstance(nfs[0], ScalarNF):
         return ScalarNF(space, _ring_product(space.ring, [nf.value for nf in nfs]))
     if isinstance(nfs[0], MapNF):  # free levels, maps, and tensors keyed by their left factor
-        return _level(nfs, space)
+        return _level(nfs, space, None)
     return PairNF(
         space,
         nf_product([nf.lhs for nf in nfs]),
         nf_product([nf.rhs for nf in nfs]),
     )
+
+
+def nf_join(factors, space) -> NormalForm:
+    """Joint product in the compact chain `space` of positioned factors:
+    (form, positions) pairs, each form in a chain of the column types of
+    `space` at `positions`, its output levels in increasing order. Each
+    form is read in its own chain; nothing is embedded."""
+    factors = list(factors)
+    xs = [x for x, _ in factors]
+    for x in xs:
+        if x.is_zero():
+            return zero_nf(space)
+    if len(xs) == 1 and xs[0].space is space:
+        return xs[0]
+    # one (here, live, below) plan per output level, built from the last
+    plan = None
+    for i in reversed(range(len(chain_factors(space)))):
+        here = tuple(i in pos for _, pos in factors)
+        live = [j for j, (_, pos) in enumerate(factors) if pos[-1] >= i]
+        plan = (here, live[0] if len(live) == 1 else None, plan)
+    return _level(xs, space, plan)
 
 
 def _ring_product(ring, vals):
@@ -116,74 +155,107 @@ def _ring_product(ring, vals):
     return acc
 
 
-def _level(nfs, space):
-    """One level of the joint product of the keyed forms `nfs` in `space`:
-    the product form, or the factor it equals. A free level multiplies its
-    columns left to right in factor order; an all-baseline level adds its
-    summands' levels in factor order, the summand of d_1 first, so a real
-    deviation is a sum of those products, never a product less the
-    baselines' product."""
+def _level(xs, space, plan, ts=None, bs=None):
+    """One level of the joint product of `xs` in `space`: the product form,
+    or the input form it equals, which needs that form's space to be
+    `space`. With `plan` None every factor is a keyed form in `space`.
+    Otherwise `plan` is (here, live, below): `here` flags the factors whose
+    next attribute is this level, and every other factor is its own
+    baseline at every key, a form passed down unchanged or, past its last
+    attribute, its coefficient; `below` is the next level's plan, and
+    `live`, when there is one, the one factor with attributes at this
+    level or after it. `ts` and `bs` override the factors' tries and
+    baselines, for the summands of an all-baseline level.
+
+    A free level multiplies its columns left to right in factor order; an
+    all-baseline level adds its summands' levels in factor order, the
+    summand of d_1 first, so a real deviation is a sum of those products,
+    never a product less the baselines' product."""
     m = metrics.current
+    here = None if plan is None else plan[0]
+    if ts is None:
+        # plain loops: a comprehension costs a call per use, and a level
+        # has few factors
+        ts, bs = [], []
+        for x, h in zip(xs, here or repeat(True)):
+            ts.append(x.trie if h else None)
+            bs.append(x.base if h else x)
     if space.shape == "free":
         ring = space.ring
         vops = ring_vops(ring)
     else:
         ring, vops = None, NF_VOPS
-    add, is_zero = vops.add, vops.is_zero
-    ts = [nf.trie for nf in nfs if nf.base is None]
-    if not ts:
+    is_zero = vops.is_zero
+    restricting, probed = [], False
+    for t, b in zip(ts, bs):
+        if b is None:
+            restricting.append(t)
+        elif t is not None:
+            probed = True
+    if not restricting:
         # every factor is its baseline plus its deviations, x_j = b_j + d_j:
         # x_1⋯x_n = b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n, and each
         # summand is restricted by d_j, so only d_j's keys are visited
-        bs = [nf.base for nf in nfs]
-        bases = [MapNF(space, None, b) for b in bs]
         trie = None
-        for j, nf in enumerate(nfs):
-            if nf.trie is not None:
-                part = _level([*nfs[:j], MapNF(space, nf.trie, None), *bases[j + 1:]], space)
+        for j, t in enumerate(ts):
+            if t is not None:
+                part = _level(xs, space, plan, [*ts[:j], t, *[None] * (len(ts) - j - 1)],
+                              [*bs[:j], None, *bs[j + 1:]])
                 trie = tries.merge(trie, part.trie, vops)
-        base = nf_product(bs) if ring is None else _ring_product(ring, bs)
+        if ring is not None:
+            base = _ring_product(ring, bs)
+        elif plan is None:
+            base = nf_product(bs)
+        else:
+            base = _below([bs], space.value, plan[2])[0]
         if is_zero(base):
             base = None
     else:
         if m.trace is not None:
             # what the trace records only: `tries.walk` picks its own level
-            tcs = [tries.count(nf.trie) for nf in nfs]
-            restricting = [i for i, nf in enumerate(nfs) if nf.base is None]
-            enum_i = min(restricting, key=lambda i: (tcs[i], i))
-            m.trace.append((tuple(c + (nf.base is not None) for c, nf in zip(tcs, nfs)), enum_i))
-        keys, cols = tries.walk(ts)
+            tcs = [tries.count(t) for t in ts]
+            enum_i = min((i for i, b in enumerate(bs) if b is None), key=lambda i: (tcs[i], i))
+            m.trace.append((tuple(c + (b is not None) for c, b in zip(tcs, bs)), enum_i))
+        keys, cols = tries.walk(restricting)
         # a column per factor: its payloads at `keys`, or None where its
         # baseline stands at every key
         cols = iter(cols)
-        columns = [next(cols) if nf.base is None else None for nf in nfs]
-        for j, nf in enumerate(nfs):
-            if nf.base is None or nf.trie is None:
+        columns = []
+        for b in bs:
+            columns.append(next(cols) if b is None else None)
+        for j, (t, bj) in enumerate(zip(ts, bs) if probed else ()):
+            if bj is None or t is None:
                 continue
             m.lookups += len(keys)
             m.trie_edges += len(keys)
-            bj = nf.base
-            col = [bj if d is None else add(bj, d) for d in map(nf.trie.get, keys)]
-            if any(map(is_zero, col)):
+            # at its last attribute a factor's payloads are coefficients,
+            # whatever the level's
+            ops = vops if here is None else payload_ops(xs[j].space)
+            col = [bj if d is None else ops.add(bj, d) for d in map(t.get, keys)]
+            if any(map(ops.is_zero, col)):
                 # a vanishing factor drops its key before any later probe
-                mask = [not is_zero(v) for v in col]
+                mask = [not ops.is_zero(v) for v in col]
                 keys = list(compress(keys, mask))
                 columns = [c if c is None else list(compress(c, mask)) for c in columns]
                 col = list(compress(col, mask))
             columns[j] = col
         if ring is None:
-            outs = list(map(nf_product, zip(*[
-                repeat(nf.base) if col is None else col for nf, col in zip(nfs, columns)
-            ])))
+            for j, col in enumerate(columns):
+                if col is None:
+                    columns[j] = repeat(bs[j])
+            if plan is None:
+                outs = list(map(nf_product, zip(*columns)))
+            else:
+                outs = _below(zip(*columns), space.value, plan[2])
         else:
             # multiply left to right, leaving out a baseline that is the unit
             mul, one = ring.mul, ring.one
             outs = None
-            for nf, col in zip(nfs, columns):
+            for b, col in zip(bs, columns):
                 if col is None:
-                    if nf.base == one:
+                    if b == one:
                         continue
-                    col = repeat(nf.base, len(keys))
+                    col = repeat(b, len(keys))
                 if outs is None:
                     outs = col
                 else:
@@ -193,12 +265,31 @@ def _level(nfs, space):
         if any(map(is_zero, outs)):
             mask = [not is_zero(v) for v in outs]
             keys, outs = list(compress(keys, mask)), list(compress(outs, mask))
-        trie, base = tries.keep(ts, keys, outs, vops), None
+        trie, base = tries.keep(restricting, keys, outs, vops), None
     same = vops.same
-    for nf in nfs:
-        if nf.trie is trie and same(nf.base, base):
-            return nf
+    for j, x in enumerate(xs):
+        if (here is None or here[j] and x.space is space) \
+                and x.trie is trie and same(x.base, base):
+            return x
     return MapNF(space, trie, base)
+
+
+def _below(rows, space, plan):
+    """The products in `space` of the rows of factor values under a
+    level's keys, each by `plan`. A row whose one live factor is already
+    in `space`, every other factor being a coefficient equal to the unit,
+    is that factor."""
+    live = plan[1]
+    one = space.ring.one
+    outs = []
+    for row in rows:
+        # every factor but the live one is a coefficient, and no form
+        # equals the unit
+        if live is not None and row[live].space is space and row.count(one) == len(row) - 1:
+            outs.append(row[live])
+        else:
+            outs.append(_level(row, space, plan))
+    return outs
 
 
 # the blunt oracle -------------------------------------------------------------
@@ -314,15 +405,12 @@ def _embed(nf, src, tgt, out):
 
 
 def triangle(x: Term, y: Term, z: Term) -> NormalForm:
-    """Cyclic three-way join over attributes (A, B), (A, C), (B, C)."""
+    """Cyclic three-way join over attributes (A, B), (A, C), (B, C): each
+    input a positioned factor of the compact chain over (A, B, C)."""
     pa, pb = chain_prims(x.space)
     pa2, pc = chain_prims(y.space)
     pb2, pc2 = chain_prims(z.space)
     if pa != pa2 or pb != pb2 or pc != pc2:
         raise SpaceError("triangle inputs do not share attribute types")
-    tgt = [("A", pa), ("B", pb), ("C", pc)]
-    return nf_product([
-        embed(normalize(x), [("A", pa), ("B", pb)], tgt),
-        embed(normalize(y), [("A", pa), ("C", pc)], tgt),
-        embed(normalize(z), [("B", pb), ("C", pc)], tgt),
-    ])
+    out = tensor_chain(x.space.ring, [pa, pb, pc], compact=True)
+    return nf_join([(normalize(x), (0, 1)), (normalize(y), (0, 2)), (normalize(z), (1, 2))], out)

@@ -349,27 +349,39 @@ def _join_target(rs):
     return Schema(tuple(cols))
 
 
-def _embedded(rs, target: Schema):
-    """Each input's form, renamed into the target's attribute order and
-    embedded into its compact chain."""
+def _positioned(rs, target: Schema):
+    """Each input with its attributes' positions in the target, renamed
+    first if its columns are out of the target's order."""
     out = []
     for r in rs:
         order = [n for n in target.names if n in r.schema.names]
         if order != r.schema.names:
             r = rename(r, [r.schema.position(n) for n in order])
-        out.append(product.embed(r.nf(), list(r.schema.columns), list(target.columns)))
+        out.append((r, [target.position(n) for n in order]))
     return out
 
 
+def _embedded(rs, target: Schema):
+    """Each input's form embedded into the compact chain of the target,
+    wildcard levels filling the attributes it lacks, for the unit padding
+    of an outer join."""
+    return [product.embed(r.nf(), list(r.schema.columns), list(target.columns))
+            for r, _ in _positioned(rs, target)]
+
+
 def natural_join(rs) -> Relation:
-    """Shared attributes are matched by name; inputs are renamed into the
-    first-appearance order, embedded into the output schema's chain, and
-    multiplied jointly."""
+    """Shared attributes are matched by name. The inputs are multiplied
+    jointly as positioned factors: each input's own form, renamed into
+    first-appearance order if it is out of it, with its attributes'
+    positions in the output schema. A factor passes unchanged through the
+    levels it lacks, so no input is embedded into the output's chain."""
     rs = list(rs)
     if not rs:
         raise RelationError("join needs at least one input")
     target = _join_target(rs)
-    return Relation(target, rs[0].ring, nf=product.nf_product(_embedded(rs, target)))
+    ring = rs[0].ring
+    factors = [(r.nf(), pos) for r, pos in _positioned(rs, target)]
+    return Relation(target, ring, nf=product.nf_join(factors, target.chain(ring)))
 
 
 def outer_join(kind: str, r: Relation, s: Relation) -> Relation:

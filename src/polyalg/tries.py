@@ -159,7 +159,12 @@ def walk(ts):
             probes += len(common)
             common = t.keys() & common
     metrics.current.trie_edges += len(small) + probes
-    keys = list(small) if len(common) == len(small) else list(filter(common.__contains__, small))
+    if len(common) == len(small):
+        # every key of the smallest level survives: its column is its values
+        keys = list(small)
+        return keys, [list(small.values()) if t is small else list(map(t.__getitem__, keys))
+                      for t in ts]
+    keys = list(filter(common.__contains__, small))
     return keys, [list(map(t.__getitem__, keys)) for t in ts]
 
 

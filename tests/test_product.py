@@ -51,7 +51,7 @@ import polyalg
 from polyalg import tries
 from polyalg.normal import MapNF
 from polyalg.bench import bipartite_relation, run_triangle
-from polyalg.product import nf_product
+from polyalg.product import nf_join, nf_product
 
 from conftest import rand_term
 from test_oracles import _pointwise_product, expand
@@ -290,6 +290,35 @@ def test_triangle_small_instances():
 
     empty = triangle(pairs_rel([(1, 1)], FI, FI), zero(Tensor(FI, FI)), z)
     assert empty.is_zero()
+
+
+def _levels_fit(nf):
+    """Whether every sub-form of a baseline-free chain form lives in its
+    own level's space."""
+    level = [nf]
+    while isinstance(level[0].space, Tensor):
+        value = level[0].space.rhs
+        level = [v for x in level for v in x.trie.values()]
+        if not all(v.space is value for v in level):
+            return False
+    return True
+
+
+def test_joins_of_plain_chains_live_in_the_compact_chain():
+    # the inputs' last levels are plain F[int] forms, the output's compact,
+    # so no input form may stand as a sub-form of the output, only its trie
+    grid = [(i, j) for i in (1, 2) for j in (1, 2)]
+    out = triangle(*(pairs_rel(grid, FI, FI) for _ in range(3)))
+    assert out.space is tensor_chain(Z, [INT] * 3, compact=True)
+    assert _levels_fit(out)
+    assert len(enumerate_nf(out)) == 8
+    # a factor that ends before the last level leaves the other one alone
+    # below it, still in its plain space
+    x = normalize(sum_terms(FI, [inject(1, FI), inject(2, FI)]))
+    out = nf_join([(x, (0,)), (normalize(pairs_rel(grid, FI, FI)), (0, 1))],
+                  tensor_chain(Z, [INT] * 2, compact=True))
+    assert _levels_fit(out)
+    assert [k for k, _ in enumerate_nf(out)] == grid
 
 
 def test_multiplicities_multiply_through_joins():
@@ -547,7 +576,7 @@ ORDER_SCRIPT = """
 import json
 from polyalg import STRING, Z, CompactFree, tries
 from polyalg.normal import MapNF
-from polyalg.product import nf_product
+from polyalg.product import nf_join, nf_product
 small = {w: 2 for w in %r}
 big = {w: 3 for w in %r}
 keys, _ = tries.walk([big, small])

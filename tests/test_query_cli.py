@@ -535,6 +535,32 @@ def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
               one * (half + 1) + star * (half - 1), one * MAX_COLUMNS,
               two * (half + 1) + star * (half - 1), two * MAX_COLUMNS]
     assert out[1:] == [",".join(row) + ",1" for row in padded]
+    # two 50-column inputs that interleave their attributes, the even and
+    # the odd columns: joined alone, the first's columns lead the output, so
+    # the second passes unchanged through 50 levels; joined after all 100
+    # columns, every level has one of the two absent
+    for name, cs in (("c", cols[0::2]), ("d", cols[1::2]), ("e", cols)):
+        p = tmp_path / f"{name}.csv"
+        p.write_text(",".join(cs) + "\n" + ",".join(["1"] * len(cs)) + "\n"
+                     + ",".join(["2"] * len(cs)) + "\n")
+        assert main(["--catalog", catalog, "load", str(p), "--as", name,
+                     "--schema", ",".join(f"{c}:int" for c in cs)]) == 0
+    capsys.readouterr()
+    for join, names, rows in (
+            ("(join c d)", cols[0::2] + cols[1::2],
+             [one * half + one * half, one * half + two * half,
+              two * half + one * half, two * half + two * half]),
+            ("(join e c d)", cols, [one * MAX_COLUMNS, two * MAX_COLUMNS])):
+        deep = "(clamp " * (MAX_DEPTH - 1) + join + ")" * (MAX_DEPTH - 1)
+        sys.setrecursionlimit(depth + 650)
+        try:
+            code = main(["--catalog", catalog, "query", deep, "--format", "csv"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0, join
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == ",".join(names) + ",#weight"
+        assert out[1:] == [",".join(row) + ",1" for row in rows]
 
 
 def test_cli_rejects_non_finite_real_weights(tmp_path, capsys):

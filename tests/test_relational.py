@@ -764,14 +764,6 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
         for name in ("normalize", "readback", "strip_compact"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
-    embedded = []
-
-    def spy_embedded(rs, target):
-        embedded.append(embed_all(rs, target))
-        return embedded[-1]
-
-    embed_all = relational._embedded
-    monkeypatch.setattr(relational, "_embedded", spy_embedded)
     x = rel(AB, X3)
     y = rel([("B", INT), ("C", STRING)], Y3)
     z = rel([("A", STRING), ("C", STRING)], [("b", "p"), ("c", "z")])
@@ -788,9 +780,10 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
     with pytest.raises(RelationError):
         select(left, Compare("=", "C", "p"))
     assert calls == []
-    # y's attributes (B, C) are a suffix of the join's (A, B, C): its form is
-    # shared under the wildcard A level, not rebuilt
-    assert embedded[0][1].trie is None and embedded[0][1].base is y.nf()
+    # y's attributes (B, C) end the join's (A, B, C): below each surviving
+    # (A, B) key the join holds y's own C-level form, not a copy
+    below = [(b, c) for ab in joined.nf().trie.values() for b, c in ab.trie.items()]
+    assert below and all(c is y.nf().trie[b] for b, c in below)
     assert rowdict(left_b) == {("b", 2, STAR): 1, ("b", 2, "p"): 1}
     assert rowdict(joined) == {("b", 2, "p"): 1}
     assert rowdict(left) == {(a, b, STAR): 1 for a, b in X3} | {("b", 2, "p"): 1, ("c", 3, "q"): 1}
@@ -799,3 +792,89 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
     assert rowdict(kept) == {(c, a): 1 for a, _ in X3 for c in (1, 2)}
     assert rowdict(swapped) == {(c, a, b): 1 for a, b in X3 for c in (1, 2)}
     assert calls == []
+
+
+def test_natural_join_embeds_nothing(monkeypatch):
+    # form-held inputs, one out of first-appearance order, join as
+    # positioned factors: no input is rebuilt into the output's chain
+    from polyalg import normal, product, relational, tries
+
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return counted
+
+    for mod, name in ((product, "embed"), (tries, "map_values"), (normal, "nf_tensor"),
+                      (product, "nf_tensor"), (relational, "nf_tensor")):
+        monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    x = rel(AB, X3)
+    y = rel([("B", INT), ("C", STRING)], Y3)
+    z = rel([("C", STRING), ("A", STRING)], [("p", "b"), ("z", "c")])
+    w = weighted([("D", INT), ("B", INT)], [((7, 2), 3), ((8, 3), -1), ((9, 4), 2)])
+    calls.clear()
+    joined = natural_join([x, y, z])
+    crossed = natural_join([x, w])
+    assert calls == []
+    assert joined.schema.names == ["A", "B", "C"]
+    assert rowdict(joined) == {("b", 2, "p"): 1}
+    assert crossed.schema.names == ["A", "B", "D"]
+    assert rowdict(crossed) == {("b", 2, 7): 3, ("c", 3, 8): -1}
+    # the spies see the embedding of an outer join
+    outer_join("left", x, y)
+    assert "embed" in calls and "nf_tensor" in calls
+
+
+def test_natural_join_multiplies_real_weights_in_factor_order():
+    # x lacks B, so at the B level it is its coefficient, multiplied in its
+    # own place after y's and z's: (y * z) * x, not folded in first
+    y = weighted([("A", INT), ("B", INT)], [((0, 0), 0.1)], REAL)
+    z = weighted([("B", INT)], [((0,), 0.1)], REAL)
+    x = weighted([("A", INT)], [((0,), 0.7)], REAL)
+    assert (0.1 * 0.1) * 0.7 != (0.7 * 0.1) * 0.1
+    assert natural_join([y, z, x]).rows() == [((0, 0), (0.1 * 0.1) * 0.7)]
+
+
+JOIN_TYPES = {"A": INT, "B": STRING, "C": INT, "D": INT}
+JOIN_KEYS = {INT: st.integers(0, 2), STRING: st.sampled_from(["", "a", "ab"])}
+# weights whose real products depend on the order they are multiplied in
+JOIN_COEFFS = {Z: st.integers(-3, 3), GF2: st.booleans(),
+               REAL: st.sampled_from([-1.1, -0.3, 0.1, 0.7, 1.0, 1.3, 2.9])}
+
+
+@st.composite
+def join_input(draw, ring):
+    names = draw(st.permutations(list(JOIN_TYPES)))[:draw(st.integers(1, 3))]
+    cols = [(n, JOIN_TYPES[n]) for n in names]
+    row = st.tuples(*(JOIN_KEYS[p] for _, p in cols))
+    rows = draw(st.lists(st.tuples(row, JOIN_COEFFS[ring]), max_size=6))
+    # repeat some rows, some negated so that they cancel
+    again = draw(st.lists(st.sampled_from(rows), max_size=3)) if rows else []
+    rows += [(r, c if draw(st.booleans()) else ring.neg(c)) for r, c in again]
+    return weighted(cols, rows, ring)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_natural_join_equals_the_product_of_embedded_inputs(data):
+    from polyalg import enumerate_nf, nf_equal, nf_product
+    from polyalg.relational import _embedded, _join_target
+
+    ring = data.draw(st.sampled_from([Z, GF2, REAL]))
+    rs = data.draw(st.lists(join_input(ring), min_size=2, max_size=4))
+    for i, r in enumerate(rs):
+        # an outer join's result carries wildcard baselines into the join
+        if data.draw(st.integers(0, 3)) == 0:
+            kind = data.draw(st.sampled_from(["left", "right", "full"]))
+            rs[i] = outer_join(kind, r, data.draw(join_input(ring)))
+    got = natural_join(rs)
+    target = _join_target(rs)
+    want = nf_product(_embedded(rs, target))
+    assert got.schema == target
+    assert nf_equal(got.nf(), want)
+    # the same rows and coefficients, exactly: the factors multiply in the
+    # same order, so real weights agree bit for bit
+    assert enumerate_nf(got.nf(), allow_baseline=True) == enumerate_nf(want, allow_baseline=True)
