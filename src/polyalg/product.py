@@ -1,17 +1,18 @@
 """Products of collections: intersections and joins.
 
-A join is one joint product of positioned factors: each input's own
-canonical form together with the positions of its attributes in the
-output's compact chain (`nf_join`). The paper's algebraic join multiplies
-each input where its attributes appear and matches everything elsewhere,
-so no input is rewritten into the output's chain first. At an output
-level, a factor whose next attribute is that level gives its trie and its
-baseline; a factor that lacks the level is trie-less, its baseline at
-every key the factor itself, passed down unchanged; and a factor whose
-attributes have all been read is trie-less, its baseline its coefficient.
-A same-space product (`nf_product`: intersections, outer joins, symbolic
-products) is the case where every factor holds every level, dispatched
-on the form so that pairs and scalars split or multiply first.
+A join, natural or outer, and an intersection are one joint product of
+positioned factors: each input's own canonical form together with the
+positions of its attributes in the output's compact chain (`nf_join`).
+The paper's algebraic join multiplies each input where its attributes
+appear and matches everything elsewhere, so no input is rewritten into
+the output's chain first. At an output level, a factor whose next
+attribute is that level gives its trie and its baseline; a factor that
+lacks the level is trie-less, its baseline at every key the factor
+itself, passed down unchanged; and a factor whose attributes have all
+been read is trie-less, its baseline its coefficient. A same-space
+product (`nf_product`: symbolic products and `multiply`) is the case
+where every factor holds every level, dispatched on the form so that
+pairs and scalars split or multiply first.
 
 The evaluator works level by level, one `_level` for every keyed level: a
 free level multiplies ring coefficients, any other multiplies the factor
@@ -45,7 +46,9 @@ factor but one has ended with the coefficient one, the remaining factor's
 form is the output's when its space is.
 
 `embed` widens a form into a larger compact chain, filling the attributes
-it lacks with wildcard levels, for the unit padding of outer joins.
+it lacks with wildcard levels: `Relation` widens a plain chain's form with
+it, and the tests and the naive triangle benchmark use it as the
+reference that joins are checked against; no join calls it.
 `naive_multiply` is the deliberately blunt alternative, full expansion by
 distributivity, kept as the differential-testing oracle.
 """

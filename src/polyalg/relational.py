@@ -10,17 +10,19 @@ entries of its delta and copies, in C, only the trie levels it changes;
 aggregation folds a form a level at a time without listing its rows.
 Every relation over a schema and ring lives in one chain, the compact
 chain of its column types: finite relations with no baselines, outer
-joins with wildcard ones. So set operations use both forms as they are,
-and a join's product is its output. Reordering, projection and column
-maps rebuild a form from its rows, rearranged or mapped. A Cartesian
-product is the left input's form with the right input's form grafted
-under each of its coefficients, shared unchanged wherever the
-coefficient is one. Negative multiplicities are ordinary data
-(deletions), and wildcard baselines are ordinary data too, flagged at
-rendering time.
+joins with wildcard ones. So set operations use both forms as they
+are, and every join and intersection is one joint product of the inputs'
+own forms, an outer join's each padded with its own chain's unit; the
+product is the output. Reordering, projection and column maps rebuild a
+form from its rows, rearranged or mapped. A Cartesian product is the left
+input's form with the right input's form grafted under each of its
+coefficients, shared unchanged wherever the coefficient is one. Negative
+multiplicities are ordinary data (deletions), and wildcard baselines are
+ordinary data too, flagged at rendering time.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import normal, product, tries
 from .normal import (
@@ -64,7 +66,7 @@ class RelationError(ValueError):
 
 TYPE_NAMES = {"int": INT, "str": STRING, "bool": BOOL}
 
-#: widest schema: building, embedding and joining chain forms recurse once
+#: widest schema: building, widening and joining chain forms recurse once
 #: per column, and 100 columns under a query nested `query.MAX_DEPTH` deep
 #: still fit the interpreter's default recursion limit
 MAX_COLUMNS = 100
@@ -241,7 +243,8 @@ def apply_update(db: Relation, delta: Relation) -> Relation:
 
 
 def intersect(r: Relation, s: Relation) -> Relation:
-    return _combine(r, s, "intersection", lambda a, b: product.nf_product([a, b]))
+    _require_same_schema(r, s, "intersection")
+    return _joined([r, s])
 
 
 def cartesian(r: Relation, s: Relation) -> Relation:
@@ -349,54 +352,41 @@ def _join_target(rs):
     return Schema(tuple(cols))
 
 
-def _positioned(rs, target: Schema):
-    """Each input with its attributes' positions in the target, renamed
-    first if its columns are out of the target's order."""
-    out = []
-    for r in rs:
+def _joined(rs, padded=()) -> Relation:
+    """The joint product of the inputs as positioned factors: each input's
+    own form, renamed into first-appearance order if it is out of it, with
+    its attributes' positions in the output schema; an input flagged in
+    `padded` is its form plus the unit of its own chain, which embeds to
+    the unit of the output's. No input is embedded into the output's chain."""
+    target = _join_target(rs)
+    ring = rs[0].ring
+    factors = []
+    for r, pad in zip(rs, padded or repeat(False)):
         order = [n for n in target.names if n in r.schema.names]
         if order != r.schema.names:
             r = rename(r, [r.schema.position(n) for n in order])
-        out.append((r, [target.position(n) for n in order]))
-    return out
-
-
-def _embedded(rs, target: Schema):
-    """Each input's form embedded into the compact chain of the target,
-    wildcard levels filling the attributes it lacks, for the unit padding
-    of an outer join."""
-    return [product.embed(r.nf(), list(r.schema.columns), list(target.columns))
-            for r, _ in _positioned(rs, target)]
-
-
-def natural_join(rs) -> Relation:
-    """Shared attributes are matched by name. The inputs are multiplied
-    jointly as positioned factors: each input's own form, renamed into
-    first-appearance order if it is out of it, with its attributes'
-    positions in the output schema. A factor passes unchanged through the
-    levels it lacks, so no input is embedded into the output's chain."""
-    rs = list(rs)
-    if not rs:
-        raise RelationError("join needs at least one input")
-    target = _join_target(rs)
-    ring = rs[0].ring
-    factors = [(r.nf(), pos) for r, pos in _positioned(rs, target)]
+        x = r.nf()
+        if pad:
+            x = nf_add(x, unit_nf(x.space))
+        factors.append((x, [target.position(n) for n in order]))
     return Relation(target, ring, nf=product.nf_join(factors, target.chain(ring)))
 
 
+def natural_join(rs) -> Relation:
+    """Shared attributes are matched by name, in one joint product."""
+    rs = list(rs)
+    if not rs:
+        raise RelationError("join needs at least one input")
+    return _joined(rs)
+
+
 def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
-    """Wildcard-padded join: unmatched tuples survive against the unit,
-    which matches anything. The result usually carries baselines."""
+    """Wildcard-padded join, (x + 1) * (y + 1) for a full one: unmatched
+    tuples survive against the unit, which matches anything. The result
+    usually carries baselines."""
     if kind not in ("left", "right", "full"):
         raise RelationError(f"unknown outer join kind {kind!r}")
-    target = _join_target([r, s])
-    x, y = _embedded([r, s], target)
-    u = unit_nf(x.space)
-    if kind != "left":
-        x = nf_add(x, u)
-    if kind != "right":
-        y = nf_add(y, u)
-    return Relation(target, r.ring, nf=product.nf_product([x, y]))
+    return _joined([r, s], (kind != "left", kind != "right"))
 
 
 def aggregate(r: Relation, group, target, fold: str) -> Relation:

@@ -97,7 +97,7 @@ def items(prim, t):
     if t is None:
         return []
     metrics.current.trie_edges += len(t)
-    return sorted(t.items(), key=_entry_key(prim))
+    return sorted(t.items(), key=_entry_key(prim)) if len(t) > 1 else list(t.items())
 
 
 def expand(prim, ts):

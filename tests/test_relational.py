@@ -254,17 +254,27 @@ def test_outer_joins_with_wildcards():
     assert ("a", 1, STAR) not in rrows
 
 
+def embedded(r, target):
+    """`r`'s form embedded into the compact chain of the schema `target`,
+    reordered first into the target's order: the reference that joins are
+    checked against."""
+    from polyalg.product import embed
+
+    order = [n for n in target.names if n in r.schema.names]
+    r = rename(r, [r.schema.position(n) for n in order])
+    return embed(r.nf(), r.schema.columns, target.columns)
+
+
 def test_outer_join_distributivity_identities(rng):
     from polyalg import multiply, nf_equal, normalize, readback, unit_one
-    from polyalg.relational import _embedded, _join_target
 
     for _ in range(15):
         xs = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
         ys = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
         x = rel([("A", INT), ("B", INT)], sorted(set(xs)))
         y = rel([("B", INT), ("C", INT)], sorted(set(ys)))
-        target = _join_target([x, y])
-        xe, ye = (readback(nf) for nf in _embedded([x, y], target))
+        target = schema(("A", INT), ("B", INT), ("C", INT))
+        xe, ye = (readback(embedded(r, target)) for r in (x, y))
         u = unit_one(xe.space)
         lhs = multiply([xe, ye + u])
         rhs = normalize(readback(multiply([xe, ye])) + xe)
@@ -272,6 +282,22 @@ def test_outer_join_distributivity_identities(rng):
         lhs2 = multiply([xe + u, ye + u])
         rhs2 = normalize(readback(multiply([xe, ye])) + xe + ye + u)
         assert nf_equal(lhs2, rhs2)
+
+
+def test_full_outer_join_visits_each_input_once():
+    # (r + 1)(s + 1) of two 2-row relations with k columns each: every
+    # level is all-baseline, each summand walks one input's 2k edges, and
+    # the unit baselines are left out of every product
+    from polyalg import metrics
+
+    for k in (10, 20, 40):
+        r = rel([(f"a{i}", INT) for i in range(k)], [(0,) * k, (1,) * k])
+        s = rel([(f"b{i}", INT) for i in range(k)], [(0,) * k, (1,) * k])
+        with metrics.fresh() as m:
+            full = outer_join("full", r, s)
+        assert (m.trie_edges, m.ring_mults) == (4 * k, 0)
+        sides = [(STAR,) * k, (0,) * k, (1,) * k]
+        assert rowdict(full) == {a + b: 1 for a in sides for b in sides}
 
 
 def test_outer_join_with_empty_side():
@@ -823,9 +849,14 @@ def test_natural_join_embeds_nothing(monkeypatch):
     assert rowdict(joined) == {("b", 2, "p"): 1}
     assert crossed.schema.names == ["A", "B", "D"]
     assert rowdict(crossed) == {("b", 2, 7): 3, ("c", 3, 8): -1}
-    # the spies see the embedding of an outer join
-    outer_join("left", x, y)
-    assert "embed" in calls and "nf_tensor" in calls
+    # outer joins pad each input in its own chain, and an intersection is
+    # the same joint product with identical positions
+    for kind in ("left", "right", "full"):
+        outer_join(kind, x, z)
+        outer_join(kind, z, w)
+    intersect(x, rel(AB, X3[1:]))
+    intersect(outer_join("full", x, y), outer_join("left", x, y))
+    assert calls == []
 
 
 def test_natural_join_multiplies_real_weights_in_factor_order():
@@ -846,9 +877,10 @@ JOIN_COEFFS = {Z: st.integers(-3, 3), GF2: st.booleans(),
 
 
 @st.composite
-def join_input(draw, ring):
-    names = draw(st.permutations(list(JOIN_TYPES)))[:draw(st.integers(1, 3))]
-    cols = [(n, JOIN_TYPES[n]) for n in names]
+def join_input(draw, ring, cols=None):
+    if cols is None:
+        names = draw(st.permutations(list(JOIN_TYPES)))[:draw(st.integers(1, 3))]
+        cols = [(n, JOIN_TYPES[n]) for n in names]
     row = st.tuples(*(JOIN_KEYS[p] for _, p in cols))
     rows = draw(st.lists(st.tuples(row, JOIN_COEFFS[ring]), max_size=6))
     # repeat some rows, some negated so that they cancel
@@ -861,7 +893,7 @@ def join_input(draw, ring):
 @given(st.data())
 def test_natural_join_equals_the_product_of_embedded_inputs(data):
     from polyalg import enumerate_nf, nf_equal, nf_product
-    from polyalg.relational import _embedded, _join_target
+    from polyalg.relational import _join_target
 
     ring = data.draw(st.sampled_from([Z, GF2, REAL]))
     rs = data.draw(st.lists(join_input(ring), min_size=2, max_size=4))
@@ -872,9 +904,43 @@ def test_natural_join_equals_the_product_of_embedded_inputs(data):
             rs[i] = outer_join(kind, r, data.draw(join_input(ring)))
     got = natural_join(rs)
     target = _join_target(rs)
-    want = nf_product(_embedded(rs, target))
+    want = nf_product([embedded(r, target) for r in rs])
     assert got.schema == target
     assert nf_equal(got.nf(), want)
     # the same rows and coefficients, exactly: the factors multiply in the
     # same order, so real weights agree bit for bit
     assert enumerate_nf(got.nf(), allow_baseline=True) == enumerate_nf(want, allow_baseline=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_outer_join_and_intersect_equal_the_product_of_embedded_inputs(data):
+    from polyalg import enumerate_nf, nf_add, nf_equal, nf_product
+    from polyalg.normal import unit_nf
+
+    ring = data.draw(st.sampled_from([Z, GF2, REAL]))
+    kinds = st.sampled_from(["left", "right", "full"])
+    rs = [data.draw(join_input(ring)) for _ in range(2)]
+    for i, r in enumerate(rs):
+        # inputs that are outer joins already carry wildcard baselines
+        if data.draw(st.integers(0, 3)) == 0:
+            rs[i] = outer_join(data.draw(kinds), r, data.draw(join_input(ring)))
+    r, s = rs
+    kind = data.draw(kinds)
+    got = outer_join(kind, r, s)
+    x, y = (embedded(q, got.schema) for q in rs)
+    u = unit_nf(x.space)
+    if kind != "left":
+        x = nf_add(x, u)
+    if kind != "right":
+        y = nf_add(y, u)
+    # a relation over r's schema, some of it r's own rows
+    other = data.draw(join_input(ring, r.schema.columns))
+    if data.draw(st.booleans()):
+        other = union(other, r)
+    cases = [(got, nf_product([x, y])), (intersect(r, other), nf_product([r.nf(), other.nf()]))]
+    for got, want in cases:
+        assert nf_equal(got.nf(), want)
+        # real weights multiply in the same order, so they agree bit for bit
+        assert enumerate_nf(got.nf(), allow_baseline=True) == \
+            enumerate_nf(want, allow_baseline=True)
