@@ -131,8 +131,7 @@ def run_naive(k: int, repeats: int = 1) -> NaiveRow:
     return NaiveRow(k, k * k, rows, best, pairs)
 
 
-def bench_triangle(sizes, repeats: int = 1, with_naive: bool = False,
-                   naive_sizes=None) -> BenchReport:
+def bench_triangle(sizes, repeats: int = 1, with_naive: bool = False) -> BenchReport:
     sizes = list(sizes)
     if any(k < 2 for k in sizes):
         raise ValueError("sizes must be at least 2")
@@ -142,9 +141,8 @@ def bench_triangle(sizes, repeats: int = 1, with_naive: bool = False,
     for k in sizes:
         report.rows.append(run_triangle(k, repeats))
     if with_naive:
-        if naive_sizes is None:
-            # the expansion is near quartic; contrast on the small sizes only
-            naive_sizes = [k for k in sizes if k <= 16]
-        for k in naive_sizes:
-            report.naive_rows.append(run_naive(k, repeats))
+        # the expansion is near quartic; contrast on the small sizes only
+        for k in sizes:
+            if k <= 16:
+                report.naive_rows.append(run_naive(k, repeats))
     return report

@@ -10,9 +10,9 @@ attribute is that level gives its trie and its baseline; a factor that
 lacks the level is trie-less, its baseline at every key the factor
 itself, passed down unchanged; and a factor whose attributes have all
 been read is trie-less, its baseline its coefficient. A same-space
-product (`nf_product`: symbolic products and `multiply`) is the case
-where every factor holds every level, dispatched on the form so that
-pairs and scalars split or multiply first.
+product (`nf_product`: symbolic products and `multiply`) splits pairs,
+multiplies scalars and hands keyed forms to `nf_join` with positions
+None, each in the output space and holding every level.
 
 The evaluator works level by level, one `_level` for every keyed level: a
 free level multiplies ring coefficients, any other multiplies the factor
@@ -72,7 +72,7 @@ from .normal import (
     unit_nf,
     zero_nf,
 )
-from .spaces import SpaceError, chain_factors, chain_prims, tensor_chain
+from .spaces import SpaceError, chain_prims, tensor_chain
 from .terms import (
     GenTerm,
     InjGen,
@@ -107,9 +107,9 @@ def multiply(factors) -> NormalForm:
 
 
 def nf_product(nfs) -> NormalForm:
-    """Joint product of same-space forms, dispatched on the form: every
-    tensor is keyed, paired or scalar like its left factor, so no tensor
-    needs a product of its own."""
+    """Joint product of same-space forms, dispatched on the form (a tensor
+    is keyed, paired or scalar like its left factor): keyed forms are
+    factors of `nf_join`, pairs split and scalars multiply."""
     nfs = list(nfs)
     space = nfs[0].space
     if len(nfs) == 1:
@@ -120,7 +120,7 @@ def nf_product(nfs) -> NormalForm:
     if isinstance(nfs[0], ScalarNF):
         return ScalarNF(space, _ring_product(space.ring, [nf.value for nf in nfs]))
     if isinstance(nfs[0], MapNF):  # free levels, maps, and tensors keyed by their left factor
-        return _level(nfs, space, None)
+        return nf_join([(nf, None) for nf in nfs], space)
     return PairNF(
         space,
         nf_product([nf.lhs for nf in nfs]),
@@ -129,10 +129,11 @@ def nf_product(nfs) -> NormalForm:
 
 
 def nf_join(factors, space) -> NormalForm:
-    """Joint product in the compact chain `space` of positioned factors:
-    (form, positions) pairs, each form in a chain of the column types of
-    `space` at `positions`, its output levels in increasing order. Each
-    form is read in its own chain; nothing is embedded."""
+    """Joint product in the keyed space `space` of (form, positions)
+    factors. Positions None mean a form in `space` holding every level;
+    otherwise the form is in a chain of the column types of the compact
+    chain `space` at `positions`, its output levels in increasing order.
+    Each form is read in its own chain; nothing is embedded."""
     factors = list(factors)
     xs = [x for x, _ in factors]
     for x in xs:
@@ -140,11 +141,15 @@ def nf_join(factors, space) -> NormalForm:
             return zero_nf(space)
     if len(xs) == 1 and xs[0].space is space:
         return xs[0]
-    # one (here, live, below) plan per output level, built from the last
+    # one (here, live, below) plan per keyed level of `space`, down to a
+    # free level or to values that are pairs or scalars, built from the last
+    depth, s = 1, space
+    while s.shape == "map" and s.value.shape in ("free", "map"):
+        depth, s = depth + 1, s.value
     plan = None
-    for i in reversed(range(len(chain_factors(space)))):
-        here = tuple(i in pos for _, pos in factors)
-        live = [j for j, (_, pos) in enumerate(factors) if pos[-1] >= i]
+    for i in reversed(range(depth)):
+        here = tuple(pos is None or i in pos for _, pos in factors)
+        live = [j for j, (_, pos) in enumerate(factors) if pos is None or pos[-1] >= i]
         plan = (here, live[0] if len(live) == 1 else None, plan)
     return _level(xs, space, plan)
 
@@ -158,31 +163,28 @@ def _ring_product(ring, vals):
     return acc
 
 
-def _level(xs, space, plan, ts=None, bs=None):
-    """One level of the joint product of `xs` in `space`: the product form,
-    or the input form it equals, which needs that form's space to be
-    `space`. With `plan` None every factor is a keyed form in `space`.
-    Otherwise `plan` is (here, live, below): `here` flags the factors whose
-    next attribute is this level, and every other factor is its own
-    baseline at every key, a form passed down unchanged or, past its last
-    attribute, its coefficient; `below` is the next level's plan, and
-    `live`, when there is one, the one factor with attributes at this
-    level or after it. `ts` and `bs` override the factors' tries and
-    baselines, for the summands of an all-baseline level.
+def _level(xs, space, plan):
+    """One level of the joint product of `xs` in `space` by `plan`: the
+    product form, or the input form it equals, which needs that form's
+    space to be `space`. `plan` is (here, live, below): `here` flags the
+    factors whose next attribute is this level, and every other factor is
+    its own baseline at every key, a form passed down unchanged or, past
+    its last attribute, its coefficient; `below` is the next level's plan,
+    None where the values are pairs or scalars, and `live`, when there is
+    one, the one factor with attributes at this level or after it.
 
     A free level multiplies its columns left to right in factor order; an
     all-baseline level adds its summands' levels in factor order, the
     summand of d_1 first, so a real deviation is a sum of those products,
     never a product less the baselines' product."""
     m = metrics.current
-    here = None if plan is None else plan[0]
-    if ts is None:
-        # plain loops: a comprehension costs a call per use, and a level
-        # has few factors
-        ts, bs = [], []
-        for x, h in zip(xs, here or repeat(True)):
-            ts.append(x.trie if h else None)
-            bs.append(x.base if h else x)
+    here = plan[0]
+    # plain loops: a comprehension costs a call per use, and a level has
+    # few factors
+    ts, bs = [], []
+    for x, h in zip(xs, here):
+        ts.append(x.trie if h else None)
+        bs.append(x.base if h else x)
     if space.shape == "free":
         ring = space.ring
         vops = ring_vops(ring)
@@ -202,13 +204,12 @@ def _level(xs, space, plan, ts=None, bs=None):
         trie = None
         for j, t in enumerate(ts):
             if t is not None:
-                part = _level(xs, space, plan, [*ts[:j], t, *[None] * (len(ts) - j - 1)],
-                              [*bs[:j], None, *bs[j + 1:]])
-                trie = tries.merge(trie, part.trie, vops)
+                later = zip(xs[j + 1:], here[j + 1:])
+                row = [*xs[:j], MapNF(xs[j].space, t, None),
+                       *[MapNF(x.space, None, x.base) if h else x for x, h in later]]
+                trie = tries.merge(trie, _level(row, space, plan).trie, vops)
         if ring is not None:
             base = _ring_product(ring, bs)
-        elif plan is None:
-            base = nf_product(bs)
         else:
             base = _below([bs], space.value, plan[2])[0]
         if is_zero(base):
@@ -233,7 +234,7 @@ def _level(xs, space, plan, ts=None, bs=None):
             m.trie_edges += len(keys)
             # at its last attribute a factor's payloads are coefficients,
             # whatever the level's
-            ops = vops if here is None else payload_ops(xs[j].space)
+            ops = payload_ops(xs[j].space)
             col = [bj if d is None else ops.add(bj, d) for d in map(t.get, keys)]
             if any(map(ops.is_zero, col)):
                 # a vanishing factor drops its key before any later probe
@@ -246,10 +247,7 @@ def _level(xs, space, plan, ts=None, bs=None):
             for j, col in enumerate(columns):
                 if col is None:
                     columns[j] = repeat(bs[j])
-            if plan is None:
-                outs = list(map(nf_product, zip(*columns)))
-            else:
-                outs = _below(zip(*columns), space.value, plan[2])
+            outs = _below(zip(*columns), space.value, plan[2])
         else:
             # multiply left to right, leaving out a baseline that is the unit
             mul, one = ring.mul, ring.one
@@ -270,18 +268,20 @@ def _level(xs, space, plan, ts=None, bs=None):
             keys, outs = list(compress(keys, mask)), list(compress(outs, mask))
         trie, base = tries.keep(restricting, keys, outs, vops), None
     same = vops.same
-    for j, x in enumerate(xs):
-        if (here is None or here[j] and x.space is space) \
-                and x.trie is trie and same(x.base, base):
+    for x, h in zip(xs, here):
+        if h and x.space is space and x.trie is trie and same(x.base, base):
             return x
     return MapNF(space, trie, base)
 
 
 def _below(rows, space, plan):
     """The products in `space` of the rows of factor values under a
-    level's keys, each by `plan`. A row whose one live factor is already
-    in `space`, every other factor being a coefficient equal to the unit,
-    is that factor."""
+    level's keys, each by `plan`, or by `nf_product` where `plan` is None
+    and the values are pairs or scalars. A row whose one live factor is
+    already in `space`, every other factor being a coefficient equal to
+    the unit, is that factor."""
+    if plan is None:
+        return list(map(nf_product, rows))
     live = plan[1]
     one = space.ring.one
     outs = []

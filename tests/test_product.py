@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyalg import (
+    BOOL,
     GF2,
     INT,
     REAL,
@@ -357,16 +358,84 @@ def test_products_over_tensors_of_every_left_factor(rng):
             Tensor(Tensor(Biproduct(fs, k), ci), k),
         ]
         for space in spaces:
-            met = 0
-            for _ in range(16):
-                x = rand_term(rng, space, size=5)
-                y = x + rand_term(rng, space, size=4)  # so that the factors meet
-                out = multiply([x, y])
-                assert nf_equal(out, naive_multiply(x, y)), (space, x, y)
-                want = _pointwise_product(expand(x, ring), expand(y, ring), ring)
-                assert dict(enumerate_nf(out, allow_baseline=True)) == want, (space, x, y)
-                met += not out.is_zero()
-            assert met >= 3, space
+            _check_products_against_expansion(rng, ring, space)
+    # maps whose values are pairs, below the last keyed level of the plan;
+    # drawn after the others, whose random terms stay as they were
+    for ring in (Z, GF2):
+        k = Scalar(ring)
+        for space in (FinMap(ring, BOOL, Biproduct(k, Free(ring, INT))),
+                      CompactMap(ring, INT, Biproduct(CompactFree(ring, STRING), k))):
+            _check_products_against_expansion(rng, ring, space)
+
+
+def _check_products_against_expansion(rng, ring, space):
+    met = 0
+    for _ in range(16):
+        x = rand_term(rng, space, size=5)
+        y = x + rand_term(rng, space, size=4)  # so that the factors meet
+        out = multiply([x, y])
+        assert nf_equal(out, naive_multiply(x, y)), (space, x, y)
+        want = _pointwise_product(expand(x, ring), expand(y, ring), ring)
+        assert dict(enumerate_nf(out, allow_baseline=True)) == want, (space, x, y)
+        met += not out.is_zero()
+    assert met >= 3, space
+
+
+def test_every_level_is_planned_and_keyed_products_are_joins(monkeypatch):
+    # `nf_join` is the one way into `_level`: every call, the summands of an
+    # all-baseline level included, is (xs, space, plan) with a plan, and a
+    # same-space product of keyed forms is an `nf_join` of factors with
+    # positions None
+    from polyalg import intersect, outer_join, pair, product, relation_from_rows, scalar
+    from polyalg import schema, wild_maps_to
+
+    level, join = product._level, product.nf_join
+    calls, joins = [], []
+
+    def spy_level(*args, **kwargs):
+        calls.append((len(args), kwargs, args[2] if len(args) == 3 else None))
+        return level(*args, **kwargs)
+
+    def spy_join(factors, space):
+        factors = list(factors)
+        joins.append([pos for _, pos in factors])
+        return join(factors, space)
+
+    monkeypatch.setattr(product, "_level", spy_level)
+    monkeypatch.setattr(product, "nf_join", spy_join)
+    inner = CompactMap(Z, INT, CI)
+    chain = CompactMap(Z, STRING, inner)
+    wild = wild_maps_to(wild_maps_to(wild_one(CI), inner), chain)
+    x = wild + maps_to("a", maps_to(1, 2 * inject(1, CI) + wild_one(CI), inner), chain)
+    y = wild + maps_to("a", wild_maps_to(inject(1, CI) + inject(2, CI), inner), chain)
+    fm = FinMap(Z, BOOL, Biproduct(Scalar(Z), FI))
+    u = (maps_to(True, pair(scalar(Z, 2), inject(1, FI)), fm)
+         + maps_to(False, pair(scalar(Z, 3), inject(2, FI)), fm))
+    v = maps_to(True, pair(scalar(Z, 5), inject(1, FI) + inject(2, FI)), fm)
+    sab = schema(("A", INT), ("B", INT))
+    r = relation_from_rows(sab, Z, [((1, 1), 1), ((2, 1), 2), ((3, 4), 1)])
+    s = relation_from_rows(sab, Z, [((1, 1), 3), ((3, 5), 1)])
+    t = relation_from_rows(schema(("B", INT), ("C", INT)), Z, [((1, 7), 1), ((6, 7), 1)])
+    grid = [(i, j) for i in range(3) for j in range(3)]
+    cases = {
+        "multiply over a compact-map chain": lambda: multiply([x, y, x]),
+        "multiply over a map of pairs": lambda: multiply([u, v]),
+        "intersect": lambda: intersect(r, s).nf(),
+        "full outer join": lambda: outer_join("full", r, t).nf(),
+        "triangle": lambda: triangle(*(pairs_rel(grid, FI, FI) for _ in range(3))),
+    }
+    for name, run in cases.items():
+        calls.clear()
+        joins.clear()
+        out = run()
+        assert not out.is_zero(), name
+        assert calls, name
+        for n, kwargs, plan in calls:
+            assert n == 3 and not kwargs and plan is not None, name
+        if name.startswith("multiply"):
+            # the keyed product is a join of factors holding every level
+            assert joins and all(pos is None for ps in joins for pos in ps), name
+            assert len(joins[0]) == (3 if name.endswith("chain") else 2), name
 
 
 def test_random_two_way_join_edges_grow_near_linearly():
