@@ -38,7 +38,7 @@ def _render_cell(prim: PrimSet, v) -> str:
 
 
 def render_relation(r: Relation, fmt: str) -> str:
-    paths = r.rows(allow_baseline=True)
+    paths = r.rows()
     # a wildcard baseline shows as a STAR slot in some row
     flagged = any(STAR in path for path, _ in paths)
     rows = [([_render_cell(p, v) for p, v in zip(r.schema.prims, path)], r.ring.render(coeff))

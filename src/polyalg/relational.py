@@ -6,23 +6,25 @@ The data is held as one canonical form, a nested keyed trie in attribute
 order. Relations built from rows are born as forms, grouped column by
 column into one trie per node. Set operations, joins, products and
 single-column selection work on forms, so an update visits the
-entries of its delta and copies, in C, only the trie levels it changes;
-aggregation folds a form a level at a time without listing its rows.
+entries of its delta and copies, in C, only the trie levels it changes.
+Aggregation folds the rows `enumerate_nf` lists, one total per group.
 Every relation over a schema and ring lives in one chain, the compact
 chain of its column types: finite relations with no baselines, outer
 joins with wildcard ones. So set operations use both forms as they
 are, and every join and intersection is one joint product of the inputs'
 own forms, an outer join's each padded with its own chain's unit; the
-product is the output. Reordering, projection and column maps rebuild a
-form from its rows, rearranged or mapped. A Cartesian product is the left
-input's form with the right input's form grafted under each of its
-coefficients, shared unchanged wherever the coefficient is one. Negative
-multiplicities are ordinary data (deletions), and wildcard baselines are
-ordinary data too, flagged at rendering time.
+product is the output. Reordering, projection, column maps, clamping
+and multi-column selection rebuild a form from its rows, rearranged,
+mapped or filtered. A Cartesian product is the left input's form with
+the right input's form grafted under each of its coefficients, shared
+unchanged wherever the coefficient is one. Negative multiplicities are
+ordinary data (deletions), and wildcard baselines are ordinary data too,
+flagged at rendering time.
 """
 
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 
 from . import normal, product, tries
 from .normal import (
@@ -159,9 +161,9 @@ class Relation:
     def has_baseline(self) -> bool:
         return has_baseline(self._nf)
 
-    def rows(self, allow_baseline: bool = True):
+    def rows(self):
         """Sorted (tuple, coefficient) rows; wildcard slots appear as STAR."""
-        return enumerate_nf(self._nf, allow_baseline=allow_baseline)
+        return enumerate_nf(self._nf, allow_baseline=True)
 
     def lookup(self, row):
         """Coefficient at a full tuple; STAR components read baselines."""
@@ -187,7 +189,20 @@ def relation_from_rows(sch: Schema, ring: Ring, rows) -> Relation:
         for p, v in zip(prims, row):
             p.check(v)
         checked.append((row, ring.coerce(coeff)))
-    return Relation(sch, ring, nf=_rows_nf(sch.chain(ring), checked, 0))
+    return _built(sch, ring, checked)
+
+
+def _built(sch: Schema, ring: Ring, rows) -> Relation:
+    """The relation over `sch` and `ring` of checked (row, coefficient) pairs."""
+    return Relation(sch, ring, nf=_rows_nf(sch.chain(ring), rows, 0))
+
+
+def _finite_rows(r: Relation, what: str):
+    """`r`'s rows; a relation with wildcard rows has no finite `what`."""
+    try:
+        return enumerate_nf(r.nf())
+    except InfiniteSupport:
+        raise RelationError(f"cannot {what} a relation with wildcard rows") from None
 
 
 def _rows_nf(space, rows, i):
@@ -273,15 +288,9 @@ def select(r: Relation, pred) -> Relation:
 
 
 def _kept_rows(r: Relation, keep, what: str) -> Relation:
-    """`r`'s rows for which `keep(row, coefficient)` holds, built into its
-    chain as `_rebuilt` builds, since rows read from a relation are checked
-    already; rows with a wildcard have no finite filter."""
-    try:
-        rows = enumerate_nf(r.nf(), allow_baseline=False)
-    except InfiniteSupport:
-        raise RelationError(f"cannot {what} a relation with wildcard rows") from None
-    kept = [(row, c) for row, c in rows if keep(row, c)]
-    return Relation(r.schema, r.ring, nf=_rows_nf(r.schema.chain(r.ring), kept, 0))
+    """`r`'s rows for which `keep(row, coefficient)` holds."""
+    kept = [(row, c) for row, c in _finite_rows(r, what) if keep(row, c)]
+    return _built(r.schema, r.ring, kept)
 
 
 def _select_level(nf, pos, keep, col):
@@ -305,7 +314,7 @@ def project(r: Relation, names) -> Relation:
     if len(set(positions)) != len(positions):
         raise RelationError(f"repeated attributes in projection {names}")
     sch = Schema(tuple(r.schema.columns[p] for p in positions))
-    return _rebuilt(r, sch, lambda row: tuple(row[p] for p in positions))
+    return _rebuilt(r, sch, _getter(positions))
 
 
 def rename(r: Relation, perm) -> Relation:
@@ -321,8 +330,14 @@ def rename(r: Relation, perm) -> Relation:
 def _rebuilt(r: Relation, sch: Schema, row_map) -> Relation:
     """`r`'s rows, wildcard slots included, each sent through `row_map` and
     built into the chain of `sch`."""
-    rows = [(row_map(row), c) for row, c in enumerate_nf(r.nf(), allow_baseline=True)]
-    return Relation(sch, r.ring, nf=_rows_nf(sch.chain(r.ring), rows, 0))
+    return _built(sch, r.ring, [(row_map(row), c) for row, c in r.rows()])
+
+
+def _getter(positions):
+    """A row's values at `positions` as a tuple (a slice for one position)."""
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
 
 
 def relabel(r: Relation, new_names) -> Relation:
@@ -392,19 +407,13 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
 def aggregate(r: Relation, group, target, fold: str) -> Relation:
     """Group by the named columns and fold the target column.
 
-    Sum, minimum and maximum fold the relation's form one chain level at a
-    time, without listing its rows; a sum is the linear map sending
-    e_(k,s,v) to v·e_s. The fold keeps a frontier of (group key, weight,
-    sub-form) entries, one per trie entry of the level: a grouping level
-    appends its key to the group key, the target level multiplies the
-    weight by the key moved into the ring (sum) or makes the key the
-    entry's value (minimum, maximum), and any other level is summed out.
-    At the last level each coefficient times its weight is added into its
-    group's total in row order, so the sums are those of a row-by-row
-    fold; minimum and maximum keep each group's extreme value, in a column
-    with an adjoined infinity. Count is projection's multiplicity
-    bookkeeping under another name. A wildcard at any level has no finite
-    fold."""
+    Sum, minimum and maximum fold the rows `enumerate_nf` lists into one
+    total per group, keyed in the order of `group`. A sum is the linear map
+    e_(k,s,v) ↦ v·e_s: each row adds its coefficient times its target value
+    in the ring, in row order, as a row-by-row fold does. Minimum and
+    maximum keep each group's extreme value, in a column with an adjoined
+    infinity. Count is projection's multiplicity bookkeeping under another
+    name. A relation with wildcard rows has no finite fold."""
     if fold not in ("sum", "min", "max", "count"):
         raise RelationError(f"unknown aggregate {fold!r}")
     if not group:
@@ -422,45 +431,20 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
         raise RelationError("sum aggregation is meaningless over gf2; use count")
 
     ring = r.ring
+    key = _getter(gpos)
+    summing = fold == "sum"
     mul, coerce = ring.mul, ring.coerce
-    prims = r.schema.prims
-    chain_group = sorted(gpos)
-    keys, ws, forms = [()], [ring.one], [r.nf()]
-    for p, prim in enumerate(prims):
-        # no generator: this runs at every level of every fold
-        if any([x.base is not None for x in forms]):
-            raise RelationError("cannot aggregate a relation with wildcard rows")
-        grouped = p in chain_group
-        nkeys, nws, nforms = [], [], []
-        for i, k, v in tries.expand(prim, [x.trie for x in forms]):
-            nkeys.append(keys[i] + (k,) if grouped else keys[i])
-            if p != tpos:
-                nws.append(ws[i])
-            elif fold == "sum":
-                nws.append(mul(ws[i], coerce(k)))
-            else:
-                nws.append(k)
-            nforms.append(v)
-        keys, ws, forms = nkeys, nws, nforms
-
+    merge = ring.add if summing else min if fold == "min" else max
     acc = {}
-    order = [chain_group.index(p) for p in gpos]
+    for row, c in _finite_rows(r, "aggregate"):
+        g, v = key(row), mul(c, coerce(row[tpos])) if summing else row[tpos]
+        got = acc.get(g)
+        acc[g] = v if got is None else merge(got, v)
     cols = tuple(r.schema.columns[p] for p in gpos)
-    if fold == "sum":
-        add = ring.add
-        for g, w, c in zip(keys, ws, forms):
-            v = mul(c, w)
-            got = acc.get(g)
-            acc[g] = v if got is None else add(got, v)
-        rows = [(tuple(g[j] for j in order), v) for g, v in acc.items()]
-    else:
-        pick = min if fold == "min" else max
-        for g, v in zip(keys, ws):
-            got = acc.get(g)
-            acc[g] = v if got is None else pick(got, v)
-        rows = [(tuple(g[j] for j in order) + (v,), ring.one) for g, v in acc.items()]
-        cols += ((target, INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF),)
-    return relation_from_rows(Schema(cols), ring, rows)
+    if summing:
+        return _built(Schema(cols), ring, acc.items())
+    cols += ((target, INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF),)
+    return _built(Schema(cols), ring, [(g + (v,), ring.one) for g, v in acc.items()])
 
 
 def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Relation:

@@ -4,18 +4,18 @@ A level maps keys to non-vanishing payloads; the empty level is `None`,
 never an empty dict. Keys are the prims' own hashable values: a pair is a
 flat tuple, a sum a tagged tuple `("L", x)` or `("R", x)`, an adjoined
 marker is itself. Levels are never mutated once built, so an operation
-may return an input level as it is. Only the enumerations take the key
+may return an input level as it is. Only the enumeration takes the key
 family's prim, to order a level: Int64, Str and Bool keys sort naturally
 (code point order, which is UTF-8 byte order), other families by
 `prim.sort_key`.
 
 `merge` adds two levels: it copies the larger in C and adds the smaller's
 entries to the copy. `from_items` is the one multi-entry builder; the
-payloads of equal keys add in balanced rounds. `items` and `expand` are
-the enumerations, `map_values` maps payloads, and `walk` and `keep`
-intersect levels a column at a time. `walk(ts)` returns the keys present
-in every level, listed in the order of the level with the fewest keys, and
-one column of payloads per level. It intersects with chained
+payloads of equal keys add in balanced rounds. `items` is the one
+enumeration, `map_values` maps payloads, and `walk` and `keep` intersect
+levels a column at a time. `walk(ts)` returns the keys present in every
+level, listed in the order of the level with the fewest keys, and one
+column of payloads per level. It intersects with chained
 `dict.keys() &` in level order, each step iterating the smaller side in C,
 so its work is bounded by the smallest input, as Generic Join needs for
 worst-case optimality. `keep(ts, keys, outs, vops)` turns the caller's
@@ -98,15 +98,6 @@ def items(prim, t):
         return []
     metrics.current.trie_edges += len(t)
     return sorted(t.items(), key=_entry_key(prim)) if len(t) > 1 else list(t.items())
-
-
-def expand(prim, ts):
-    """Every entry of every level in `ts` as (index, key, payload), where
-    `index` is the level's position in `ts`: the levels in order, each
-    one's entries in the set's total order, empty levels giving none."""
-    for i, t in enumerate(ts):
-        for k, v in items(prim, t):
-            yield i, k, v
 
 
 def count(t) -> int:

@@ -88,6 +88,38 @@ def test_query_type_errors_name_the_attribute(cat):
         run("(frobnicate x)", cat)
 
 
+#: (query, message, offset) of each malformed query; integer atoms carry no
+#: position, so a form rejected for one has no offset
+SHAPE_ERRORS = [
+    ('(select (and (= A "a")) R)', "(and ...) needs at least two parts", 9),
+    ("(select (not P Q) R)", "(not P) takes one part", 9),
+    ("(select (foo A 1) R)", "unknown predicate 'foo'", 9),
+    ("(select (= A) R)", "(= A value) takes two arguments", 9),
+    ("(select 5 R)", "expected a predicate form", None),
+    ("(join)", "(join ...) needs at least one relation", 1),
+    ("(outer left R)", "(outer kind R S) takes a kind and two relations", 1),
+    ("(project A R)", "expected a [...] list of column names", 9),
+    ("(agg sum [A] B)", "(agg fold [group ...] target R) takes four arguments", 1),
+    ("(agg sum [A] 5 R)", "expected the target column", None),
+    ("(map upper A)", "(map FN A R) takes three arguments", 1),
+    ("(clamp)", "(clamp R) takes one relation", 1),
+    ("(union R)", "(union R S) takes two relations", 1),
+    ("(frob R)", "unknown operation 'frob'", 1),
+    ("R)", "trailing input", 1),
+]
+
+
+def test_query_shape_errors_name_the_form(cat):
+    # each is a QueryError, never another exception, with its message and
+    # the offset of the form the parser or evaluator rejects
+    catalog = {"R": cat.get("x")}
+    for text, message, pos in SHAPE_ERRORS:
+        with pytest.raises(QueryError) as e:
+            run(text, catalog)
+        assert e.value.pos == pos, text
+        assert str(e.value) == (message if pos is None else f"{message} (at offset {pos})"), text
+
+
 # --- CSV -------------------------------------------------------------------------
 
 def test_csv_duplicates_accumulate(tmp_path):

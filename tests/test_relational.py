@@ -190,6 +190,19 @@ def test_natural_join_worked_example():
     assert not out.has_baseline()
 
 
+def test_natural_join_of_one_input_is_its_own_form():
+    # a one-factor joint product in the factor's own chain is the factor
+    from polyalg import metrics
+
+    padded = outer_join("left", rel(AB, X3), rel([("B", INT), ("C", STRING)], Y3))
+    for x in (weighted(AB, [(("a", 1), 2), (("b", 2), -1)]), padded):
+        with metrics.fresh() as m:
+            out = natural_join([x])
+        assert out.nf() is x.nf()
+        assert out.schema == x.schema
+        assert m.trie_edges == 0
+
+
 def test_join_matches_set_oracle_over_gf2(rng):
     for _ in range(30):
         xs = {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 6))}
@@ -375,7 +388,9 @@ def test_aggregate_group_order_and_real_sums():
                            for s in "pqr" for k in "xy"}
 
 
-def test_aggregate_folds_the_form_without_rows(monkeypatch):
+def test_aggregate_folds_one_row_walk_per_call(monkeypatch):
+    # each aggregate lists its input's rows once, with `enumerate_nf`, and
+    # builds its output from rows, never through a term
     from polyalg import normal, product, relational
 
     calls = []
@@ -394,7 +409,7 @@ def test_aggregate_folds_the_form_without_rows(monkeypatch):
     r = weighted([("K", INT), ("S", STRING), ("V", INT)],
                  [((1, "a", 5), 2), ((2, "b", 7), -1), ((3, "a", 4), 1)])
     out = {fold: aggregate(r, ["S"], "V", fold) for fold in ("sum", "min", "max")}
-    assert calls == []
+    assert calls == ["enumerate_nf"] * 3
     assert rowdict(out["sum"]) == {("a",): 14, ("b",): -7}
     assert rowdict(out["min"]) == {("a", 4): 1, ("b", 7): 1}
     assert rowdict(out["max"]) == {("a", 5): 1, ("b", 7): 1}

@@ -23,7 +23,6 @@ from polyalg.prims import INT64_MAX, INT64_MIN, left, right
 from polyalg.tries import (
     ValueOps,
     count,
-    expand,
     from_items,
     items,
     keep,
@@ -108,6 +107,13 @@ def test_negative_ints_enumerate_first():
 def test_unit_and_bool_and_sum_and_prod():
     u = build({(): 3})
     assert lookup(u, ()) == 3 and count(u) == 1
+    assert list(items(UNIT, u)) == [((), 3)]
+
+    # an adjoined infinity sorts after every int, a negative one before;
+    # built in reverse so that insertion order is not key order
+    for prim, keys in ((INT_WITH_INF, [-4, 7, INF]), (INT_WITH_NEG_INF, [NEG_INF, -4, 7])):
+        t = build({k: i + 1 for i, k in enumerate(reversed(keys))})
+        assert [k for k, _ in items(prim, t)] == keys, prim
 
     b = build({True: 2, False: -1})
     assert [k for k, _ in items(BOOL, b)] == [False, True]
@@ -154,26 +160,6 @@ def test_map_values_drops_zero_images():
         assert count(halved) == 1, prim
         assert map_values(t, lambda v: 0, VOPS) is None, prim
         assert map_values(t, lambda v: None, VOPS) is None, prim
-
-
-def test_expand_tags_each_tries_entries_in_order():
-    # the entries come level by level, each level's in key order, as
-    # `items` of each would give them
-    families = MAP_FAMILIES + [
-        (UNIT, [()]),
-        (INT_WITH_INF, [-4, 7, INF]),
-        (INT_WITH_NEG_INF, [NEG_INF, -4, 7]),
-    ]
-    for prim, keys in families:
-        ts = [build({k: i + 1 for i, k in enumerate(keys)}), None,
-              build({k: 10 for k in keys[-2:]}), build({keys[0]: 5})]
-        with metrics.fresh() as m:
-            want = [(i, k, v) for i, t in enumerate(ts) for k, v in items(prim, t)]
-        with metrics.fresh() as m2:
-            got = list(expand(prim, ts))
-        assert got == want, prim
-        assert m2.trie_edges == m.trie_edges, prim
-    assert list(expand(INT, [])) == [] and list(expand(INT, [None])) == []
 
 
 def test_nested_prefix_keys_deeper_than_the_recursion_limit():
@@ -239,12 +225,6 @@ def test_builds_and_maps_charge_one_edge_per_node():
             doubled = map_values(t, lambda v: 2 * v, VOPS)
         assert m.trie_edges == nodes, prim
         assert list(items(prim, doubled)) == [(k, 2 * v) for k, v in items(prim, t)]
-        # several levels at once: each level's entries once, empty levels none
-        with metrics.fresh() as m:
-            level = list(expand(prim, [t, None, doubled]))
-        assert m.trie_edges == 2 * nodes, prim
-        assert level == [(0, k, v) for k, v in items(prim, t)] + \
-            [(2, k, v) for k, v in items(prim, doubled)]
 
 
 FAMILY_KEYS = [
