@@ -270,43 +270,41 @@ def normalize(t: Term) -> NormalForm:
     ring = space.ring
     if space.shape in ("free", "map"):
         return _keyed_nf(t)
-    pieces = (_gen_nf(c, g, space) for c, g in linear_combination(t) if not ring.is_zero(c))
-    return reduce(nf_add, pieces, zero_nf(space))
+    pieces = [_gen_nf(c, g, space) for c, g in linear_combination(t) if not ring.is_zero(c)]
+    total = tries.add_all(pieces, NF_VOPS)
+    return zero_nf(space) if total is None else total
 
 
 def _keyed_nf(t: Term) -> NormalForm:
     """Free, map and chain forms alike: every generator gives (key, payload)
-    entries or a share of the wildcard baseline, and the key trie is built
-    by one `tries.from_items` call, so repeated keys add in balanced merges.
-    A tensor, a chain generator included, or a product gives the entries
-    and baseline of its form."""
+    entries, a share of the wildcard baseline being an entry under `STAR`,
+    and the level is built by one `tries.from_items` call, so repeated keys
+    and the baseline's shares add in balanced rounds; the `STAR` entry is
+    then popped into the baseline slot. A tensor, a chain generator
+    included, or a product gives the entries and baseline of its form."""
     space = t.space
     ring = space.ring
     entries = []
-    bases = []
     for c, g in linear_combination(t):
         if ring.is_zero(c):
             continue
         if isinstance(g, InjGen):
             entries.append((g.value, c))
         elif isinstance(g, WildOneGen):
-            bases.append(c)
+            entries.append((STAR, c))
         elif isinstance(g, MapsToGen):
             entries.append((g.key, nf_scale(c, normalize(g.body))))
         elif isinstance(g, WildMapsToGen):
-            bases.append(nf_scale(c, normalize(g.body)))
+            entries.append((STAR, nf_scale(c, normalize(g.body))))
         else:
             nf = _gen_nf(c, g, space)
             if nf.trie is not None:
                 entries.extend(nf.trie.items())
             if nf.base is not None:
-                bases.append(nf.base)
-    vops = payload_ops(space)
-    # wildcard generators are few, so the baseline's shares are simply added
-    base = reduce(vops.add, bases) if bases else None
-    if base is not None and vops.is_zero(base):
-        base = None
-    return MapNF(space, tries.from_items(entries, vops), base)
+                entries.append((STAR, nf.base))
+    trie = tries.from_items(entries, payload_ops(space))
+    base = None if trie is None else trie.pop(STAR, None)
+    return MapNF(space, trie or None, base)
 
 
 def force_product(g: MulGen) -> Term:
@@ -434,12 +432,15 @@ def _lookup_path(nf, path, i):
     ring = nf.space.ring
     if isinstance(nf, ScalarNF):
         return nf.value, i
+    if i == len(path):
+        raise SpaceError(f"path {path!r} ends before a coefficient of {nf.space}")
     if isinstance(nf, MapNF):
         if nf.space.shape == "free":
             return nf_lookup(nf, path[i]), i + 1
         key = path[i]
         parts = [nf.base]
         if key is not STAR:
+            nf.space.prim.check(key)
             parts.append(tries.lookup(nf.trie, key))
         # with no entry, the zero form of the value space reads the rest of
         # the path, side tags included, to find where it ends

@@ -72,7 +72,7 @@ from .normal import (
     unit_nf,
     zero_nf,
 )
-from .spaces import SpaceError, chain_prims, tensor_chain
+from .spaces import CompactFree, Free, SpaceError, Tensor, tensor_chain
 from .terms import (
     GenTerm,
     InjGen,
@@ -410,9 +410,13 @@ def _embed(nf, src, tgt, out):
 def triangle(x: Term, y: Term, z: Term) -> NormalForm:
     """Cyclic three-way join over attributes (A, B), (A, C), (B, C): each
     input a positioned factor of the compact chain over (A, B, C)."""
-    pa, pb = chain_prims(x.space)
-    pa2, pc = chain_prims(y.space)
-    pb2, pc2 = chain_prims(z.space)
+    prims = []
+    for s in (x.space, y.space, z.space):
+        if not (isinstance(s, Tensor) and isinstance(s.lhs, (Free, CompactFree))
+                and isinstance(s.rhs, (Free, CompactFree))):
+            raise SpaceError(f"{s} is not a chain of two free factors")
+        prims.append((s.lhs.prim, s.rhs.prim))
+    (pa, pb), (pa2, pc), (pb2, pc2) = prims
     if pa != pa2 or pb != pb2 or pc != pc2:
         raise SpaceError("triangle inputs do not share attribute types")
     out = tensor_chain(x.space.ring, [pa, pb, pc], compact=True)

@@ -176,23 +176,3 @@ def tensor_chain(ring: Ring, prims, compact: bool = False) -> Space:
         _CHAINS[key] = space
     return space
 
-
-def chain_factors(space: Space) -> list:
-    """The free factors of a tensor of free modules, left to right, each kept
-    plain or compact; the tensors may nest in any way."""
-    out = []
-    stack = [space]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Tensor):
-            stack += (s.rhs, s.lhs)
-        elif isinstance(s, (Free, CompactFree)):
-            out.append(s)
-        else:
-            raise SpaceError(f"{space} is not a chain of free factors")
-    return out
-
-
-def chain_prims(space: Space):
-    """Factor prims of a chain of free factors."""
-    return [f.prim for f in chain_factors(space)]

@@ -3,32 +3,36 @@
 A level maps keys to non-vanishing payloads; the empty level is `None`,
 never an empty dict. Keys are the prims' own hashable values: a pair is a
 flat tuple, a sum a tagged tuple `("L", x)` or `("R", x)`, an adjoined
-marker is itself. Levels are never mutated once built, so an operation
-may return an input level as it is. Only the enumeration takes the key
-family's prim, to order a level: Int64, Str and Bool keys sort naturally
-(code point order, which is UTF-8 byte order), other families by
-`prim.sort_key`.
+marker is itself. Levels are never mutated once built, apart from the
+`STAR` entry popped below, so an operation may return an input level as it
+is. Only the enumeration takes the key family's prim, to order a level:
+Int64, Str and Bool keys sort naturally (code point order, which is UTF-8
+byte order), other families by `prim.sort_key`.
 
 `merge` adds two levels: it copies the larger in C and adds the smaller's
-entries to the copy. `from_items` is the one multi-entry builder; the
-payloads of equal keys add in balanced rounds. `items` is the one
-enumeration, `map_values` maps payloads, and `walk` and `keep` intersect
-levels a column at a time. `walk(ts)` returns the keys present in every
-level, listed in the order of the level with the fewest keys, and one
-column of payloads per level. It intersects with chained
-`dict.keys() &` in level order, each step iterating the smaller side in C,
-so its work is bounded by the smallest input, as Generic Join needs for
-worst-case optimality. `keep(ts, keys, outs, vops)` turns the caller's
-outputs at those keys into a level: an input level whose entries are
-`ValueOps.same` as the outputs is returned as it is, and only otherwise is
-a new level built.
+entries to the copy. `add_all` is the one way to add many payloads, in
+balanced rounds, so a sum of n single-entry forms copies n·log₂n entries,
+not n²/2. `from_items` is the one multi-entry builder; the payloads of
+equal keys add by `add_all`. A keyed form's builder passes its wildcard
+baseline's shares as entries under `normal.STAR` and pops that entry from
+the new level before the level is shared, so the shares add in the same
+rounds. `items` is the one enumeration, `map_values` maps payloads, and
+`walk` and `keep` intersect levels a column at a time. `walk(ts)` returns
+the keys present in every level, listed in the order of the level with the
+fewest keys, and one column of payloads per level. It intersects with
+chained `dict.keys() &` in level order, each step iterating the smaller
+side in C, so its work is bounded by the smallest input, as Generic Join
+needs for worst-case optimality. `keep(ts, keys, outs, vops)` turns the
+caller's outputs at those keys into a level: an input level whose entries
+are `ValueOps.same` as the outputs is returned as it is, and only
+otherwise is a new level built.
 
 Counting rule: each entry iterated, built or probed costs one
 `metrics.current.trie_edges`. `walk` charges the smallest level's entries
 plus, for each other level, the keys still standing when it is probed;
 a probe inside `walk` is not a lookup. `keep` charges a level it builds,
-not one it returns. The C copy of the larger level in `merge` is not
-counted.
+not one it returns. A `STAR` entry in `from_items` costs one edge like any
+other. The C copy of the larger level in `merge` is not counted.
 """
 
 import operator
@@ -104,12 +108,25 @@ def count(t) -> int:
     return 0 if t is None else len(t)
 
 
-def from_items(pairs, vops):
-    """Build a level from (key, payload) pairs. Colliding keys add, in
-    balanced rounds, since a payload may itself be a form and adding one
-    at a time to a growing sum can be quadratic; vanishing payloads and
-    sums are dropped."""
+def add_all(values, vops):
+    """The sum of payloads, or None when it vanishes. They add in balanced
+    rounds, since a payload may itself be a form and adding one at a time
+    to a growing sum copies it each time, which is quadratic; vanishing
+    payloads and partial sums are dropped."""
     is_zero, add = vops.is_zero, vops.add
+    vs = [v for v in values if not is_zero(v)]
+    while len(vs) > 1:
+        paired = [add(vs[j], vs[j + 1]) for j in range(0, len(vs) - 1, 2)]
+        if len(vs) % 2:
+            paired.append(vs[-1])
+        vs = [v for v in paired if not is_zero(v)]
+    return vs[0] if vs else None
+
+
+def from_items(pairs, vops):
+    """Build a level from (key, payload) pairs. The payloads of colliding
+    keys add by `add_all`; vanishing payloads and sums are dropped."""
+    is_zero = vops.is_zero
     out, runs = {}, {}
     for k, v in pairs:
         if is_zero(v):
@@ -121,15 +138,11 @@ def from_items(pairs, vops):
         else:
             runs[k] = [out[k], v]
     for k, vs in runs.items():
-        while len(vs) > 1:
-            paired = [add(vs[j], vs[j + 1]) for j in range(0, len(vs) - 1, 2)]
-            if len(vs) % 2:
-                paired.append(vs[-1])
-            vs = [v for v in paired if not is_zero(v)]
-        if vs:
-            out[k] = vs[0]
-        else:
+        v = add_all(vs, vops)
+        if v is None:
             del out[k]
+        else:
+            out[k] = v
     metrics.current.trie_edges += len(out)
     return out or None
 

@@ -44,7 +44,8 @@ from polyalg import (
     wild_one,
     zero,
 )
-from polyalg.normal import MapNF, has_baseline, nf_lookup, nf_scale, nf_weight
+from polyalg import tries
+from polyalg.normal import MapNF, has_baseline, nf_lookup, nf_scale, nf_weight, strip_compact
 from polyalg.tries import count as trie_count
 
 from conftest import rand_term, sample_spaces
@@ -119,6 +120,25 @@ def test_compact_map_lookup():
     fm = FinMap(Z, STRING, Free(Z, INT))
     y = normalize(maps_to("a", v(1), fm))
     assert nf_lookup(y, STAR).is_zero()
+
+
+def test_strip_compact_restricts_pairs_and_maps_to_plain_spaces():
+    ci = CompactFree(Z, INT)
+    pair_space = Biproduct(CS, FinMap(Z, STRING, ci))
+    x = pair(inject("a", CS), maps_to("k", inject(1, ci) + inject(2, ci), pair_space.rhs))
+    cm = CompactMap(Z, INT, CS)
+    y = maps_to(1, inject("a", CS), cm) + maps_to(2, 3 * inject("b", CS), cm)
+    for t, target in (
+        (x, Biproduct(FS, FinMap(Z, STRING, FI))),
+        (y, FinMap(Z, INT, FS)),
+    ):
+        nf = normalize(t)
+        stripped = strip_compact(nf)
+        assert stripped.space == target
+        assert enumerate_nf(stripped) == enumerate_nf(nf)
+    for t in (wild_maps_to(inject("a", CS), cm), pair(zero(CS), maps_to("k", wild_one(ci), pair_space.rhs))):
+        with pytest.raises(InfiniteSupport):
+            strip_compact(normalize(t))
 
 
 def test_lookup_agrees_with_defining_sum(rng):
@@ -259,6 +279,21 @@ def test_lookup_path_past_an_absent_key_reads_side_tags():
         nf_lookup_path(nf, (2, 1, "a", "b"))
 
 
+def test_lookup_path_checks_every_key():
+    from polyalg import PrimValueError, relation_from_rows, schema
+
+    r = relation_from_rows(schema(("A", INT), ("B", INT)), Z, [((1, 2), 1)])
+    with metrics.fresh() as m:
+        assert [r.lookup((1, 2)), r.lookup((1, 3)), r.lookup((STAR, 2))] == [1, 0, 0]
+    assert (m.lookups, m.trie_edges) == (3, 4)
+    # True hashes as 1, so an unchecked first key would read the row (1, 2)
+    for bad in ((True, 2), ("x", 2), (1, True)):
+        with pytest.raises(PrimValueError):
+            r.lookup(bad)
+    with pytest.raises(SpaceError, match="ends before a coefficient"):
+        r.lookup((1,))
+
+
 def test_linear_time_trie_work():
     # normalising s single entries touches O(s) trie edges
     def edges_for(s):
@@ -292,6 +327,34 @@ def test_nested_prefix_values_under_one_key_add_in_balanced_rounds():
         nf = normalize(t)
     assert m.trie_edges <= 50_000
     assert [k for (_, k), _ in enumerate_nf(nf)] == keys
+
+
+def test_sums_of_many_forms_copy_n_log_n_entries(monkeypatch):
+    # a pair term's pieces and a level's wildcard shares add in balanced
+    # rounds; added one at a time, each addition would copy the growing
+    # level, about n²/2 entries in all
+    n = 2048
+    merge = tries.merge
+    copied = []
+
+    def spy(a, b, vops):
+        if a is not None and b is not None:
+            copied.append(max(len(a), len(b)))
+        return merge(a, b, vops)
+
+    monkeypatch.setattr(tries, "merge", spy)
+    pairs = sum_terms(Biproduct(FI, FI), [pair(inject(i, FI), inject(i, FI)) for i in range(n)])
+    nf = normalize(pairs)
+    assert sum(copied) <= n * 11
+    assert enumerate_nf(nf) == [((side, i), 1) for side in (1, 2) for i in range(n)]
+
+    copied.clear()
+    cm = CompactMap(Z, INT, FI)
+    wild = sum_terms(cm, [wild_maps_to(inject(i, FI), cm) for i in range(n)])
+    nf = normalize(wild)
+    assert sum(copied) <= n * 11
+    assert nf.trie is None
+    assert enumerate_nf(nf.base) == [((i,), 1) for i in range(n)]
 
 
 def test_relation_chain_normalizes_to_nested_trie():

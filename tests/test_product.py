@@ -294,6 +294,18 @@ def test_triangle_small_instances():
     assert empty.is_zero()
 
 
+def test_triangle_rejects_inputs_that_are_not_matching_two_column_chains():
+    x = pairs_rel([(1, 1)], FI, FI)
+    for bad in (
+        maps_to(1, inject(1, FI), FinMap(Z, INT, FI)),
+        tensor(inject(1, FI), tensor(inject(1, FI), inject(1, FI))),
+    ):
+        with pytest.raises(SpaceError, match="not a chain of two free factors"):
+            triangle(x, x, bad)
+    with pytest.raises(SpaceError, match="do not share attribute types"):
+        triangle(x, pairs_rel([(1, "c")], FI, FS), x)
+
+
 def _levels_fit(nf):
     """Whether every sub-form of a baseline-free chain form lives in its
     own level's space."""
