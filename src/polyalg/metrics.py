@@ -20,9 +20,10 @@ class Counters:
         self.lookups = 0
         self.pair_products = 0
         # trace, when enabled, records (component_counts, chosen_index) per
-        # intersecting product level for enumerator-rule assertions, an
-        # all-baseline level through its summands' levels; the index is the
-        # restricting factor that was iterated
+        # intersecting row of a product level for enumerator-rule
+        # assertions, an all-baseline row through its summands' rows; the
+        # index is the restricting factor that was iterated. Entries come
+        # in level order, the rows of one level before the next's
         self.trace = [] if trace else None
 
     def snapshot(self):

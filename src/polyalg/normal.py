@@ -452,8 +452,9 @@ def _lookup_path(nf, path, i):
         return total, j
     if isinstance(nf, PairNF):
         tag = path[i]
-        side = nf.lhs if tag == 1 else nf.rhs
-        return _lookup_path(side, path, i + 1)
+        if type(tag) is not int or tag not in (1, 2):
+            raise SpaceError(f"path {path!r} has {tag!r} where {nf.space} needs a side tag 1 or 2")
+        return _lookup_path(nf.lhs if tag == 1 else nf.rhs, path, i + 1)
     raise SpaceError(f"cannot look up in {type(nf).__name__}")
 
 

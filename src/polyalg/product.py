@@ -14,36 +14,41 @@ product (`nf_product`: symbolic products and `multiply`) splits pairs,
 multiplies scalars and hands keyed forms to `nf_join` with positions
 None, each in the output space and holding every level.
 
-The evaluator works level by level, one `_level` for every keyed level: a
-free level multiplies ring coefficients, any other multiplies the factor
-values below each key. At each level the factors split into those that
-restrict the support, whose baseline is None, and those that do not. If a
-restricting factor exists, their trie levels are intersected by
-`tries.walk`, which iterates the one with the fewest keys and probes the
-others by hash, so a key missing from any restricting factor is dropped
-before anything below it is visited. The level then works a column at a
-time: a non-restricting factor with a trie is probed at every surviving
-key and adds its baseline to its deviation there; one without a trie
-gives its baseline at every key. A free level multiplies its columns left
-to right in factor order, the coefficients of ended factors each in its
-own place, so real products are exact, and leaves out a baseline equal to
-the ring's one. A factor that vanishes at a key drops the key before any
-later factor is probed or any deeper work is charged. A level where every
-factor carries a baseline is written with x_j = b_j + d_j, its baseline
-and its deviations, as b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n: the
-baselines' product is the output's baseline, and each summand is a level
-restricted by d_j, intersected as above, so only the factors' explicit
-keys and what lies below them are visited.
+The evaluator works breadth first, one frontier for every keyed level:
+every row of factor values at that depth. A free level multiplies ring
+coefficients; any other makes the factor values below each key rows of
+the next level, and once the deepest level is done each level's forms
+are assembled from its child rows' outputs, so the stack depth does not
+grow with the column count. At each level a row's factors split into
+those that restrict the support, whose baseline is None, and those that
+do not, and rows that split alike go through every step together. Their
+restricting levels are intersected by one `tries.walk`, which flattens
+each row's level with the fewest keys into one key list and probes the
+row's other restricting levels by hash, so a key missing from any
+restricting factor is dropped before anything below it is visited. The
+level then works a column at a time over all those rows' keys: a
+non-restricting factor with a trie is probed at every surviving key and
+adds its baseline to its deviation there; one without a trie gives its
+baseline at every key. A free level multiplies its columns left to right
+in factor order, the coefficients of ended factors each in its own place,
+so real products are exact, and leaves out a baseline equal to the ring's
+one. A factor that vanishes at a key drops the key before any later
+factor is probed or any deeper work is charged. A row where every factor
+carries a baseline is written with x_j = b_j + d_j, its baseline and its
+deviations, as b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n: the
+baselines' product is the output's baseline, and each summand is a row of
+the same level restricted by d_j, so only the factors' explicit keys and
+what lies below them are visited.
 
-All n factors are scheduled jointly: the recursion at a key carries one
-value per factor into the next level rather than folding pairwise, which
-is what makes the evaluation worst-case optimal on cyclic joins such as
-the triangle. An output that equals one of the inputs is that input, so
-unchanged levels are shared, not rebuilt: `tries.keep` returns an input's
-trie level, a level whose trie and baseline are an input form's is that
-form when its space is the output level's, and below a key where every
-factor but one has ended with the coefficient one, the remaining factor's
-form is the output's when its space is.
+All n factors are scheduled jointly: a row carries one value per factor
+into the next level rather than folding pairwise, which is what makes the
+evaluation worst-case optimal on cyclic joins such as the triangle. An
+output that equals one of the inputs is that input, so unchanged levels
+are shared, not rebuilt: `tries.keep` returns an input's trie level, a
+level whose trie and baseline are an input form's is that form when its
+space is the output level's, and a row where every factor but one has
+ended with the coefficient one is the remaining factor's form when its
+space is the output level's.
 
 `embed` widens a form into a larger compact chain, filling the attributes
 it lacks with wildcard levels: `Relation` widens a plain chain's form with
@@ -53,7 +58,8 @@ reference that joins are checked against; no join calls it.
 distributivity, kept as the differential-testing oracle.
 """
 
-from itertools import compress, repeat
+from functools import reduce
+from operator import attrgetter
 
 from . import metrics, tries
 from .normal import (
@@ -141,17 +147,22 @@ def nf_join(factors, space) -> NormalForm:
             return zero_nf(space)
     if len(xs) == 1 and xs[0].space is space:
         return xs[0]
-    # one (here, live, below) plan per keyed level of `space`, down to a
-    # free level or to values that are pairs or scalars, built from the last
-    depth, s = 1, space
-    while s.shape == "map" and s.value.shape in ("free", "map"):
-        depth, s = depth + 1, s.value
-    plan = None
-    for i in reversed(range(depth)):
+    # one frontier per keyed level of `space`, down to a free level, to
+    # values that are pairs or scalars or to a level without rows; then
+    # each level's outputs are assembled from its child rows', deepest first
+    rows, finishes, i, s = [xs], [], 0, space
+    while True:
         here = tuple(pos is None or i in pos for _, pos in factors)
         live = [j for j, (_, pos) in enumerate(factors) if pos is None or pos[-1] >= i]
-        plan = (here, live[0] if len(live) == 1 else None, plan)
-    return _level(xs, space, plan)
+        rows, finish = _frontier(rows, s, here, live[0] if len(live) == 1 else None)
+        finishes.append(finish)
+        if not rows or s.shape != "map" or s.value.shape not in ("free", "map"):
+            break
+        i, s = i + 1, s.value
+    below = list(map(nf_product, rows))
+    while finishes:
+        below = finishes.pop()(below)
+    return below[0]
 
 
 def _ring_product(ring, vals):
@@ -163,136 +174,151 @@ def _ring_product(ring, vals):
     return acc
 
 
-def _level(xs, space, plan):
-    """One level of the joint product of `xs` in `space` by `plan`: the
-    product form, or the input form it equals, which needs that form's
-    space to be `space`. `plan` is (here, live, below): `here` flags the
-    factors whose next attribute is this level, and every other factor is
-    its own baseline at every key, a form passed down unchanged or, past
-    its last attribute, its coefficient; `below` is the next level's plan,
-    None where the values are pairs or scalars, and `live`, when there is
-    one, the one factor with attributes at this level or after it.
+def _frontier(rows, space, here, live):
+    """One level of the joint product in `space` over `rows`, every row of
+    factor values at its depth. `here` flags the factors whose next
+    attribute is this level; every other factor is its own baseline at
+    every key, a form passed down unchanged or, past its last attribute,
+    its coefficient. A row whose one live factor, `live`, is already in
+    `space`, every other factor being a coefficient equal to the unit, is
+    that factor. Returns the child rows and `finish(below)`, which takes
+    the child rows' outputs and returns one output per row: the product
+    form, or the input form it equals.
 
-    A free level multiplies its columns left to right in factor order; an
-    all-baseline level adds its summands' levels in factor order, the
-    summand of d_1 first, so a real deviation is a sum of those products,
-    never a product less the baselines' product."""
+    Rows are grouped by which factors restrict, are probed or stand as a
+    unit baseline, and by which restricting level is smallest. The
+    summands of an all-baseline row are appended to `rows`, and their
+    levels add in factor order, the summand of d_1 first, so a real
+    deviation is a sum of those products, never a product less the
+    baselines' product."""
     m = metrics.current
-    here = plan[0]
-    # plain loops: a comprehension costs a call per use, and a level has
-    # few factors
-    ts, bs = [], []
-    for x, h in zip(xs, here):
-        ts.append(x.trie if h else None)
-        bs.append(x.base if h else x)
-    if space.shape == "free":
-        ring = space.ring
-        vops = ring_vops(ring)
-    else:
-        ring, vops = None, NF_VOPS
-    is_zero = vops.is_zero
-    restricting, probed = [], False
-    for t, b in zip(ts, bs):
-        if b is None:
-            restricting.append(t)
-        elif t is not None:
-            probed = True
-    if not restricting:
+    ring = space.ring
+    free = space.shape == "free"
+    vops = ring_vops(ring) if free else NF_VOPS
+    is_zero, one, trace = vops.is_zero, ring.one, m.trace
+    top = len(rows)
+    outs, children, groups, summed = [], [], {}, []
+    for n, row in enumerate(rows):
+        if n < top and live is not None and row[live].space is space \
+                and row.count(one) == len(row) - 1:
+            # every factor but the live one is a coefficient, and no form
+            # equals the unit
+            outs.append(row[live])
+            continue
+        outs.append(None)
+        # kinds: 0 restricts (no baseline), 1 is probed (trie and baseline),
+        # 2 is a baseline at every key, 3 a unit one left out of a multiply
+        kinds, e = [], None
+        for j, (x, h) in enumerate(zip(row, here)):
+            if not h:
+                kinds.append(3 if free and x == one else 2)
+            elif x.base is None:
+                kinds.append(0)
+                # a factor value never vanishes, so a restricting trie exists
+                if e is None or len(x.trie) < len(row[e].trie):
+                    e = j
+            else:
+                kinds.append(1 if x.trie is not None else 3 if free and x.base == one else 2)
+        if e is not None:
+            if trace is not None:
+                trace.append((tuple(tries.count(x.trie) + (x.base is not None) if h else 1
+                                    for x, h in zip(row, here)), e))
+            groups.setdefault((tuple(kinds), e), []).append((n, row))
+            continue
         # every factor is its baseline plus its deviations, x_j = b_j + d_j:
         # x_1⋯x_n = b_1⋯b_n + Σ_j x_1⋯x_{j−1} · d_j · b_{j+1}⋯b_n, and each
         # summand is restricted by d_j, so only d_j's keys are visited
-        trie = None
-        for j, t in enumerate(ts):
-            if t is not None:
-                later = zip(xs[j + 1:], here[j + 1:])
-                row = [*xs[:j], MapNF(xs[j].space, t, None),
-                       *[MapNF(x.space, None, x.base) if h else x for x, h in later]]
-                trie = tries.merge(trie, _level(row, space, plan).trie, vops)
-        if ring is not None:
+        subs = []
+        for j, (x, h) in enumerate(zip(row, here)):
+            if h and x.trie is not None:
+                later = zip(row[j + 1:], here[j + 1:])
+                subs.append(len(rows))
+                rows.append([*row[:j], MapNF(x.space, x.trie, None),
+                             *[MapNF(y.space, None, y.base) if g else y for y, g in later]])
+        bs = [x.base if h else x for x, h in zip(row, here)]
+        if free:
             base = _ring_product(ring, bs)
         else:
-            base = _below([bs], space.value, plan[2])[0]
-        if is_zero(base):
-            base = None
-    else:
-        if m.trace is not None:
-            # what the trace records only: `tries.walk` picks its own level
-            tcs = [tries.count(t) for t in ts]
-            enum_i = min((i for i, b in enumerate(bs) if b is None), key=lambda i: (tcs[i], i))
-            m.trace.append((tuple(c + (b is not None) for c, b in zip(tcs, bs)), enum_i))
-        keys, cols = tries.walk(restricting)
-        # a column per factor: its payloads at `keys`, or None where its
-        # baseline stands at every key
-        cols = iter(cols)
-        columns = []
-        for b in bs:
-            columns.append(next(cols) if b is None else None)
-        for j, (t, bj) in enumerate(zip(ts, bs) if probed else ()):
-            if bj is None or t is None:
+            base = len(children)
+            children.append(bs)
+        summed.append((n, row, subs, base))
+    pending = []
+    for (kinds, e), members in groups.items():
+        # a column per factor, one entry per row of the group: its values,
+        # tries and baselines
+        ns, grows = zip(*members)
+        xcols = list(zip(*grows))
+        tcols = [list(map(_TRIE, c)) if h else None for c, h in zip(xcols, here)]
+        bcols = [list(map(_BASE, c)) if h else c for c, h in zip(xcols, here)]
+        restricting = [j for j, k in enumerate(kinds) if k == 0]
+        levels = [tcols[j] for j in restricting]
+        keys, owner, found = tries.walk(levels, restricting.index(e))
+        cols = [None] * len(kinds)
+        for j, col in zip(restricting, found):
+            cols[j] = col
+        for j, kind in enumerate(kinds):
+            if kind != 1:
                 continue
             m.lookups += len(keys)
             m.trie_edges += len(keys)
             # at its last attribute a factor's payloads are coefficients,
             # whatever the level's
-            ops = payload_ops(xs[j].space)
-            col = [bj if d is None else ops.add(bj, d) for d in map(t.get, keys)]
+            ops = payload_ops(xcols[j][0].space)
+            add = ops.add
+            col = [b if d is None else add(b, d) for b, d in
+                   zip(map(bcols[j].__getitem__, owner),
+                       map(dict.get, map(tcols[j].__getitem__, owner), keys))]
             if any(map(ops.is_zero, col)):
                 # a vanishing factor drops its key before any later probe
-                mask = [not ops.is_zero(v) for v in col]
-                keys = list(compress(keys, mask))
-                columns = [c if c is None else list(compress(c, mask)) for c in columns]
-                col = list(compress(col, mask))
-            columns[j] = col
-        if ring is None:
-            for j, col in enumerate(columns):
-                if col is None:
-                    columns[j] = repeat(bs[j])
-            outs = _below(zip(*columns), space.value, plan[2])
-        else:
+                keys, owner, col, *cols = tries.compressed([not ops.is_zero(v) for v in col],
+                                                           [keys, owner, col, *cols])
+            cols[j] = col
+        for j, kind in enumerate(kinds):
+            if cols[j] is None and kind != 3:
+                cols[j] = list(map(bcols[j].__getitem__, owner))
+        if free:
             # multiply left to right, leaving out a baseline that is the unit
-            mul, one = ring.mul, ring.one
-            outs = None
-            for b, col in zip(bs, columns):
-                if col is None:
-                    if b == one:
-                        continue
-                    col = repeat(b, len(keys))
-                if outs is None:
-                    outs = col
-                else:
-                    outs = map(mul, outs, col)
-                    m.ring_mults += len(keys)
-            outs = list(outs)
-        if any(map(is_zero, outs)):
-            mask = [not is_zero(v) for v in outs]
-            keys, outs = list(compress(keys, mask)), list(compress(outs, mask))
-        trie, base = tries.keep(restricting, keys, outs, vops), None
+            cols = [c for c in cols if c is not None]
+            got = reduce(lambda acc, col: list(map(ring.mul, acc, col)), cols)
+            m.ring_mults += len(keys) * (len(cols) - 1)
+        else:
+            got = len(children)
+            children.extend(zip(*cols))
+        pending.append((ns, grows, levels, keys, owner, got))
+
+    def finish(below):
+        for ns, grows, levels, keys, owner, got in pending:
+            if not free:
+                got = below[got:got + len(keys)]
+            if any(map(is_zero, got)):
+                keys, owner, got = tries.compressed([not is_zero(v) for v in got],
+                                                    [keys, owner, got])
+            for n, row, trie in zip(ns, grows, tries.keep(levels, owner, keys, got, vops)):
+                outs[n] = _reused(row, here, space, trie, None, vops)
+        for n, row, subs, base in summed:
+            trie = None
+            for s in subs:
+                trie = tries.merge(trie, outs[s].trie, vops)
+            if not free:
+                base = below[base]
+            outs[n] = _reused(row, here, space, trie, None if is_zero(base) else base, vops)
+        pending.clear()
+        return outs
+
+    return children, finish
+
+
+_TRIE, _BASE = attrgetter("trie"), attrgetter("base")
+
+
+def _reused(row, here, space, trie, base, vops):
+    """The form in `space` of `trie` and `base`: an input form of the row
+    that has them, else a new one."""
     same = vops.same
-    for x, h in zip(xs, here):
+    for x, h in zip(row, here):
         if h and x.space is space and x.trie is trie and same(x.base, base):
             return x
     return MapNF(space, trie, base)
-
-
-def _below(rows, space, plan):
-    """The products in `space` of the rows of factor values under a
-    level's keys, each by `plan`, or by `nf_product` where `plan` is None
-    and the values are pairs or scalars. A row whose one live factor is
-    already in `space`, every other factor being a coefficient equal to
-    the unit, is that factor."""
-    if plan is None:
-        return list(map(nf_product, rows))
-    live = plan[1]
-    one = space.ring.one
-    outs = []
-    for row in rows:
-        # every factor but the live one is a coefficient, and no form
-        # equals the unit
-        if live is not None and row[live].space is space and row.count(one) == len(row) - 1:
-            outs.append(row[live])
-        else:
-            outs.append(_level(row, space, plan))
-    return outs
 
 
 # the blunt oracle -------------------------------------------------------------

@@ -68,9 +68,10 @@ class RelationError(ValueError):
 
 TYPE_NAMES = {"int": INT, "str": STRING, "bool": BOOL}
 
-#: widest schema: building, widening and joining chain forms recurse once
-#: per column, and 100 columns under a query nested `query.MAX_DEPTH` deep
-#: still fit the interpreter's default recursion limit
+#: widest schema: building (`_rows_nf`), widening (`product.embed`) and
+#: reading back chain forms recurse per column, and 100 columns under a
+#: query nested `query.MAX_DEPTH` deep still fit the interpreter's default
+#: recursion limit; joins go a level at a time and do not recurse
 MAX_COLUMNS = 100
 
 

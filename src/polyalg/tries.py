@@ -17,26 +17,31 @@ equal keys add by `add_all`. A keyed form's builder passes its wildcard
 baseline's shares as entries under `normal.STAR` and pops that entry from
 the new level before the level is shared, so the shares add in the same
 rounds. `items` is the one enumeration, `map_values` maps payloads, and
-`walk` and `keep` intersect levels a column at a time. `walk(ts)` returns
-the keys present in every level, listed in the order of the level with the
-fewest keys, and one column of payloads per level. It intersects with
-chained `dict.keys() &` in level order, each step iterating the smaller
-side in C, so its work is bounded by the smallest input, as Generic Join
-needs for worst-case optimality. `keep(ts, keys, outs, vops)` turns the
-caller's outputs at those keys into a level: an input level whose entries
-are `ValueOps.same` as the outputs is returned as it is, and only
-otherwise is a new level built.
+`walk` and `keep` intersect the levels of many nodes at once, a column
+of keys at a time. `walk` flattens one chosen level of every node into one
+key list, in that level's order, and probes each of the node's other
+levels for the keys still standing with `dict.get` in C, dropping misses
+with `compress`; the caller chooses each node's smallest level, so the
+work is bounded by the smallest input, as Generic Join needs for
+worst-case optimality. `keep` turns the caller's outputs at those keys
+into one level per node: an input level of the node whose entries are
+`ValueOps.same` as its outputs is returned as it is, and only otherwise is
+a new level built.
 
 Counting rule: each entry iterated, built or probed costs one
-`metrics.current.trie_edges`. `walk` charges the smallest level's entries
-plus, for each other level, the keys still standing when it is probed;
-a probe inside `walk` is not a lookup. `keep` charges a level it builds,
-not one it returns. A `STAR` entry in `from_items` costs one edge like any
-other. The C copy of the larger level in `merge` is not counted.
+`metrics.current.trie_edges`. `walk` charges each node's iterated level's
+entries plus, for each other level, the node's keys still standing when
+it is probed; a probe inside `walk` is not a lookup. `keep` charges a
+level it builds, not one it returns. A `STAR` entry in `from_items` costs
+one edge like any other. The C copy of the larger level in `merge` is not
+counted.
 """
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, compress, repeat
 from typing import Callable
 
 from . import metrics
@@ -147,43 +152,59 @@ def from_items(pairs, vops):
     return out or None
 
 
-def walk(ts):
-    """Intersect n >= 1 levels. Returns the keys present in every level, in
-    the order of the level with the fewest keys (the leftmost on a tie),
-    and one column per level of its payloads at those keys. The smallest
-    level is iterated and each other level, in level order, is probed only
-    for the keys that survived the levels before it."""
-    if None in ts:
-        return [], [[]] * len(ts)
-    small = min(ts, key=len)
-    common = small.keys()
-    probes = 0
-    for t in ts:
-        if t is not small:
-            probes += len(common)
-            common = t.keys() & common
-    metrics.current.trie_edges += len(small) + probes
-    if len(common) == len(small):
-        # every key of the smallest level survives: its column is its values
-        keys = list(small)
-        return keys, [list(small.values()) if t is small else list(map(t.__getitem__, keys))
-                      for t in ts]
-    keys = list(filter(common.__contains__, small))
-    return keys, [list(map(t.__getitem__, keys)) for t in ts]
+def walk(levels, first):
+    """Intersect the levels of many nodes at once. `levels` holds one column
+    per level of a node, each a list with one level per node. The levels of
+    column `first` are iterated, flattened into one key list in their own
+    order, and each other column's, in column order, is probed for the keys
+    still standing; no level is empty. Returns those keys, the index of
+    each key's node, and one column of payloads at those keys per column
+    of `levels`."""
+    it = levels[first]
+    keys = list(chain.from_iterable(it))
+    owner = list(chain.from_iterable(map(repeat, range(len(it)), map(len, it))))
+    cols = [None] * len(levels)
+    cols[first] = list(chain.from_iterable(map(dict.values, it)))
+    edges = len(keys)
+    for i, col in enumerate(levels):
+        if i == first:
+            continue
+        edges += len(keys)
+        found = list(map(dict.get, map(col.__getitem__, owner), keys))
+        if None in found:
+            hit = list(map(operator.is_not, found, repeat(None)))
+            keys, owner, found, *cols = compressed(hit, [keys, owner, found, *cols])
+        cols[i] = found
+    metrics.current.trie_edges += edges
+    return keys, owner, cols
 
 
-def keep(ts, keys, outs, vops):
-    """The level holding `outs` at `keys`, which lie in every level of `ts`:
-    a level of `ts` whose entries are exactly those, by `vops.same`, is
-    returned as it is; otherwise a new level is built."""
-    if not keys:
-        return None
+def compressed(mask, cols):
+    """The columns without their entries where `mask` is false; a column
+    that is None stays None."""
+    return [c if c is None else list(compress(c, mask)) for c in cols]
+
+
+def keep(levels, owner, keys, outs, vops):
+    """One level per node: the node's `outs` at its `keys`, those whose
+    `owner` is its index, which lie in each of its levels (`levels` as in
+    `walk`). A level of the node whose entries are exactly those, by
+    `vops.same`, is returned as it is; otherwise a new level is built."""
     same = vops.same
-    for t in ts:
-        if len(t) == len(keys) and all(map(same, outs, map(t.__getitem__, keys))):
-            return t
-    metrics.current.trie_edges += len(keys)
-    return dict(zip(keys, outs))
+    bounds = list(map(partial(bisect_left, owner), range(len(levels[0]) + 1)))
+    built, out = 0, []
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        ks, vs = keys[a:b], outs[a:b]
+        for col in levels:
+            t = col[i]
+            if len(t) == b - a and all(map(same, vs, map(t.__getitem__, ks))):
+                break
+        else:
+            t = dict(zip(ks, vs)) or None
+            built += b - a
+        out.append(t)
+    metrics.current.trie_edges += built
+    return out
 
 
 def map_values(t, fn, vops):

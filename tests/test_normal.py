@@ -279,6 +279,18 @@ def test_lookup_path_past_an_absent_key_reads_side_tags():
         nf_lookup_path(nf, (2, 1, "a", "b"))
 
 
+def test_lookup_path_refuses_a_side_tag_other_than_1_or_2():
+    # a biproduct's side is tag 1 or 2, as enumeration writes it; any other
+    # tag is refused like a short path, not read as the right side
+    fi = Free(Z, INT)
+    nf = normalize(pair(zero(fi), inject(5, fi)))
+    assert nf_lookup_path(nf, (2, 5)) == 1
+    assert nf_lookup_path(nf, (1, 5)) == 0
+    for bad in ((3, 5), ("x", 5), (0, 5), (True, 5), (STAR, 5)):
+        with pytest.raises(SpaceError, match="side tag"):
+            nf_lookup_path(nf, bad)
+
+
 def test_lookup_path_checks_every_key():
     from polyalg import PrimValueError, relation_from_rows, schema
 

@@ -401,26 +401,27 @@ def _check_products_against_expansion(rng, ring, space):
 
 
 def test_every_level_is_planned_and_keyed_products_are_joins(monkeypatch):
-    # `nf_join` is the one way into `_level`: every call, the summands of an
-    # all-baseline level included, is (xs, space, plan) with a plan, and a
-    # same-space product of keyed forms is an `nf_join` of factors with
-    # positions None
+    # `nf_join` is the one way into `_frontier`: every call, the summands of
+    # an all-baseline level riding in its rows, is (rows, space, here, live)
+    # with a plan, one flag per factor of every row, and a same-space
+    # product of keyed forms is an `nf_join` of factors with positions None
     from polyalg import intersect, outer_join, pair, product, relation_from_rows, scalar
     from polyalg import schema, wild_maps_to
 
-    level, join = product._level, product.nf_join
+    frontier, join = product._frontier, product.nf_join
     calls, joins = [], []
 
-    def spy_level(*args, **kwargs):
-        calls.append((len(args), kwargs, args[2] if len(args) == 3 else None))
-        return level(*args, **kwargs)
+    def spy_frontier(*args, **kwargs):
+        rows, _, here, live = args
+        calls.append((len(args), kwargs, here, live, {len(row) for row in rows}))
+        return frontier(*args, **kwargs)
 
     def spy_join(factors, space):
         factors = list(factors)
         joins.append([pos for _, pos in factors])
         return join(factors, space)
 
-    monkeypatch.setattr(product, "_level", spy_level)
+    monkeypatch.setattr(product, "_frontier", spy_frontier)
     monkeypatch.setattr(product, "nf_join", spy_join)
     inner = CompactMap(Z, INT, CI)
     chain = CompactMap(Z, STRING, inner)
@@ -449,8 +450,11 @@ def test_every_level_is_planned_and_keyed_products_are_joins(monkeypatch):
         out = run()
         assert not out.is_zero(), name
         assert calls, name
-        for n, kwargs, plan in calls:
-            assert n == 3 and not kwargs and plan is not None, name
+        for n, kwargs, here, live, widths in calls:
+            assert n == 4 and not kwargs, name
+            assert type(here) is tuple and all(type(h) is bool for h in here), name
+            assert widths <= {len(here)}, name
+            assert live is None or 0 <= live < len(here), name
         if name.startswith("multiply"):
             # the keyed product is a join of factors holding every level
             assert joins and all(pos is None for ps in joins for pos in ps), name
@@ -667,7 +671,7 @@ from polyalg.normal import MapNF
 from polyalg.product import nf_join, nf_product
 small = {w: 2 for w in %r}
 big = {w: 3 for w in %r}
-keys, _ = tries.walk([big, small])
+keys, _, _ = tries.walk([[big], [small]], 1)
 cs = CompactFree(Z, STRING)
 out = nf_product([MapNF(cs, big, None), MapNF(cs, small, None)])
 print(json.dumps([keys, list(out.trie)]))
@@ -707,3 +711,125 @@ def test_triangle_walk_edges_and_no_lookups():
     row = run_triangle(32)
     assert row.trie_edges <= 200_000, row.trie_edges
     assert row.lookups == 0
+
+
+def _pinned_cases():
+    """Six products on prebuilt inputs: joins of random, Zipf-skewed and
+    string relations, a full outer join, an intersection and a `multiply`
+    over a compact-map chain with baselines at every level."""
+    from polyalg import intersect, natural_join, outer_join, relation_from_rows, schema
+    from polyalg import wild_maps_to
+
+    rng = random.Random(24)
+
+    def rel(names, prim, rows):
+        r = relation_from_rows(schema(*[(n, prim) for n in names]), Z,
+                               [(row, rng.randint(1, 3)) for row in rows])
+        r.nf()
+        return r
+
+    ab = [(rng.randrange(12), rng.randrange(6)) for _ in range(16)]
+    bc = [(rng.randrange(6), rng.randrange(12)) for _ in range(16)]
+    r2 = [rel(("A", "B"), INT, ab), rel(("B", "C"), INT, bc)]
+    nodes = list(range(10))
+    edges = set()
+    while len(edges) < 24:
+        u, v = rng.choices(nodes, [1 / (i + 1) for i in nodes], k=2)
+        if u != v:
+            edges.add((u, v))
+    edges = sorted(edges)
+    tri = [rel(names, INT, edges) for names in (("A", "B"), ("B", "C"), ("A", "C"))]
+    words = ["ab", "abc", "b", "ba", "q", "zz", "zebra", ""]
+    path = [rel(names, STRING, [(rng.choice(words), rng.choice(words)) for _ in range(10)])
+            for names in (("A", "B"), ("B", "C"), ("C", "D"))]
+    other = rel(("A", "B"), INT, ab[::2] + [(rng.randrange(12), rng.randrange(6)) for _ in range(8)])
+    inner = CompactMap(Z, INT, CI)
+    chain = CompactMap(Z, STRING, inner)
+    wild = wild_maps_to(wild_maps_to(wild_one(CI), inner), chain)
+    x = (wild + maps_to("a", maps_to(1, 2 * inject(1, CI) + wild_one(CI), inner), chain)
+         + maps_to("b", wild_maps_to(3 * inject(2, CI), inner), chain))
+    y = wild + maps_to("a", wild_maps_to(inject(1, CI) + inject(2, CI), inner), chain)
+    return {
+        "random 2-way join": lambda: natural_join(r2).nf(),
+        "zipf triangle": lambda: natural_join(tri).nf(),
+        "string 3-path": lambda: natural_join(path).nf(),
+        "full outer join": lambda: outer_join("full", *r2).nf(),
+        "intersection": lambda: intersect(r2[0], other).nf(),
+        "multiply over a compact-map chain": lambda: multiply([x, y, x]),
+    }
+
+
+# (trie_edges, ring_mults, lookups, {trace entry: count}) of each case,
+# recorded on the depth-first evaluator that the level-wide one replaced
+PINNED = {
+    'random 2-way join': (104, 22, 0, {((1, 1), 1): 3, ((1, 2), 1): 3, ((1, 3), 1): 3, ((1, 4), 1): 1, ((1, 6), 0): 5, ((2, 6), 0): 3, ((3, 6), 0): 1, ((9, 1), 0): 1}),
+    'zipf triangle': (219, 33, 0, {((1, 1, 6), 1): 1, ((1, 2, 1), 2): 1, ((1, 2, 2), 1): 2, ((1, 2, 3), 1): 3, ((1, 2, 6), 1): 3, ((1, 3, 2), 2): 3, ((1, 3, 3), 1): 3, ((1, 3, 6), 1): 1, ((1, 6, 2), 2): 3, ((1, 6, 3), 2): 3, ((1, 9, 1), 0): 1, ((2, 9, 1), 0): 4, ((3, 9, 1), 0): 3, ((6, 9, 1), 0): 1, ((9, 1, 9), 0): 1}),
+    'string 3-path': (82, 16, 0, {((1, 1, 1), 2): 5, ((1, 1, 2), 2): 2, ((1, 1, 6), 1): 3, ((1, 2, 6), 1): 4, ((1, 6, 1), 0): 1, ((2, 6, 1), 0): 4, ((5, 1, 1), 0): 1}),
+    'full outer join': (110, 32, 14, {((1, 1), 1): 3, ((1, 2), 1): 3, ((1, 3), 1): 3, ((1, 4), 1): 1, ((1, 6), 1): 1, ((1, 7), 0): 5, ((2, 7), 0): 3, ((3, 7), 0): 1, ((9, 1), 0): 1}),
+    'intersection': (53, 9, 0, {((1, 1), 0): 3, ((2, 1), 1): 1, ((2, 2), 0): 1, ((2, 3), 0): 1, ((3, 4), 0): 1, ((9, 8), 1): 1}),
+    'multiply over a compact-map chain': (81, 13, 13, {((1, 1, 1), 0): 5, ((1, 2, 1), 1): 1, ((2, 1, 1), 0): 1, ((2, 1, 1), 2): 2, ((2, 2, 1), 1): 2, ((2, 3, 1), 2): 1, ((3, 1, 1), 1): 1, ((3, 2, 2), 2): 1}),
+}
+
+
+def test_counters_and_trace_entries_are_pinned():
+    # the level-wide joint product does the depth-first one's work: the same
+    # counts and the same trace entries, though in level order
+    from collections import Counter
+
+    for name, run in _pinned_cases().items():
+        with metrics.fresh(trace=True) as m:
+            run()
+        got = (m.trie_edges, m.ring_mults, m.lookups, dict(Counter(m.trace)))
+        assert got == PINNED[name], name
+
+
+def _wide_factors(n, padded):
+    """Prebuilt factors of the join of two 2-row relations over n int
+    columns that share the middle one, and the output space. Padded, each
+    input adds the unit of its own chain, as a full outer join pads it, so
+    every level carries a baseline."""
+    from polyalg import relation_from_rows, schema
+    from polyalg.normal import nf_add, unit_nf
+
+    half = n // 2
+    factors = []
+    for cols in (range(half + 1), range(half, n)):
+        r = relation_from_rows(schema(*[(f"C{i}", INT) for i in cols]), Z,
+                               [((v,) * len(cols), 1) for v in (1, 2)])
+        x = nf_add(r.nf(), unit_nf(r.nf().space)) if padded else r.nf()
+        factors.append((x, list(cols)))
+    return factors, tensor_chain(Z, [INT] * n, compact=True)
+
+
+def _frames_needed(run):
+    """The fewest frames above the caller's under which `run()` completes;
+    a limit below the interpreter's own count of the current depth, which
+    also counts some calls made from C, cannot even be set."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    try:
+        for budget in range(1, 150):
+            try:
+                sys.setrecursionlimit(depth + budget)
+                run()
+            except RecursionError:
+                continue
+            return budget
+    finally:
+        sys.setrecursionlimit(limit)
+    raise AssertionError("needs 150 frames or more")
+
+
+def test_join_stack_depth_does_not_grow_with_columns():
+    # the joint product goes a level at a time, so a join needs the same
+    # frames at 10 and at 100 columns, and so does a full outer join, whose
+    # every level carries a baseline
+    for padded, rows in ((False, 2), (True, 7)):
+        needed = []
+        for n in (10, 100):
+            factors, space = _wide_factors(n, padded)
+            assert len(enumerate_nf(nf_join(factors, space), allow_baseline=True)) == rows
+            needed.append(_frames_needed(lambda: nf_join(factors, space)))
+        assert needed[0] == needed[1], (padded, needed)

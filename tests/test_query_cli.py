@@ -526,8 +526,9 @@ def test_cli_column_bound(tmp_path, capsys):
 
 def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
     # a 100-column join under MAX_DEPTH - 1 clamps runs within 650 frames
-    # above the caller: the joint product recurses two frames per column,
-    # three at a level where every factor carries a baseline
+    # above the caller: evaluation takes a frame per level of the query, and
+    # `clamp` rebuilds its 100-column input through `_rows_nf`, two frames
+    # per column; the joint product takes the same few frames at any width
     catalog = str(tmp_path / "c.json")
     cols = [f"C{i}" for i in range(MAX_COLUMNS)]
     half = MAX_COLUMNS // 2

@@ -242,10 +242,11 @@ FAMILY_KEYS = [
 @st.composite
 def walk_levels(draw):
     """A key family and 1 to 3 levels over one small pool of its keys, so
-    that the levels meet."""
+    that the levels meet. A level is never empty: the empty level is None,
+    and a factor that restricts the support never vanishes."""
     prim, keys = draw(st.sampled_from(FAMILY_KEYS))
     pool = draw(st.lists(keys, min_size=1, max_size=8, unique=True))
-    levels = st.dictionaries(st.sampled_from(pool), COEFFS)
+    levels = st.dictionaries(st.sampled_from(pool), COEFFS, min_size=1)
     return prim, pool, draw(st.lists(levels, min_size=1, max_size=3))
 
 
@@ -253,17 +254,27 @@ def walk_levels(draw):
 def test_walk_matches_dict_intersection(case):
     prim, pool, dicts = case
     ts = [build(d) for d in dicts]
-    keys, cols = walk(ts)
+    # two nodes in one walk, the second holding the levels in reverse order;
+    # both iterate their level at the smallest level's place in the first
+    nodes = [ts, ts[::-1]]
+    first = min(range(len(ts)), key=lambda i: len(ts[i]))
+    levels = [list(col) for col in zip(*nodes)]
+    keys, owner, cols = walk(levels, first)
     assert len(cols) == len(ts)
+    assert owner == sorted(owner)
+    common = set(dicts[0]).intersection(*dicts[1:])
     products = {}
-    for k, *vals in zip(keys, *cols):
+    for i, node in enumerate(nodes):
+        mine = [k for k, o in zip(keys, owner) if o == i]
+        assert mine == [k for k in node[first] if k in common]
+        for col, t in zip(cols, node):
+            assert [v for v, o in zip(col, owner) if o == i] == [t[k] for k in mine]
+    for k, o, *vals in zip(keys, owner, *cols):
         p = 1
         for v in vals:
             p *= v
         if p % 3:
-            products[k] = p
-
-    common = set(dicts[0]).intersection(*dicts[1:])
+            products[k, o] = p
     want = {}
     for k in common:
         p = 1
@@ -271,11 +282,15 @@ def test_walk_matches_dict_intersection(case):
             p *= d[k]
         if p % 3:
             want[k] = p
-    check_same(prim, keep(ts, list(products), list(products.values()), VOPS), want, pool)
-    # an intersection that keeps all of the first level's entries, with its
-    # payloads, returns that level itself
-    kept = keep(ts, keys, cols[0], VOPS)
-    if dicts[0] and common == set(dicts[0]):
+    kept_keys = list(products)
+    got = keep(levels, [o for _, o in kept_keys], [k for k, _ in kept_keys],
+               list(products.values()), VOPS)
+    for level in got:
+        check_same(prim, level, want, pool)
+    # an intersection that keeps all of the first node's first level's
+    # entries, with its payloads, returns that level itself
+    kept = keep(levels, owner, keys, cols[0], VOPS)[0]
+    if common == set(dicts[0]):
         assert kept is ts[0]
     else:
         check_same(prim, kept, {k: dicts[0][k] for k in common}, pool)
