@@ -79,23 +79,11 @@ class InfiniteSupport(ValueError):
     pass
 
 
-_RING_VOPS = {}
-
-
-def ring_vops(ring):
-    ops = _RING_VOPS.get(id(ring))
-    if ops is None:
-        # exact equality: reusing a level must not change a real weight by a
-        # tolerance
-        ops = ValueOps(add=ring.add, is_zero=ring.is_zero, same=operator.eq)
-        _RING_VOPS[id(ring)] = ops
-    return ops
-
-
 class NormalForm:
     """A canonical form: every space has exactly one, so two forms denote
     the same element when they have the same rows, coefficients compared
-    in the ring. `nf_equal` is that comparison; `==` on forms is identity."""
+    in the ring. `nf_equal` is that comparison; `==` on forms is identity,
+    which `tries.keep` relies on to share only an input's own forms."""
 
     __slots__ = ("space",)
 
@@ -153,13 +141,13 @@ class PairNF(NormalForm):
 NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=operator.methodcaller("is_zero"))
 
 
-def payload_ops(space: Space) -> ValueOps:
-    """Addition and zero test of a keyed level's payloads: the ring's at a
-    free level, the forms' at any other."""
-    return ring_vops(space.ring) if space.shape == "free" else NF_VOPS
+def payload_ops(space: Space):
+    """Addition and zero test of a keyed level's payloads: at a free level
+    the ring itself, which has both, the forms' at any other."""
+    return space.ring if space.shape == "free" else NF_VOPS
 
 
-def map_payloads(nf: MapNF, fn, vops: ValueOps, space: Space) -> MapNF:
+def map_payloads(nf: MapNF, fn, vops, space: Space) -> MapNF:
     """The keyed form in `space` holding `fn` of each payload and of the
     baseline of `nf`; `vops` tests the images, and vanishing ones go."""
     base = None if nf.base is None else fn(nf.base)
@@ -219,7 +207,7 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
         return ScalarNF(space, ring.mul(r, x.value))
     if isinstance(x, MapNF):
         if space.shape == "free":
-            return map_payloads(x, lambda c: ring.mul(r, c), ring_vops(ring), space)
+            return map_payloads(x, lambda c: ring.mul(r, c), ring, space)
         return map_payloads(x, lambda v: nf_scale(r, v), NF_VOPS, space)
     if isinstance(x, PairNF):
         return PairNF(space, nf_scale(r, x.lhs), nf_scale(r, x.rhs))
@@ -278,9 +266,7 @@ def normalize(t: Term) -> NormalForm:
 def _keyed_nf(t: Term) -> NormalForm:
     """Free, map and chain forms alike: every generator gives (key, payload)
     entries, a share of the wildcard baseline being an entry under `STAR`,
-    and the level is built by one `tries.from_items` call, so repeated keys
-    and the baseline's shares add in balanced rounds; the `STAR` entry is
-    then popped into the baseline slot. A tensor, a chain generator
+    and `entries_nf` builds the level. A tensor, a chain generator
     included, or a product gives the entries and baseline of its form."""
     space = t.space
     ring = space.ring
@@ -302,6 +288,14 @@ def _keyed_nf(t: Term) -> NormalForm:
                 entries.extend(nf.trie.items())
             if nf.base is not None:
                 entries.append((STAR, nf.base))
+    return entries_nf(space, entries)
+
+
+def entries_nf(space: Space, entries) -> MapNF:
+    """The keyed form in `space` of (key, payload) entries, a share of the
+    wildcard baseline being an entry under `STAR`: one `tries.from_items`
+    call adds repeated keys and the baseline's shares in balanced rounds,
+    and the `STAR` entry is then popped into the baseline slot."""
     trie = tries.from_items(entries, payload_ops(space))
     base = None if trie is None else trie.pop(STAR, None)
     return MapNF(space, trie or None, base)

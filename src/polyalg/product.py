@@ -44,11 +44,12 @@ All n factors are scheduled jointly: a row carries one value per factor
 into the next level rather than folding pairwise, which is what makes the
 evaluation worst-case optimal on cyclic joins such as the triangle. An
 output that equals one of the inputs is that input, so unchanged levels
-are shared, not rebuilt: `tries.keep` returns an input's trie level, a
-level whose trie and baseline are an input form's is that form when its
-space is the output level's, and a row where every factor but one has
-ended with the coefficient one is the remaining factor's form when its
-space is the output level's.
+are shared, not rebuilt, and `==` is the one test of sameness: exact
+value for coefficients, identity for forms. `tries.keep` returns an input
+trie level whose payloads are `==` to the outputs, and the output is the
+form of that level's factor when its space is the output level's, as is
+the remaining factor of a row where every other factor has ended with
+the coefficient one: a one-factor join is its factor.
 
 `embed` widens a form into a larger compact chain, filling the attributes
 it lacks with wildcard levels: `Relation` widens a plain chain's form with
@@ -74,7 +75,6 @@ from .normal import (
     normalize,
     payload_ops,
     readback,
-    ring_vops,
     unit_nf,
     zero_nf,
 )
@@ -145,8 +145,6 @@ def nf_join(factors, space) -> NormalForm:
     for x in xs:
         if x.is_zero():
             return zero_nf(space)
-    if len(xs) == 1 and xs[0].space is space:
-        return xs[0]
     # one frontier per keyed level of `space`, down to a free level, to
     # values that are pairs or scalars or to a level without rows; then
     # each level's outputs are assembled from its child rows', deepest first
@@ -183,7 +181,9 @@ def _frontier(rows, space, here, live):
     `space`, every other factor being a coefficient equal to the unit, is
     that factor. Returns the child rows and `finish(below)`, which takes
     the child rows' outputs and returns one output per row: the product
-    form, or the input form it equals.
+    form, or the input form in `space` it equals, the factor whose level
+    `tries.keep` kept or, for an all-baseline row, a factor with the
+    output's trie and a baseline `==` to the output's.
 
     Rows are grouped by which factors restrict, are probed or stand as a
     unit baseline, and by which restricting level is smallest. The
@@ -194,15 +194,13 @@ def _frontier(rows, space, here, live):
     m = metrics.current
     ring = space.ring
     free = space.shape == "free"
-    vops = ring_vops(ring) if free else NF_VOPS
+    vops = payload_ops(space)
     is_zero, one, trace = vops.is_zero, ring.one, m.trace
-    top = len(rows)
     outs, children, groups, summed = [], [], {}, []
     for n, row in enumerate(rows):
-        if n < top and live is not None and row[live].space is space \
-                and row.count(one) == len(row) - 1:
+        if live is not None and row[live].space is space and row.count(one) == len(row) - 1:
             # every factor but the live one is a coefficient, and no form
-            # equals the unit
+            # equals the unit; a summand row passes only where its parent would
             outs.append(row[live])
             continue
         outs.append(None)
@@ -284,24 +282,31 @@ def _frontier(rows, space, here, live):
         else:
             got = len(children)
             children.extend(zip(*cols))
-        pending.append((ns, grows, levels, keys, owner, got))
+        pending.append((ns, grows, restricting, levels, keys, owner, got))
 
     def finish(below):
-        for ns, grows, levels, keys, owner, got in pending:
+        for ns, grows, restricting, levels, keys, owner, got in pending:
             if not free:
                 got = below[got:got + len(keys)]
             if any(map(is_zero, got)):
                 keys, owner, got = tries.compressed([not is_zero(v) for v in got],
                                                     [keys, owner, got])
-            for n, row, trie in zip(ns, grows, tries.keep(levels, owner, keys, got, vops)):
-                outs[n] = _reused(row, here, space, trie, None, vops)
+            for n, row, (trie, c) in zip(ns, grows, tries.keep(levels, owner, keys, got)):
+                x = None if c is None else row[restricting[c]]
+                outs[n] = x if x is not None and x.space is space else MapNF(space, trie, None)
         for n, row, subs, base in summed:
             trie = None
             for s in subs:
                 trie = tries.merge(trie, outs[s].trie, vops)
             if not free:
                 base = below[base]
-            outs[n] = _reused(row, here, space, trie, None if is_zero(base) else base, vops)
+            base = None if is_zero(base) else base
+            for x, h in zip(row, here):
+                if h and x.space is space and x.trie is trie and x.base == base:
+                    break
+            else:
+                x = MapNF(space, trie, base)
+            outs[n] = x
         pending.clear()
         return outs
 
@@ -309,16 +314,6 @@ def _frontier(rows, space, here, live):
 
 
 _TRIE, _BASE = attrgetter("trie"), attrgetter("base")
-
-
-def _reused(row, here, space, trie, base, vops):
-    """The form in `space` of `trie` and `base`: an input form of the row
-    that has them, else a new one."""
-    same = vops.same
-    for x, h in zip(row, here):
-        if h and x.space is space and x.trie is trie and same(x.base, base):
-            return x
-    return MapNF(space, trie, base)
 
 
 # the blunt oracle -------------------------------------------------------------

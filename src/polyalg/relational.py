@@ -32,6 +32,7 @@ from .normal import (
     STAR,
     InfiniteSupport,
     MapNF,
+    entries_nf,
     enumerate_nf,
     has_baseline,
     map_payloads,
@@ -43,7 +44,6 @@ from .normal import (
     normalize,
     payload_ops,
     readback,
-    ring_vops,
     strip_space,
     unit_nf,
 )
@@ -212,19 +212,11 @@ def _rows_nf(space, rows, i):
     below its key, one trie per node; the last column's trie holds the
     coefficients. The rows with `STAR` at a level make up its baseline."""
     if not isinstance(space, Tensor):
-        # the level is built first and a STAR entry taken out of it after,
-        # so rows without wildcards, the common case, take no extra pass
-        trie = tries.from_items([(row[i], c) for row, c in rows], ring_vops(space.ring))
-        base = None if trie is None else trie.pop(STAR, None)
-        return MapNF(space, trie or None, base)
+        return entries_nf(space, [(row[i], c) for row, c in rows])
     groups = {}
     for rc in rows:
         groups.setdefault(rc[0][i], []).append(rc)
-    stars = groups.pop(STAR, None)
-    base = None if stars is None else _rows_nf(space.rhs, stars, i + 1)
-    entries = [(k, _rows_nf(space.rhs, g, i + 1)) for k, g in groups.items()]
-    trie = tries.from_items(entries, NF_VOPS)
-    return MapNF(space, trie, None if base is None or base.is_zero() else base)
+    return entries_nf(space, [(k, _rows_nf(space.rhs, g, i + 1)) for k, g in groups.items()])
 
 
 # core operations ----------------------------------------------------------------

@@ -9,8 +9,6 @@ construction time rather than something checked per operation.
 
 import math
 
-REAL_DEFAULT_TOLERANCE = 1e-9
-
 
 class Ring:
     """Commutative ring interface over opaque element values."""
@@ -147,17 +145,13 @@ class GF2Ring(Ring):
 class RealRing(Ring):
     """64-bit floats with an absolute tolerance for zero tests.
 
-    Pruning almost-zero coefficients keeps normal forms of fuzzy sets small;
-    a relative tolerance may behave better for very large weights, which is
-    left to the caller via the `tolerance` argument.
+    Pruning almost-zero coefficients keeps normal forms of fuzzy sets small.
     """
 
     name = "real"
     zero = 0.0
     one = 1.0
-
-    def __init__(self, tolerance: float = REAL_DEFAULT_TOLERANCE):
-        self.tolerance = tolerance
+    tolerance = 1e-9
 
     def add(self, a, b):
         return a + b

@@ -24,9 +24,10 @@ levels for the keys still standing with `dict.get` in C, dropping misses
 with `compress`; the caller chooses each node's smallest level, so the
 work is bounded by the smallest input, as Generic Join needs for
 worst-case optimality. `keep` turns the caller's outputs at those keys
-into one level per node: an input level of the node whose entries are
-`ValueOps.same` as its outputs is returned as it is, and only otherwise is
-a new level built.
+into one level per node: an input level of the node whose payloads are
+`==` to its outputs is returned as it is, with its index, and only
+otherwise is a new level built. `==` compares coefficients exactly, never
+within a ring's tolerance, and forms, which define no `__eq__`, by identity.
 
 Counting rule: each entry iterated, built or probed costs one
 `metrics.current.trie_edges`. `walk` charges each node's iterated level's
@@ -52,9 +53,6 @@ from .prims import Bool, Int64, Str
 class ValueOps:
     add: Callable
     is_zero: Callable
-    # whether an output payload may stand for an input's, so `keep` can
-    # return the input's level; identity unless payloads compare by value
-    same: Callable = operator.is_
 
 
 _first = operator.itemgetter(0)
@@ -185,24 +183,25 @@ def compressed(mask, cols):
     return [c if c is None else list(compress(c, mask)) for c in cols]
 
 
-def keep(levels, owner, keys, outs, vops):
+def keep(levels, owner, keys, outs):
     """One level per node: the node's `outs` at its `keys`, those whose
     `owner` is its index, which lie in each of its levels (`levels` as in
-    `walk`). A level of the node whose entries are exactly those, by
-    `vops.same`, is returned as it is; otherwise a new level is built."""
-    same = vops.same
+    `walk`). Returns a (level, index) pair per node: a level of the node
+    whose payloads at exactly those keys are `==` to the outputs is
+    returned as it is, with the index of its column in `levels`; otherwise
+    a new level is built, with index None."""
     bounds = list(map(partial(bisect_left, owner), range(len(levels[0]) + 1)))
     built, out = 0, []
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         ks, vs = keys[a:b], outs[a:b]
-        for col in levels:
+        for c, col in enumerate(levels):
             t = col[i]
-            if len(t) == b - a and all(map(same, vs, map(t.__getitem__, ks))):
+            if len(t) == b - a and list(map(t.__getitem__, ks)) == vs:
+                out.append((t, c))
                 break
         else:
-            t = dict(zip(ks, vs)) or None
+            out.append((dict(zip(ks, vs)) or None, None))
             built += b - a
-        out.append(t)
     metrics.current.trie_edges += built
     return out
 

@@ -203,6 +203,22 @@ def test_natural_join_of_one_input_is_its_own_form():
         assert m.trie_edges == 0
 
 
+def test_intersection_with_a_superset_is_the_first_input_form():
+    # every product equals r's coefficient, so each level `tries.keep`
+    # keeps is r's, and the output is r's own form, level by level
+    from polyalg import metrics
+
+    rows = [(i, f"s{i}") for i in range(10)]
+    r, s = rel([("A", INT), ("B", STRING)], rows[:5]), rel([("A", INT), ("B", STRING)], rows)
+    with metrics.fresh() as m:
+        out = intersect(r, s)
+    assert out.nf() is r.nf()
+    # the top walk iterates r's 5 keys and probes s at each, and each B
+    # level's walk does the same for one key; nothing is built
+    assert m.trie_edges == 20
+    assert m.ring_mults == 5
+
+
 def test_join_matches_set_oracle_over_gf2(rng):
     for _ in range(30):
         xs = {(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 6))}

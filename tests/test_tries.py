@@ -19,7 +19,10 @@ from polyalg import (
     Sum,
     metrics,
 )
+from polyalg.normal import NF_VOPS, MapNF
 from polyalg.prims import INT64_MAX, INT64_MIN, left, right
+from polyalg.rings import Z
+from polyalg.spaces import Free
 from polyalg.tries import (
     ValueOps,
     count,
@@ -284,13 +287,54 @@ def test_walk_matches_dict_intersection(case):
             want[k] = p
     kept_keys = list(products)
     got = keep(levels, [o for _, o in kept_keys], [k for k, _ in kept_keys],
-               list(products.values()), VOPS)
-    for level in got:
+               list(products.values()))
+    for i, (level, c) in enumerate(got):
         check_same(prim, level, want, pool)
+        assert c == first_equal_level(levels, i, want)
+        assert c is None or level is levels[c][i]
     # an intersection that keeps all of the first node's first level's
     # entries, with its payloads, returns that level itself
-    kept = keep(levels, owner, keys, cols[0], VOPS)[0]
+    kept, c = keep(levels, owner, keys, cols[0])[0]
     if common == set(dicts[0]):
         assert kept is ts[0]
+        assert c == 0
     else:
-        check_same(prim, kept, {k: dicts[0][k] for k in common}, pool)
+        mine = {k: dicts[0][k] for k in common}
+        check_same(prim, kept, mine, pool)
+        assert c == first_equal_level(levels, 0, mine)
+        assert c is None or kept is levels[c][0]
+
+
+def first_equal_level(levels, i, mapping):
+    """The column of node `i`'s first level whose entries are `mapping`,
+    payloads compared by `==`, or None."""
+    return next((c for c, col in enumerate(levels) if col[i] == mapping), None)
+
+
+def test_keep_returns_a_level_whose_payloads_are_equal_but_not_identical():
+    # ints past the small-int cache, built by arithmetic, are distinct
+    # objects; `keep` compares payloads by `==`, so the level is shared
+    big = 10**6
+    t = from_items([(k, big + k) for k in range(3)], VOPS)
+    outs = [big + k for k in range(3)]
+    assert all(o == t[k] and o is not t[k] for k, o in enumerate(outs))
+    with metrics.fresh() as m:
+        [(level, c)] = keep([[t]], [0, 0, 0], [0, 1, 2], outs)
+    assert level is t
+    assert c == 0
+    assert m.trie_edges == 0
+
+
+def test_keep_builds_a_level_for_a_fresh_form_like_an_input_payload():
+    # forms define no `__eq__`: a new form with an input payload's trie and
+    # baseline is not `==` to it, so the level is built anew
+    space = Free(Z, INT)
+    x = MapNF(space, {1: 2}, None)
+    t = from_items([("a", x)], NF_VOPS)
+    fresh = MapNF(space, x.trie, x.base)
+    with metrics.fresh() as m:
+        [(level, c)] = keep([[t]], [0], ["a"], [fresh])
+    assert c is None
+    assert level is not t
+    assert level == {"a": fresh} and level["a"] is fresh
+    assert m.trie_edges == 1
