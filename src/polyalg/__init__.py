@@ -46,7 +46,6 @@ from .prims import (
     left,
     right,
 )
-from .product import embed, multiply, naive_multiply, nf_product, triangle
 from .query import QueryError, parse_sexpr, run
 from .relational import (
     BoolPred,
@@ -115,10 +114,16 @@ from .terms import (
 
 
 def __getattr__(name):
-    # the isomorphism catalogue is imported on first use: no command of the
-    # CLI runs it, so a `polyalg` process does not compile it
+    # the isomorphism catalogue and the product engine are imported on first
+    # use: no command of the CLI runs the catalogue, only joins, intersections
+    # and products of terms run the engine, and each `polyalg` process
+    # compiles what it imports, so `load` and most queries compile neither
     if name in ("ISOS", "iso"):
         from . import isos
 
         return getattr(isos, name)
+    if name in ("embed", "multiply", "naive_multiply", "nf_product", "triangle"):
+        from . import product
+
+        return getattr(product, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -147,9 +147,10 @@ def payload_ops(space: Space):
     return space.ring if space.shape == "free" else NF_VOPS
 
 
-def map_payloads(nf: MapNF, fn, vops, space: Space) -> MapNF:
+def map_payloads(nf: MapNF, fn, space: Space) -> MapNF:
     """The keyed form in `space` holding `fn` of each payload and of the
-    baseline of `nf`; `vops` tests the images, and vanishing ones go."""
+    baseline of `nf`; vanishing images go."""
+    vops = payload_ops(space)
     base = None if nf.base is None else fn(nf.base)
     if base is not None and vops.is_zero(base):
         base = None
@@ -207,8 +208,8 @@ def nf_scale(r, x: NormalForm) -> NormalForm:
         return ScalarNF(space, ring.mul(r, x.value))
     if isinstance(x, MapNF):
         if space.shape == "free":
-            return map_payloads(x, lambda c: ring.mul(r, c), ring, space)
-        return map_payloads(x, lambda v: nf_scale(r, v), NF_VOPS, space)
+            return map_payloads(x, lambda c: ring.mul(r, c), space)
+        return map_payloads(x, lambda v: nf_scale(r, v), space)
     if isinstance(x, PairNF):
         return PairNF(space, nf_scale(r, x.lhs), nf_scale(r, x.rhs))
     raise SpaceError(f"cannot scale {type(x).__name__}")
@@ -229,9 +230,9 @@ def nf_tensor(l: NormalForm, r: NormalForm, space: Tensor) -> NormalForm:
     each half, and a scalar scales `r`, which keeps its own form."""
     if isinstance(l, MapNF):
         if l.space.shape == "free":
-            return map_payloads(l, lambda c: nf_scale(c, r), NF_VOPS, space)
+            return map_payloads(l, lambda c: nf_scale(c, r), space)
         value = space.value
-        return map_payloads(l, lambda v: nf_tensor(v, r, value), NF_VOPS, space)
+        return map_payloads(l, lambda v: nf_tensor(v, r, value), space)
     if isinstance(l, PairNF):
         lhs, rhs = space.halves
         return PairNF(space, nf_tensor(l.lhs, r, lhs), nf_tensor(l.rhs, r, rhs))
@@ -554,7 +555,7 @@ def strip_compact(nf: NormalForm, target: Space | None = None) -> NormalForm:
         if space.shape == "free":
             return MapNF(target, nf.trie, None)
         value = target.value
-        return map_payloads(nf, lambda v: strip_compact(v, value), NF_VOPS, target)
+        return map_payloads(nf, lambda v: strip_compact(v, value), target)
     if isinstance(nf, PairNF):
         lhs, rhs = target.halves
         return PairNF(target, strip_compact(nf.lhs, lhs), strip_compact(nf.rhs, rhs))

@@ -11,8 +11,6 @@ General function-space keys are deliberately unsupported; they do not
 admit trie-shaped canonical forms.
 """
 
-from dataclasses import dataclass
-
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
@@ -44,7 +42,63 @@ def right(v):
     return ("R", v)
 
 
-class PrimSet:
+class Record:
+    """An immutable value whose fields `_fields` names. It is built from
+    positional or keyword arguments; a field given by neither takes its
+    class's attribute of that name as its default. It equals only a record
+    of its own class with equal fields, and hashes and prints like a frozen
+    dataclass. The field values are stored once, as the tuple that `==` and
+    `hash` compare."""
+
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        d = self.__dict__
+        d.update(zip(self._fields, args))
+        d["_values"] = args
+        self.__post_init__()
+
+    def _bind(self, args, kwargs):
+        cls, names = type(self), self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes {len(names)} arguments, not {len(args)}")
+        args = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                args.append(kwargs.pop(name))
+            elif name in vars(cls):
+                args.append(vars(cls)[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got unexpected arguments {sorted(kwargs)}")
+        return tuple(args)
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        parts = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values))
+        return f"{type(self).__qualname__}({parts})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PrimSet(Record):
     def contains(self, v) -> bool:
         raise NotImplementedError
 
@@ -69,7 +123,6 @@ class PrimSet:
         raise ValueError(f"{self} is not a finite set")
 
 
-@dataclass(frozen=True)
 class Unit(PrimSet):
     def contains(self, v):
         return v == ()
@@ -91,7 +144,6 @@ class Unit(PrimSet):
         return "Unit"
 
 
-@dataclass(frozen=True)
 class Bool(PrimSet):
     def contains(self, v):
         return isinstance(v, bool)
@@ -113,7 +165,6 @@ class Bool(PrimSet):
         return "Bool"
 
 
-@dataclass(frozen=True)
 class Int64(PrimSet):
     def contains(self, v):
         return isinstance(v, int) and not isinstance(v, bool) and INT64_MIN <= v <= INT64_MAX
@@ -128,7 +179,6 @@ class Int64(PrimSet):
         return "Int64"
 
 
-@dataclass(frozen=True)
 class Str(PrimSet):
     def contains(self, v):
         return isinstance(v, str)
@@ -143,10 +193,8 @@ class Str(PrimSet):
         return "Str"
 
 
-@dataclass(frozen=True)
 class Sum(PrimSet):
-    lhs: PrimSet
-    rhs: PrimSet
+    _fields = ("lhs", "rhs")
 
     def contains(self, v):
         if not (isinstance(v, tuple) and len(v) == 2):
@@ -181,10 +229,8 @@ class Sum(PrimSet):
         return f"({self.lhs} + {self.rhs})"
 
 
-@dataclass(frozen=True)
 class Prod(PrimSet):
-    fst: PrimSet
-    snd: PrimSet
+    _fields = ("fst", "snd")
 
     def contains(self, v):
         return (
@@ -211,13 +257,10 @@ class Prod(PrimSet):
         return f"({self.fst} × {self.snd})"
 
 
-@dataclass(frozen=True)
 class Adjoined(PrimSet):
     """A base set plus one marker value, ordered first or last."""
 
-    base: PrimSet
-    marker: _Marker
-    marker_first: bool
+    _fields = ("base", "marker", "marker_first")
 
     def contains(self, v):
         return v is self.marker or self.base.contains(v)

@@ -64,7 +64,6 @@ from operator import attrgetter
 
 from . import metrics, tries
 from .normal import (
-    NF_VOPS,
     MapNF,
     NormalForm,
     PairNF,
@@ -425,7 +424,7 @@ def _embed(nf, src, tgt, out):
         # unit of the missing attributes after it
         return nf_tensor(nf, unit_nf(out.rhs), out)
     src, tgt = src[1:], tgt[1:]
-    return map_payloads(nf, lambda v: _embed(v, src, tgt, out.rhs), NF_VOPS, out)
+    return map_payloads(nf, lambda v: _embed(v, src, tgt, out.rhs), out)
 
 
 def triangle(x: Term, y: Term, z: Term) -> NormalForm:

@@ -24,9 +24,8 @@ Forms and [...] lists nest at most MAX_DEPTH deep; a deeper query is a
 `QueryError`, as parsing and evaluation recurse once per level.
 """
 
-from dataclasses import dataclass
-
 from . import relational as rel
+from .prims import Record
 from .relational import BoolPred, Compare, Relation, RelationError
 
 
@@ -42,10 +41,8 @@ class QueryError(ValueError):
 
 # --- s-expression reader -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    pos: int
+class Symbol(Record):
+    _fields = ("name", "pos")
 
 
 def tokenize(text: str):

@@ -22,13 +22,11 @@ ordinary data (deletions), and wildcard baselines are ordinary data too,
 flagged at rendering time.
 """
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from . import normal, product, tries
+from . import normal, tries
 from .normal import (
-    NF_VOPS,
     STAR,
     InfiniteSupport,
     MapNF,
@@ -55,6 +53,7 @@ from .prims import (
     STRING,
     Int64,
     PrimSet,
+    Record,
     Str,
 )
 from .rings import GF2Ring, Ring
@@ -82,9 +81,8 @@ def type_name(prim: PrimSet) -> str:
     return str(prim)
 
 
-@dataclass(frozen=True)
-class Schema:
-    columns: tuple  # of (name, PrimSet)
+class Schema(Record):
+    _fields = ("columns",)  # a tuple of (name, PrimSet)
 
     def __post_init__(self):
         names = [n for n, _ in self.columns]
@@ -145,7 +143,9 @@ class Relation:
         if nf is None:
             nf = normalize(term)
         if nf.space != chain:
-            nf = product.embed(nf, sch.columns, sch.columns)
+            from .product import embed
+
+            nf = embed(nf, sch.columns, sch.columns)
         self.schema = sch
         self.ring = ring
         self._nf = nf
@@ -290,7 +290,7 @@ def _select_level(nf, pos, keep, col):
     """`nf` with the keys at chain level `pos` filtered by `keep`."""
     space = nf.space
     if pos:
-        return map_payloads(nf, lambda v: _select_level(v, pos - 1, keep, col), NF_VOPS, space)
+        return map_payloads(nf, lambda v: _select_level(v, pos - 1, keep, col), space)
     if nf.base is not None:
         raise RelationError(f"cannot select on wildcard-bearing column {col!r}")
     kept = [(k, v) for k, v in tries.items(space.prim, nf.trie) if keep(k)]
@@ -377,7 +377,9 @@ def _joined(rs, padded=()) -> Relation:
         if pad:
             x = nf_add(x, unit_nf(x.space))
         factors.append((x, [target.position(n) for n in order]))
-    return Relation(target, ring, nf=product.nf_join(factors, target.chain(ring)))
+    from .product import nf_join
+
+    return Relation(target, ring, nf=nf_join(factors, target.chain(ring)))
 
 
 def natural_join(rs) -> Relation:
@@ -498,14 +500,12 @@ _COMPARES = {
 }
 
 
-@dataclass(frozen=True)
-class Compare:
+class Compare(Record):
     """Column against literal, or column against column."""
 
-    op: str
-    column: str
-    literal: object = None
-    other_column: str | None = None
+    _fields = ("op", "column", "literal", "other_column")
+    literal = None
+    other_column = None
 
     def single_column(self):
         return self.column if self.other_column is None else None
@@ -541,13 +541,11 @@ class Compare:
         return lambda row: fn(row[i], row[j])
 
 
-@dataclass(frozen=True)
-class ColumnWhere:
+class ColumnWhere(Record):
     """Arbitrary decidable test on one column; library-level extension
     point, deliberately not reachable from the query syntax."""
 
-    column: str
-    test: object  # value -> bool
+    _fields = ("column", "test")  # test: value -> bool
 
     def single_column(self):
         return self.column
@@ -560,10 +558,8 @@ class ColumnWhere:
         return lambda row: self.test(row[i])
 
 
-@dataclass(frozen=True)
-class BoolPred:
-    kind: str  # and | or | not
-    parts: tuple
+class BoolPred(Record):
+    _fields = ("kind", "parts")  # kind: and | or | not
 
     def single_column(self):
         return None

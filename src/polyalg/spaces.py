@@ -8,10 +8,9 @@ spaces. The ring is carried on every descriptor and must agree between the
 parts of a composite space.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .prims import PrimSet
+from .prims import Record
 from .rings import Ring
 
 
@@ -19,7 +18,7 @@ class SpaceError(TypeError):
     pass
 
 
-class Space:
+class Space(Record):
     """`shape` names the form a space normalises to: "scalar", "free" (a
     coefficient trie), "map" (a trie of value forms) or "pair"."""
 
@@ -31,39 +30,32 @@ class Space:
                 raise SpaceError(f"mixed rings in {self}: {p.ring} vs {self.ring}")
 
 
-@dataclass(frozen=True)
 class Scalar(Space):
-    ring: Ring
+    _fields = ("ring",)
     shape = "scalar"
 
     def __str__(self):
         return "K"
 
 
-@dataclass(frozen=True)
 class Free(Space):
-    ring: Ring
-    prim: PrimSet
+    _fields = ("ring", "prim")
     shape = "free"
 
     def __str__(self):
         return f"F[{self.prim}]"
 
 
-@dataclass(frozen=True)
 class CompactFree(Space):
-    ring: Ring
-    prim: PrimSet
+    _fields = ("ring", "prim")
     shape = "free"
 
     def __str__(self):
         return f"F*[{self.prim}]"
 
 
-@dataclass(frozen=True)
 class Biproduct(Space):
-    lhs: Space
-    rhs: Space
+    _fields = ("lhs", "rhs")
     shape = "pair"
 
     def __post_init__(self):
@@ -81,11 +73,8 @@ class Biproduct(Space):
         return f"({self.lhs} ⊕ {self.rhs})"
 
 
-@dataclass(frozen=True)
 class FinMap(Space):
-    ring: Ring
-    prim: PrimSet
-    value: Space
+    _fields = ("ring", "prim", "value")
     shape = "map"
 
     def __post_init__(self):
@@ -95,11 +84,8 @@ class FinMap(Space):
         return f"({self.prim} ⇒ {self.value})"
 
 
-@dataclass(frozen=True)
 class CompactMap(Space):
-    ring: Ring
-    prim: PrimSet
-    value: Space
+    _fields = ("ring", "prim", "value")
     shape = "map"
 
     def __post_init__(self):
@@ -109,10 +95,8 @@ class CompactMap(Space):
         return f"({self.prim} ⇒* {self.value})"
 
 
-@dataclass(frozen=True)
 class Tensor(Space):
-    lhs: Space
-    rhs: Space
+    _fields = ("lhs", "rhs")
 
     def __post_init__(self):
         self._check_ring(self.lhs, self.rhs)

@@ -40,19 +40,15 @@ counted.
 
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, repeat
-from typing import Callable
 
 from . import metrics
-from .prims import Bool, Int64, Str
+from .prims import Bool, Int64, Record, Str
 
 
-@dataclass(frozen=True)
-class ValueOps:
-    add: Callable
-    is_zero: Callable
+class ValueOps(Record):
+    _fields = ("add", "is_zero")
 
 
 _first = operator.itemgetter(0)

@@ -245,6 +245,22 @@ def test_cli_end_to_end(tmp_path):
     assert shown.stdout.splitlines()[0] == "A,B,#weight"
 
 
+def test_cli_start_up_imports_only_what_load_and_query_run(tmp_path):
+    # each `polyalg` process compiles the modules it imports, so importing
+    # the CLI must not load dataclasses, the product engine, the isomorphism
+    # catalogue or the benchmark; modules the interpreter itself loads at
+    # start-up do not count
+    def loaded(code):
+        r = run_python(["-c", code + "import sys; print('\\n'.join(sys.modules))"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        return set(r.stdout.split())
+
+    after = loaded("import polyalg.cli; ")
+    assert "polyalg.cli" in after
+    unwanted = {"dataclasses", "inspect", "polyalg.product", "polyalg.isos", "polyalg.bench"}
+    assert sorted((unwanted - loaded("")) & after) == []
+
+
 def test_cli_json_schema(tmp_path):
     (tmp_path / "x.csv").write_text(X_CSV)
     load_ok(tmp_path, "x.csv", "x", "A:str,B:int")
