@@ -468,7 +468,10 @@ def enumerate_nf(nf: NormalForm, allow_baseline: bool = False):
     The walk goes a level at a time: each keyed level replaces every
     (path, form) pair, all in one space, by its baseline and entries.
     Only a level of pairs recurses, into each pair's halves, so the depth
-    follows the nesting of biproducts, not the column count.
+    follows the nesting of biproducts, not the column count. Each node's
+    trie is read in place, ordered by `tries.key_order` as `tries.items`
+    orders it (a one-entry trie is not sorted), and charged as `items`
+    charges it, in one `trie_edges` update per level.
     """
     return _rows([((), nf)], nf.space, allow_baseline)
 
@@ -477,15 +480,21 @@ def _rows(level, space, allow):
     """The rows below `level`, a list of (path, form) pairs in `space`."""
     shape = space.shape
     while shape in ("free", "map"):
-        prim = space.prim
-        below = []
+        order = tries.key_order(space.prim)
+        below, edges = [], 0
         for path, x in level:
             if x.base is not None:
                 if not allow:
+                    metrics.current.trie_edges += edges
                     raise InfiniteSupport(f"{space} form has infinite support")
                 below.append((path + (STAR,), x.base))
-            for k, v in tries.items(prim, x.trie):
-                below.append((path + (k,), v))
+            t = x.trie
+            if t is None:
+                continue
+            edges += len(t)
+            for k in sorted(t, key=order) if len(t) > 1 else t:
+                below.append((path + (k,), t[k]))
+        metrics.current.trie_edges += edges
         level = below
         if shape == "free":
             return level

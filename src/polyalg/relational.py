@@ -428,11 +428,14 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
     ring = r.ring
     key = _getter(gpos)
     summing = fold == "sum"
-    mul, coerce = ring.mul, ring.coerce
+    # the target is an Int64 column, so its values are non-bool ints: over Z
+    # they are already ring elements, and over REAL `c * v` converts v exactly
+    # as float(v) does, so the sum needs no per-row coercion
+    mul = ring.mul
     merge = ring.add if summing else min if fold == "min" else max
     acc = {}
     for row, c in _finite_rows(r, "aggregate"):
-        g, v = key(row), mul(c, coerce(row[tpos])) if summing else row[tpos]
+        g, v = key(row), mul(c, row[tpos]) if summing else row[tpos]
         got = acc.get(g)
         acc[g] = v if got is None else merge(got, v)
     cols = tuple(r.schema.columns[p] for p in gpos)

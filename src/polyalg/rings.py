@@ -5,9 +5,19 @@ the two-element field gives ordinary sets, floats give fuzzy sets with
 real-valued membership. Ring elements are plain Python values; the ring
 object supplies the operations, so mixing rings is a type error at
 construction time rather than something checked per operation.
+
+The operations that are plain arithmetic are the `operator` module's C
+builtins, held as static methods, so `map(ring.mul, ...)` and the folds
+over a level run without a Python call per element: add, neg and mul
+over Z and REAL, GF2's add (`!=`) and mul (`&`), and the zero test
+(`not a`) and equality over Z and GF2. GF2's neg stays the Python
+identity, since `operator.pos(True)` is the int 1, not a field element;
+REAL's zero test and equality stay in Python, since they compare within
+a tolerance.
 """
 
 import math
+import operator
 
 
 class Ring:
@@ -66,20 +76,11 @@ class IntegerRing(Ring):
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def eq(self, a, b):
-        return a == b
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
+    is_zero = staticmethod(operator.not_)
+    eq = staticmethod(operator.eq)
 
     def contains(self, a):
         return isinstance(a, int) and not isinstance(a, bool)
@@ -105,20 +106,13 @@ class GF2Ring(Ring):
     zero = False
     one = True
 
-    def add(self, a, b):
-        return a != b
+    add = staticmethod(operator.ne)
+    mul = staticmethod(operator.and_)
+    is_zero = staticmethod(operator.not_)
+    eq = staticmethod(operator.eq)
 
     def neg(self, a):
         return a
-
-    def mul(self, a, b):
-        return a and b
-
-    def is_zero(self, a):
-        return not a
-
-    def eq(self, a, b):
-        return a == b
 
     def contains(self, a):
         return isinstance(a, bool)
@@ -153,14 +147,9 @@ class RealRing(Ring):
     one = 1.0
     tolerance = 1e-9
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def is_zero(self, a):
         return abs(a) <= self.tolerance

@@ -5,9 +5,11 @@ never an empty dict. Keys are the prims' own hashable values: a pair is a
 flat tuple, a sum a tagged tuple `("L", x)` or `("R", x)`, an adjoined
 marker is itself. Levels are never mutated once built, apart from the
 `STAR` entry popped below, so an operation may return an input level as it
-is. Only the enumeration takes the key family's prim, to order a level:
-Int64, Str and Bool keys sort naturally (code point order, which is UTF-8
-byte order), other families by `prim.sort_key`.
+is. Only the enumeration takes the key family's prim, to order a level by
+`key_order`, the one key-order rule: Int64, Str and Bool keys sort
+naturally (code point order, which is UTF-8 byte order), other families
+by `prim.sort_key`. `items` and the row walk `normal.enumerate_nf` both
+sort by it, and neither sorts a one-entry level.
 
 `merge` adds two levels: it copies the larger in C and adds the smaller's
 entries to the copy. `add_all` is the one way to add many payloads, in
@@ -35,7 +37,8 @@ entries plus, for each other level, the node's keys still standing when
 it is probed; a probe inside `walk` is not a lookup. `keep` charges a
 level it builds, not one it returns. A `STAR` entry in `from_items` costs
 one edge like any other. The C copy of the larger level in `merge` is not
-counted.
+counted. The row walk charges each level it lists as `items` does, in one
+update per level of the walk.
 """
 
 import operator
@@ -51,15 +54,10 @@ class ValueOps(Record):
     _fields = ("add", "is_zero")
 
 
-_first = operator.itemgetter(0)
-
-
-def _entry_key(prim):
-    """Sort key of a (key, payload) entry in the set's total order."""
-    if isinstance(prim, (Int64, Str, Bool)):
-        return _first
-    sort_key = prim.sort_key
-    return lambda kv: sort_key(kv[0])
+def key_order(prim):
+    """The `sorted` key that puts a level's keys in the set's total order:
+    None where the keys sort naturally, else `prim.sort_key`."""
+    return None if isinstance(prim, (Int64, Str, Bool)) else prim.sort_key
 
 
 def merge(a, b, vops):
@@ -100,7 +98,8 @@ def items(prim, t):
     if t is None:
         return []
     metrics.current.trie_edges += len(t)
-    return sorted(t.items(), key=_entry_key(prim)) if len(t) > 1 else list(t.items())
+    ks = sorted(t, key=key_order(prim)) if len(t) > 1 else t
+    return list(zip(ks, map(t.__getitem__, ks)))
 
 
 def count(t) -> int:

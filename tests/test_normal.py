@@ -1,6 +1,8 @@
 """Normalisation: canonical forms, lookup, enumeration, equality."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyalg import (
     GF2,
@@ -14,6 +16,9 @@ from polyalg import (
     CompactMap,
     FinMap,
     Free,
+    INF,
+    INT_WITH_INF,
+    INT_WITH_NEG_INF,
     InfiniteSupport,
     Prod,
     Scalar,
@@ -432,3 +437,75 @@ def test_repr_renders_terms_and_forms():
          + tensor(inject("a", a), 3 * wild_one(b) - inject(2, b))
          + tensor(inject("b", a), inject(-4, b)))
     assert repr(normalize(x)) == "{*: {1: 2}, a: {*: 3, 2: -1}, b: {-4: 1}}"
+
+
+def _walk_by_items(nf, space, allow):
+    """The row walk written out depth-first from `tries.items`: the rows,
+    order and trie-edge charges that `enumerate_nf` must keep."""
+    shape = space.shape
+    if shape == "scalar":
+        return [] if space.ring.is_zero(nf.value) else [((), nf.value)]
+    if shape == "pair":
+        lhs, rhs = space.halves
+        return ([((1,) + p, c) for p, c in _walk_by_items(nf.lhs, lhs, allow)]
+                + [((2,) + p, c) for p, c in _walk_by_items(nf.rhs, rhs, allow)])
+    entries = tries.items(space.prim, nf.trie)
+    if nf.base is not None:
+        if not allow:
+            raise InfiniteSupport("baseline")
+        entries = [(STAR, nf.base)] + entries
+    if shape == "free":
+        return [((k,), v) for k, v in entries]
+    return [((k,) + p, c) for k, v in entries for p, c in _walk_by_items(v, space.value, allow)]
+
+
+def _walk_spaces(ring):
+    return sample_spaces(ring) + [
+        tensor_chain(ring, [INT, STRING, INT]),
+        tensor_chain(ring, [STRING, INT, INT], compact=True),
+        FinMap(ring, STRING, Biproduct(Free(ring, INT), Scalar(ring))),
+        Free(ring, INT_WITH_INF),
+        FinMap(ring, INT_WITH_NEG_INF, Free(ring, Sum(INT, STRING))),
+        CompactMap(ring, Prod(INT, STRING), CompactFree(ring, INT_WITH_INF)),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Z, GF2, REAL]), st.integers(0, 10**6), st.integers(0, 8),
+       st.data())
+def test_row_walk_is_pinned_to_a_walk_by_items(ring, seed, size, data):
+    import random
+
+    space = data.draw(st.sampled_from(_walk_spaces(ring)))
+    nf = normalize(rand_term(random.Random(seed), space, size))
+    for allow in (True, False):
+        with metrics.fresh() as want:
+            try:
+                expect = _walk_by_items(nf, space, allow)
+            except InfiniteSupport:
+                expect = InfiniteSupport
+        with metrics.fresh() as got:
+            try:
+                rows = enumerate_nf(nf, allow_baseline=allow)
+            except InfiniteSupport:
+                rows = InfiniteSupport
+        assert rows == expect
+        if rows is not InfiniteSupport:
+            assert got.trie_edges == want.trie_edges
+
+
+def test_row_walk_orders_one_entry_and_many_entry_levels():
+    from polyalg import relation_from_rows, schema
+
+    key = Sum(INT, STRING)
+    sch = schema(("A", key), ("B", INT_WITH_INF), ("C", STRING))
+    rows = [((right("x"), 3, "q"), 2), ((left(5), INF, "b"), 1), ((left(5), INF, "a"), -1),
+            ((left(-1), 7, "z"), 4), ((left(5), -2, "c"), 3)]
+    nf = relation_from_rows(sch, Z, rows).nf()
+    with metrics.fresh() as m:
+        got = enumerate_nf(nf)
+    assert [p for p, _ in got] == [(left(-1), 7, "z"), (left(5), -2, "c"), (left(5), INF, "a"),
+                                   (left(5), INF, "b"), (right("x"), 3, "q")]
+    with metrics.fresh() as want:
+        assert _walk_by_items(nf, nf.space, False) == got
+    assert m.trie_edges == want.trie_edges == 3 + 4 + 5

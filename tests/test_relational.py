@@ -404,6 +404,40 @@ def test_aggregate_group_order_and_real_sums():
                            for s in "pqr" for k in "xy"}
 
 
+_BIG_TARGETS = st.sampled_from([0, 1, -7, 2**53 + 1, 2**53 + 3, -(2**60) - 5, 2**63 - 1, -(2**63)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("pqr"), _BIG_TARGETS,
+                          st.sampled_from([1.0, -1.0, 0.5, -0.25, 0.1, -3.7, 1e-3, 2.0**-40])),
+                min_size=1, max_size=12, unique_by=lambda t: (t[0], t[1])))
+def test_aggregate_real_sum_is_a_row_order_fold_bit_for_bit(rows):
+    # each row adds c * float(v) in row order, with v past 2**53 rounded as
+    # float(v) rounds it
+    import struct
+
+    r = weighted([("S", STRING), ("V", INT)], [((s, v), c) for s, v, c in rows], ring=REAL)
+    want = {}
+    for (s, v), c in r.rows():
+        want[(s,)] = want[(s,)] + c * float(v) if (s,) in want else c * float(v)
+    got = rowdict(aggregate(r, ["S"], "V", "sum"))
+    assert got.keys() == {g for g, t in want.items() if not REAL.is_zero(t)}
+    for g, t in got.items():
+        assert struct.pack("<d", t) == struct.pack("<d", want[g])
+
+
+def test_aggregate_integer_sums_are_exact_and_gf2_sums_refused():
+    big = [2**62, 2**62 - 1, -(2**63), 2**53 + 1]
+    r = weighted([("S", STRING), ("V", INT)],
+                 [(("p", v), c) for v, c in zip(big, (3, -5, 7, 11))] + [(("q", 0), 4)])
+    got = rowdict(aggregate(r, ["S"], "V", "sum"))
+    assert got == {("p",): 3 * 2**62 - 5 * (2**62 - 1) - 7 * 2**63 + 11 * (2**53 + 1)}
+    assert all(type(c) is int for c in got.values())
+    g = rel([("S", STRING), ("V", INT)], [("p", 2**60)], ring=GF2)
+    with pytest.raises(RelationError, match="gf2"):
+        aggregate(g, ["S"], "V", "sum")
+
+
 def test_aggregate_folds_one_row_walk_per_call(monkeypatch):
     # each aggregate lists its input's rows once, with `enumerate_nf`, and
     # builds its output from rows, never through a term

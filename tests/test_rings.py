@@ -1,6 +1,8 @@
 """Ring law suites over the three coefficient rings."""
 
+import math
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -112,3 +114,64 @@ def test_real_parse_rejects_non_finite_weights():
     for text in ("nan", "NaN", "inf", "-inf", "1e999"):
         with pytest.raises(ValueError):
             REAL.parse(text)
+
+
+# The operations that are plain arithmetic are `operator` builtins; each must
+# agree with the Python definition it replaced, result type included.
+
+_HUGE = st.integers(min_value=-2**200, max_value=2**200)
+_INTS = st.one_of(st.just(0), st.integers(min_value=-5, max_value=5), st.integers(), _HUGE)
+
+
+@given(_INTS, _INTS)
+def test_integer_builtins_match_python_definitions(a, b):
+    for got, want in [
+        (Z.add(a, b), a + b),
+        (Z.neg(a), -a),
+        (Z.sub(a, b), a + -b),
+        (Z.mul(a, b), a * b),
+        (Z.is_zero(a), a == 0),
+        (Z.eq(a, b), a == b),
+    ]:
+        assert got == want and type(got) is type(want)
+
+
+def test_gf2_builtins_match_python_definitions_on_every_pair():
+    for a in (False, True):
+        assert GF2.neg(a) is a
+        assert GF2.is_zero(a) is (not a)
+        for b in (False, True):
+            for got, want in [
+                (GF2.add(a, b), a != b),
+                (GF2.sub(a, b), a != b),
+                (GF2.mul(a, b), a and b),
+                (GF2.eq(a, b), a == b),
+            ]:
+                assert type(got) is bool and got is want
+    assert GF2.neg(True) is True
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.5e-9, -1.5e-9]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(_FLOATS, _FLOATS)
+def test_real_builtins_match_python_definitions(a, b):
+    assert _bits(REAL.add(a, b)) == _bits(a + b)
+    assert _bits(REAL.neg(a)) == _bits(-a)
+    assert _bits(REAL.mul(a, b)) == _bits(a * b)
+    assert REAL.is_zero(a) is (abs(a) <= 1e-9)
+
+
+def test_real_keeps_its_tolerance_at_and_past_the_bound():
+    assert _bits(REAL.neg(0.0)) == _bits(-0.0)
+    assert _bits(REAL.add(-0.0, -0.0)) == _bits(-0.0)
+    assert REAL.is_zero(-0.0) and REAL.is_zero(1e-9) and REAL.is_zero(-1e-9)
+    assert not REAL.is_zero(math.nextafter(1e-9, 1.0))
+    assert not REAL.is_zero(-math.nextafter(1e-9, 1.0))
+    assert REAL.eq(1.0, 1.0 + 1e-10) and not REAL.eq(1.0, 1.0 + 2e-9)
+    assert REAL.eq(-0.0, 0.0)
