@@ -18,7 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from .prims import BOOL, INT
+from .prims import BOOL, INT, INT64_MAX, INT64_MIN
 from .relational import TYPE_NAMES, Relation, Schema, relation_from_rows
 from .rings import Ring, ring_by_name
 
@@ -49,14 +49,15 @@ def parse_schema(text: str) -> Schema:
     return Schema(tuple(cols))
 
 
-def _parse_cell(text: str, prim, where: str):
+def _parse_cell(text: str, prim):
+    """The cell's value in `prim`; the caller adds a bad cell's location."""
     if prim is INT:
         try:
             v = int(text)
         except ValueError:
-            raise CatalogError(f"{where}: {text!r} is not an integer") from None
-        if not INT.contains(v):
-            raise CatalogError(f"{where}: {text!r} is out of 64-bit range")
+            raise CatalogError(f"{text!r} is not an integer") from None
+        if not INT64_MIN <= v <= INT64_MAX:
+            raise CatalogError(f"{text!r} is out of 64-bit range")
         return v
     if prim is BOOL:
         t = text.strip().lower()
@@ -64,7 +65,7 @@ def _parse_cell(text: str, prim, where: str):
             return True
         if t == "false":
             return False
-        raise CatalogError(f"{where}: {text!r} is not true/false")
+        raise CatalogError(f"{text!r} is not true/false")
     return text
 
 
@@ -101,6 +102,7 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
             raise CatalogError(
                 f"{path}: header {header} does not match schema columns {expected}"
             )
+        prims = sch.prims
         rows = []
         for lineno, row in reader:
             if not row:
@@ -108,10 +110,14 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
             want = len(sch) + (1 if has_weight else 0)
             if len(row) != want:
                 raise CatalogError(f"{path}:{lineno}: expected {want} cells, got {len(row)}")
-            tup = tuple(
-                _parse_cell(cell, prim, f"{path}:{lineno}:{i + 1}")
-                for i, (cell, prim) in enumerate(zip(row, sch.prims))
-            )
+            try:
+                tup = tuple(map(_parse_cell, row, prims))
+            except CatalogError:  # cite the row's first bad cell
+                for i, (cell, prim) in enumerate(zip(row, prims)):
+                    try:
+                        _parse_cell(cell, prim)
+                    except CatalogError as e:
+                        raise CatalogError(f"{path}:{lineno}:{i + 1}: {e}") from None
             if has_weight:
                 try:
                     coeff = ring.parse(row[-1])

@@ -87,9 +87,6 @@ class NormalForm:
 
     __slots__ = ("space",)
 
-    def __init__(self, space):
-        self.space = space
-
     def is_zero(self) -> bool:
         raise NotImplementedError
 
@@ -103,7 +100,7 @@ class ScalarNF(NormalForm):
     __slots__ = ("value",)
 
     def __init__(self, space, value):
-        super().__init__(space)
+        self.space = space
         self.value = value
 
     def is_zero(self):
@@ -118,7 +115,7 @@ class MapNF(NormalForm):
     __slots__ = ("trie", "base")
 
     def __init__(self, space, trie, base):
-        super().__init__(space)
+        self.space = space
         self.trie = trie
         self.base = base
 
@@ -130,7 +127,7 @@ class PairNF(NormalForm):
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, space, lhs, rhs):
-        super().__init__(space)
+        self.space = space
         self.lhs = lhs
         self.rhs = rhs
 

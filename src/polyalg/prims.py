@@ -107,6 +107,10 @@ class PrimSet(Record):
             raise PrimValueError(f"{v!r} is not a value of {self}")
         return v
 
+    def contains_all(self, values) -> bool:
+        """Whether every one of `values`, a column of rows, is in the set."""
+        return all(map(self.contains, values))
+
     def sort_key(self, v):
         """Comparable key realising the set's total order."""
         raise NotImplementedError
@@ -169,6 +173,11 @@ class Int64(PrimSet):
     def contains(self, v):
         return isinstance(v, int) and not isinstance(v, bool) and INT64_MIN <= v <= INT64_MAX
 
+    def contains_all(self, values):
+        if set(map(type, values)) <= {int}:  # no bool, no other subclass
+            return not values or INT64_MIN <= min(values) and max(values) <= INT64_MAX
+        return super().contains_all(values)
+
     def sort_key(self, v):
         return v
 
@@ -182,6 +191,9 @@ class Int64(PrimSet):
 class Str(PrimSet):
     def contains(self, v):
         return isinstance(v, str)
+
+    def contains_all(self, values):
+        return set(map(type, values)) <= {str} or super().contains_all(values)
 
     def sort_key(self, v):
         return v

@@ -3,8 +3,8 @@
 A relation is a named, typed schema plus its data in the tensor chain of
 free modules over the column types, with coefficients in the session ring.
 The data is held as one canonical form, a nested keyed trie in attribute
-order. Relations built from rows are born as forms, grouped column by
-column into one trie per node. Set operations, joins, products and
+order. Relations built from rows are born as forms, in one pass over the
+rows that fills one trie per node. Set operations, joins, products and
 single-column selection work on forms, so an update visits the
 entries of its delta and copies, in C, only the trie levels it changes.
 Aggregation folds the rows `enumerate_nf` lists, one total per group.
@@ -22,15 +22,14 @@ ordinary data (deletions), and wildcard baselines are ordinary data too,
 flagged at rendering time.
 """
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
-from . import normal, tries
+from . import metrics, normal, tries
 from .normal import (
     STAR,
     InfiniteSupport,
     MapNF,
-    entries_nf,
     enumerate_nf,
     has_baseline,
     map_payloads,
@@ -57,7 +56,7 @@ from .prims import (
     Str,
 )
 from .rings import GF2Ring, Ring
-from .spaces import Tensor, tensor_chain
+from .spaces import tensor_chain
 from .terms import Term
 
 
@@ -67,10 +66,10 @@ class RelationError(ValueError):
 
 TYPE_NAMES = {"int": INT, "str": STRING, "bool": BOOL}
 
-#: widest schema: building (`_rows_nf`), widening (`product.embed`) and
-#: reading back chain forms recurse per column, and 100 columns under a
-#: query nested `query.MAX_DEPTH` deep still fit the interpreter's default
-#: recursion limit; joins go a level at a time and do not recurse
+#: widest schema: widening (`product.embed`), adding (`nf_add`, as an outer
+#: join pads its inputs) and reading back forms recurse per column, and 100
+#: columns under a query nested `query.MAX_DEPTH` deep still fit the default
+#: recursion limit; building from rows and joining do not recurse
 MAX_COLUMNS = 100
 
 
@@ -181,21 +180,73 @@ class Relation:
 
 def relation_from_rows(sch: Schema, ring: Ring, rows) -> Relation:
     """Rows are (tuple, coefficient) pairs; duplicates accumulate. The
-    relation is born as its form: no term is built."""
+    relation is born as its form: no term is built. The rows are checked a
+    column at a time, and row by row only to report the first bad row."""
     prims = sch.prims
-    checked = []
-    for row, coeff in rows:
-        if len(row) != len(prims):
-            raise RelationError(f"row {row!r} does not fit schema {sch.render()}")
-        for p, v in zip(prims, row):
-            p.check(v)
-        checked.append((row, ring.coerce(coeff)))
-    return _built(sch, ring, checked)
+    rows = list(rows)
+    try:
+        keys = [row for row, _ in rows]
+        fits = set(map(len, keys)) <= {len(prims)} and all(
+            p.contains_all(col) for p, col in zip(prims, zip(*keys)))
+    except (TypeError, ValueError):  # a malformed entry, which the row loop reports
+        fits = False
+    if not fits:  # find the first bad row
+        for row, coeff in rows:
+            if len(row) != len(prims):
+                raise RelationError(f"row {row!r} does not fit schema {sch.render()}")
+            for p, v in zip(prims, row):
+                p.check(v)
+            ring.coerce(coeff)
+    return _built(sch, ring, zip(keys, map(ring.coerce, [c for _, c in rows])))
 
 
 def _built(sch: Schema, ring: Ring, rows) -> Relation:
-    """The relation over `sch` and `ring` of checked (row, coefficient) pairs."""
-    return Relation(sch, ring, nf=_rows_nf(sch.chain(ring), rows, 0))
+    """The relation over `sch` and `ring` of checked (row, coefficient)
+    pairs. Each row walks a path of dicts, one per node, and enters a
+    nonzero coefficient in the last; a repeated row's coefficients add by
+    `tries.add_all`, in row order. Then, from the last column up, each dict
+    becomes its node's trie in place, `STAR` popped into the baseline, and
+    an empty node is deleted."""
+    prims = sch.prims
+    spaces = [tensor_chain(ring, prims[d:], compact=True) for d in range(len(prims))]
+    last = len(prims) - 1
+    root, runs = {}, {}
+    for row, c in rows:
+        node = root
+        for k in row[:last]:
+            node = node.get(k) or node.setdefault(k, {})
+        if ring.is_zero(c):
+            continue
+        k = row[last]
+        if k in node:
+            runs.setdefault((id(node), k), (node, k, [node[k]]))[2].append(c)
+        else:
+            node[k] = c
+    for node, k, cs in runs.values():
+        c = tries.add_all(cs, ring)
+        if c is None:
+            del node[k]
+        else:
+            node[k] = c
+    levels = [[root]]
+    for _ in range(last):
+        levels.append(list(chain.from_iterable(map(dict.values, levels[-1]))))
+    edges = 0
+    for d in range(last, 0, -1):
+        space, gone = spaces[d], []
+        edges += sum(map(len, levels[d]))
+        for t in levels[d - 1]:
+            for k, u in t.items():
+                if u:
+                    base = u.pop(STAR, None)
+                    t[k] = MapNF(space, u or None, base)
+                else:
+                    gone.append((t, k))
+        for t, k in gone:
+            del t[k]
+    metrics.current.trie_edges += edges + len(root)
+    base = root.pop(STAR, None)
+    return Relation(sch, ring, nf=MapNF(spaces[0], root or None, base))
 
 
 def _finite_rows(r: Relation, what: str):
@@ -204,19 +255,6 @@ def _finite_rows(r: Relation, what: str):
         return enumerate_nf(r.nf())
     except InfiniteSupport:
         raise RelationError(f"cannot {what} a relation with wildcard rows") from None
-
-
-def _rows_nf(space, rows, i):
-    """The chain form of checked (row, coefficient) pairs from column `i`
-    on: the rows are grouped by that column and each group's form is built
-    below its key, one trie per node; the last column's trie holds the
-    coefficients. The rows with `STAR` at a level make up its baseline."""
-    if not isinstance(space, Tensor):
-        return entries_nf(space, [(row[i], c) for row, c in rows])
-    groups = {}
-    for rc in rows:
-        groups.setdefault(rc[0][i], []).append(rc)
-    return entries_nf(space, [(k, _rows_nf(space.rhs, g, i + 1)) for k, g in groups.items()])
 
 
 # core operations ----------------------------------------------------------------

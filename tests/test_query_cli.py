@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polyalg
-from polyalg import GF2, Z, QueryError, parse_sexpr, run
+from polyalg import GF2, REAL, Z, QueryError, parse_sexpr, run
 from polyalg.catalog import Catalog, CatalogError, load_csv, parse_schema
 from polyalg.cli import main, render_relation
 from polyalg.query import MAX_DEPTH
@@ -152,6 +152,27 @@ def test_csv_diagnostics(tmp_path):
         load_csv(p2, parse_schema("A:str,B:int"), Z)
     with pytest.raises(CatalogError):
         parse_schema("A:float")
+
+
+@pytest.mark.parametrize("text, ring, error", [
+    ("K,S,B\n1,a,true\nx1,b,false\n", Z, ":3:1: 'x1' is not an integer"),
+    ("K,S,B\n1,a,true\n99999999999999999999,b,false\n", Z,
+     ":3:1: '99999999999999999999' is out of 64-bit range"),
+    ("K,S,B\n1,a,maybe\n", Z, ":2:3: 'maybe' is not true/false"),
+    # the first bad cell of a row is the one cited
+    ("K,S,B\n1,a,true\n1.5,b,nope\n", Z, ":3:1: '1.5' is not an integer"),
+    ("K,S,B,#weight\n1,a,nope,x\n", Z, ":2:3: 'nope' is not true/false"),
+    ("K,S,B,#weight\n1,a,true,1\n2,b,false,2.5\n", Z,
+     ":3: bad weight: invalid literal for int() with base 10: '2.5'"),
+    ("K,S,B,#weight\n1,a,true,nan\n", REAL, ":2: bad weight: 'nan' is not a finite weight"),
+    ("K,S,B,#weight\n1,a,true,2\n", GF2, ":2: bad weight: bad GF(2) value '2'"),
+])
+def test_csv_cell_and_weight_errors_are_located_exactly(tmp_path, text, ring, error):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(CatalogError) as e:
+        load_csv(p, parse_schema("K:int,S:str,B:bool"), ring)
+    assert str(e.value) == f"{p}{error}"
 
 
 def test_csv_round_trip(cat, tmp_path):
@@ -542,9 +563,10 @@ def test_cli_column_bound(tmp_path, capsys):
 
 def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
     # a 100-column join under MAX_DEPTH - 1 clamps runs within 650 frames
-    # above the caller: evaluation takes a frame per level of the query, and
-    # `clamp` rebuilds its 100-column input through `_rows_nf`, two frames
-    # per column; the joint product takes the same few frames at any width
+    # above the caller: evaluation takes a frame per level of the query;
+    # `clamp` rebuilds its 100-column input from rows, and the builder and
+    # the joint product take the same few frames at any width. Padding the
+    # inputs of a full outer join adds forms, which recurses per column
     catalog = str(tmp_path / "c.json")
     cols = [f"C{i}" for i in range(MAX_COLUMNS)]
     half = MAX_COLUMNS // 2

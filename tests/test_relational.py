@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from polyalg import (
     GF2,
+    INF,
     INT,
+    INT_WITH_INF,
     REAL,
     STAR,
     STRING,
     Z,
     Compare,
+    Sum,
     BoolPred,
     RelationError,
     aggregate,
@@ -35,6 +38,7 @@ from polyalg import (
     union,
     weight,
 )
+from polyalg.prims import PrimValueError
 
 
 def rel(cols, rows, ring=Z):
@@ -823,6 +827,113 @@ def test_rows_build_the_normal_form_of_their_sum(data):
     # exact keys, order and coefficients: a canonical form is determined by
     # its row listing, so this holds over the real ring too
     assert enumerate_nf(got, allow_baseline=True) == enumerate_nf(want, allow_baseline=True)
+
+
+# the one-pass builder against the recursive one it replaced ------------------
+
+def _rows_nf(space, rows, i):
+    """Reference builder: the chain form of checked (row, coefficient) pairs
+    from column `i` on, the rows grouped by that column and each group's
+    form built recursively below its key, one `entries_nf` per node."""
+    from polyalg import Tensor
+    from polyalg.normal import entries_nf
+
+    if not isinstance(space, Tensor):
+        return entries_nf(space, [(row[i], c) for row, c in rows])
+    groups = {}
+    for rc in rows:
+        groups.setdefault(rc[0][i], []).append(rc)
+    return entries_nf(space, [(k, _rows_nf(space.rhs, g, i + 1)) for k, g in groups.items()])
+
+
+def layout(nf):
+    """A form's tries as (key, payload) lists in their stored key order,
+    each with its baseline; a real coefficient as its exact bits."""
+    from polyalg.normal import MapNF
+
+    if not isinstance(nf, MapNF):
+        return nf.hex() if isinstance(nf, float) else nf
+    trie = None if nf.trie is None else [(k, layout(v)) for k, v in nf.trie.items()]
+    return trie, layout(nf.base)
+
+
+_SUM = Sum(INT, STRING)
+BUILD_KEYS = {
+    INT: st.sampled_from([0, 1, 2, INT64_MIN]),
+    STRING: st.sampled_from(["", "a", "é"]),
+    _SUM: st.sampled_from([("L", 0), ("L", 1), ("R", "a")]),
+    INT_WITH_INF: st.sampled_from([0, 1, INF]),
+}
+BUILD_SCHEMAS = [
+    [("K", INT)],
+    [("X", _SUM)],
+    [("K", INT), ("S", STRING), ("M", INT_WITH_INF)],
+    [("X", _SUM), ("M", INT_WITH_INF), ("K", INT)],
+]
+# inexact reals, so that a sum in another order differs in its last bits,
+# and one below the real ring's zero tolerance
+BUILD_COEFFS = {Z: st.integers(-2, 2), GF2: st.booleans(),
+                REAL: st.sampled_from([0.0, 0.1, 0.2, -0.3, 1 / 3, 1e-10])}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rows_build_the_form_the_recursive_builder_builds(data):
+    from polyalg import metrics
+    from polyalg.relational import _built
+
+    ring = data.draw(st.sampled_from([Z, GF2, REAL]))
+    sch = schema(*data.draw(st.sampled_from(BUILD_SCHEMAS)))
+    stars = data.draw(st.booleans())  # wildcard rows reach the builder through `_built` only
+    keys = [st.one_of(BUILD_KEYS[p], st.just(STAR)) if stars else BUILD_KEYS[p]
+            for p in sch.prims]
+    rows = data.draw(st.lists(st.tuples(st.tuples(*keys), BUILD_COEFFS[ring]), max_size=16))
+    if rows:
+        # repeat some rows, some negated so that they cancel
+        again = data.draw(st.lists(st.sampled_from(rows), max_size=8))
+        rows += [(r, c if data.draw(st.booleans()) else ring.neg(c)) for r, c in again]
+    with metrics.fresh() as m:
+        want = _rows_nf(sch.chain(ring), rows, 0)
+    with metrics.fresh() as n:
+        got = (_built if stars else relation_from_rows)(sch, ring, rows).nf()
+    # the same keys in the same stored order, the same coefficients to the
+    # bit and so the same rows, for the same trie edges
+    assert layout(got) == layout(want)
+    assert n.trie_edges == m.trie_edges
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([((1, "a"), 1), ((1,), 1)], RelationError, "row (1,) does not fit schema K:int,S:str"),
+    ([((True, "a"), 1)], PrimValueError, "True is not a value of Int64"),
+    ([((2**63, "a"), 1)], PrimValueError, "9223372036854775808 is not a value of Int64"),
+    ([((-2**63 - 1, "a"), 1)], PrimValueError, "-9223372036854775809 is not a value of Int64"),
+    ([((1, 2), 1)], PrimValueError, "2 is not a value of Str"),
+    ([((1, "a"), "x")], TypeError, "'x' is not an integer multiplicity"),
+    ([((1, "a"), True)], TypeError, "booleans are not integer multiplicities"),
+    # two bad rows: the first is reported, whatever the second's fault
+    ([((1, "a"), 1), ((2, 3), 1), ((1, "a", 5), 1)], PrimValueError, "3 is not a value of Str"),
+    ([((1, "a"), 1.5), ((1,), 1)], TypeError, "1.5 is not an integer multiplicity"),
+    ([((1,), 1), 5], RelationError, "row (1,) does not fit schema K:int,S:str"),
+])
+def test_rows_that_do_not_fit_fail_at_the_first_bad_row(rows, error, message):
+    with pytest.raises(error) as e:
+        relation_from_rows(schema(("K", INT), ("S", STRING)), Z, rows)
+    assert type(e.value) is error and str(e.value) == message
+
+
+def test_building_from_rows_needs_the_same_frames_at_any_width():
+    from test_product import _frames_needed
+
+    needed = []
+    for n in (10, 100):
+        sch = schema(*[(f"C{i}", INT) for i in range(n)])
+        # two rows, and a row and its negation, whose path of nodes below
+        # the first column is left empty and deleted
+        gone = (1, 3) + (1,) * (n - 2)
+        rows = [((1,) * n, 1), ((2,) * n, 1), (gone, 1), (gone, -1)]
+        assert len(relation_from_rows(sch, Z, rows).rows()) == 2
+        needed.append(_frames_needed(lambda: relation_from_rows(sch, Z, rows)))
+    assert needed[0] == needed[1], needed
 
 
 def test_nested_prefix_column_deeper_than_the_recursion_limit():
