@@ -14,13 +14,13 @@ count being exactly k^3.
 """
 
 import math
+import statistics
 import time
-from dataclasses import dataclass, field
 
 from . import metrics
 from .normal import enumerate_nf, readback
-from .prims import INT
-from .product import naive_multiply, triangle
+from .prims import INT, Record
+from .product import embed, naive_multiply, triangle
 from .rings import Z
 from .spaces import Free
 from .terms import inject, sum_terms, tensor
@@ -34,34 +34,16 @@ def bipartite_relation(k: int, ring=Z):
     return sum_terms(space, rows)
 
 
-def count_rows(nf) -> int:
-    return len(enumerate_nf(nf, allow_baseline=True))
+class SizeRow(Record):
+    _fields = ("k", "n", "output_rows", "seconds", "trie_edges", "ring_mults", "lookups")
 
 
-@dataclass
-class SizeRow:
-    k: int
-    n: int  # tuples per input relation
-    output_rows: int
-    seconds: float
-    trie_edges: int
-    ring_mults: int
-    lookups: int
+class NaiveRow(Record):
+    _fields = ("k", "n", "output_rows", "seconds", "pair_products")
 
 
-@dataclass
-class NaiveRow:
-    k: int
-    n: int
-    output_rows: int
-    seconds: float
-    pair_products: int
-
-
-@dataclass
-class BenchReport:
-    rows: list = field(default_factory=list)
-    naive_rows: list = field(default_factory=list)
+class BenchReport(Record):
+    _fields = ("rows", "naive_rows")  # tuples of SizeRow and NaiveRow
 
     @property
     def slope(self) -> float:
@@ -76,73 +58,53 @@ def fit_slope(points) -> float:
     """Least-squares slope of log(metric) against log(n)."""
     if len(points) < 2:
         raise ValueError("need at least two sizes to fit a slope")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(m) for _, m in points]
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    sxx = sum((x - mx) ** 2 for x in xs)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    return sxy / sxx
+    xs, ys = zip(*((math.log(n), math.log(m)) for n, m in points))
+    return statistics.linear_regression(xs, ys).slope
+
+
+def _timed(k: int, repeats: int, label: str, run):
+    """The best time of `repeats` gated calls of `run`, and the last call's counters."""
+    best = math.inf
+    for _ in range(repeats):
+        with metrics.fresh() as m:
+            t0 = time.perf_counter()
+            out = run()
+            dt = time.perf_counter() - t0
+        rows = len(enumerate_nf(out, allow_baseline=True))
+        if rows != k**3:
+            raise AssertionError(f"{label} correctness gate: {rows} rows, expected {k**3}")
+        best = min(best, dt)
+    return best, m
 
 
 def run_triangle(k: int, repeats: int = 1) -> SizeRow:
-    x = bipartite_relation(k)
-    y = bipartite_relation(k)
-    z = bipartite_relation(k)
-    best = None
-    edges = mults = lookups = rows = None
-    for _ in range(max(1, repeats)):
-        with metrics.fresh() as m:
-            t0 = time.perf_counter()
-            out = triangle(x, y, z)
-            dt = time.perf_counter() - t0
-        rows = count_rows(out)
-        if rows != k**3:
-            raise AssertionError(f"triangle correctness gate: {rows} rows, expected {k**3}")
-        edges, mults, lookups = m.trie_edges, m.ring_mults, m.lookups
-        best = dt if best is None else min(best, dt)
-    return SizeRow(k, k * k, rows, best, edges, mults, lookups)
+    x, y, z = (bipartite_relation(k) for _ in range(3))
+    seconds, m = _timed(k, repeats, "triangle", lambda: triangle(x, y, z))
+    return SizeRow(k, k * k, k**3, seconds, m.trie_edges, m.ring_mults, m.lookups)
 
 
 def run_naive(k: int, repeats: int = 1) -> NaiveRow:
     """Pairwise fold by blunt expansion: (x' * y') then * z'."""
-    x = bipartite_relation(k)
-    y = bipartite_relation(k)
-    z = bipartite_relation(k)
-    from .product import embed
-
     A, B, C = ("A", INT), ("B", INT), ("C", INT)
-    xe = embed(x, [A, B], [A, B, C])
-    ye = embed(y, [A, C], [A, B, C])
-    ze = embed(z, [B, C], [A, B, C])
-    best = None
-    pairs = rows = None
-    for _ in range(max(1, repeats)):
-        with metrics.fresh() as m:
-            t0 = time.perf_counter()
-            first = naive_multiply(xe, ye)
-            out = naive_multiply(readback(first), ze)
-            dt = time.perf_counter() - t0
-        rows = count_rows(out)
-        if rows != k**3:
-            raise AssertionError(f"naive correctness gate: {rows} rows, expected {k**3}")
-        pairs = m.pair_products
-        best = dt if best is None else min(best, dt)
-    return NaiveRow(k, k * k, rows, best, pairs)
+    x, y, z = (embed(bipartite_relation(k), cols, [A, B, C]) for cols in ([A, B], [A, C], [B, C]))
+    seconds, m = _timed(k, repeats, "naive",
+                        lambda: naive_multiply(readback(naive_multiply(x, y)), z))
+    return NaiveRow(k, k * k, k**3, seconds, m.pair_products)
 
 
 def bench_triangle(sizes, repeats: int = 1, with_naive: bool = False) -> BenchReport:
+    """Checks its arguments, then runs the triangle and the naive sizes (k <= 16)."""
     sizes = list(sizes)
+    naive = [k for k in sizes if k <= 16] if with_naive else []
+    if len(sizes) < 2:
+        raise ValueError("need at least two sizes to fit a slope")
     if any(k < 2 for k in sizes):
         raise ValueError("sizes must be at least 2")
-    if sorted(sizes) != sizes or len(set(sizes)) != len(sizes):
+    if sorted(set(sizes)) != sizes:
         raise ValueError("sizes must be strictly increasing")
-    report = BenchReport()
-    for k in sizes:
-        report.rows.append(run_triangle(k, repeats))
-    if with_naive:
-        # the expansion is near quartic; contrast on the small sizes only
-        for k in sizes:
-            if k <= 16:
-                report.naive_rows.append(run_naive(k, repeats))
-    return report
+    if len(naive) == 1:
+        raise ValueError("the naive contrast needs two sizes of at most 16")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    return BenchReport(tuple(run_triangle(k, repeats) for k in sizes),
+                       tuple(run_naive(k, repeats) for k in naive))

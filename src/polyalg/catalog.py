@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from .prims import BOOL, INT, INT64_MAX, INT64_MIN
-from .relational import TYPE_NAMES, Relation, Schema, relation_from_rows
+from .relational import TYPE_NAMES, Relation, Schema, _built
 from .rings import Ring, ring_by_name
 
 WEIGHT_COLUMN = "#weight"
@@ -126,7 +126,7 @@ def load_csv(path, sch: Schema, ring: Ring) -> Relation:
             else:
                 coeff = ring.one
             rows.append((tup, coeff))
-    return relation_from_rows(sch, ring, rows)
+    return _built(sch, ring, rows)  # every cell and weight is checked above
 
 
 class Catalog:

@@ -126,9 +126,9 @@ def _cmd_bench(args) -> int:
         return 1
     try:
         report = bench_triangle(sizes, repeats=args.repeats, with_naive=args.with_naive)
-    except AssertionError as e:
+    except (ValueError, AssertionError) as e:  # bad arguments, a failed correctness gate
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, ValueError) else 2
     print(f"{'k':>5} {'n':>8} {'rows':>10} {'seconds':>9} {'trie_edges':>12} {'ring_mults':>12}")
     for row in report.rows:
         print(

@@ -19,8 +19,10 @@ payloads of equal keys add by `add_all`. A keyed form's builder passes its
 wildcard baseline's shares as entries under `normal.STAR` and pops that
 entry from the new level before the level is shared, so the shares add in
 the same rounds. `relational._built` fills every level of a relation's
-form from rows in one pass, by the same rules. `items` is the one
-enumeration, `map_values` maps payloads, and `walk` and `keep` intersect
+form from rows in one pass, by the same rules. `items` lists one level
+in order, for readback, selection and rendering; the row walk
+`normal.enumerate_nf` reads each level in place, ordered and charged as
+`items` would. `map_values` maps payloads, and `walk` and `keep` intersect
 the levels of many nodes at once, a column of keys at a time. `walk`
 flattens one chosen level of every node into one key list, in that level's
 order, and probes each of the node's other levels for the keys still

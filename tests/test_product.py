@@ -489,6 +489,107 @@ def test_random_two_way_join_edges_grow_near_linearly():
     assert slope <= 1.3, f"edge slope {slope:.3f}"
 
 
+# --- worst-case optimality where pairwise plans fail -------------------------------
+# Each relation is the star {(0,i)} ∪ {(i,0) : i < n}. A triangle over three
+# stars has 3n - 2 rows, but every pairwise plan first builds a join of two
+# stars on one shared column, n² + n - 1 rows (Ngo, Ré, Rudra, "Skew Strikes
+# Back", SIGMOD Record 2013).
+
+def _star(n):
+    return [(0, i) for i in range(n)] + [(i, 0) for i in range(1, n)]
+
+
+def _binary_relation(cols, pairs):
+    from polyalg import relation_from_rows, schema
+
+    return relation_from_rows(schema(*((c, INT) for c in cols)), Z, [(p, 1) for p in pairs])
+
+
+def _dict_join(atoms):
+    """Rows of the join of binary atoms, (two column names, pairs), keyed in
+    name order: columns are bound one at a time in name order, each to the
+    intersection of its neighbour sets under the atoms already bound."""
+    names = sorted({c for cols, _ in atoms for c in cols})
+    steps = []  # (from column, to column, from value -> set of to values)
+    for (x, y), pairs in atoms:
+        fwd, bwd = {}, {}
+        for a, b in pairs:
+            fwd.setdefault(a, set()).add(b)
+            bwd.setdefault(b, set()).add(a)
+        steps += [(x, y, fwd), (y, x, bwd)]
+    rows = [{}]
+    for v in names:
+        grown = []
+        for row in rows:
+            sets = [m.get(row[u], set()) for u, w, m in steps if w == v and u in row]
+            for value in set.intersection(*(sets or [set(m) for u, _, m in steps if u == v])):
+                grown.append({**row, v: value})
+        rows = grown
+    return {tuple(row[v] for v in names) for row in rows}
+
+
+def _joined(relations):
+    """The engine's natural join of the relations: its trie edges and its
+    rows keyed in column-name order."""
+    from polyalg import natural_join
+
+    with metrics.fresh() as m:
+        out = natural_join(relations)
+    order = [out.schema.names.index(c) for c in sorted(out.schema.names)]
+    return m.trie_edges, {tuple(row[i] for i in order): c for row, c in out.rows()}
+
+
+def test_skewed_triangle_edges_grow_linearly_in_every_input_order():
+    import itertools
+
+    from polyalg.bench import fit_slope
+
+    edges = {}
+    for n in (250, 500, 1000, 2000):
+        atoms = [(cols, _star(n)) for cols in ("AB", "BC", "AC")]
+        want = dict.fromkeys(_dict_join(atoms), 1)
+        assert len(want) == 3 * n - 2
+        named = [(cols, _binary_relation(cols, pairs)) for cols, pairs in atoms]
+        for order in itertools.permutations(named):
+            e, rows = _joined([r for _, r in order])
+            assert rows == want
+            edges.setdefault(tuple(cols for cols, _ in order), []).append((n, e))
+    assert len(edges) == 6
+    for order, points in edges.items():
+        slope = fit_slope(points)
+        assert slope <= 1.2, f"{order}: edge slope {slope:.3f} over {points}"
+
+
+def test_skewed_pairwise_intermediate_grows_quadratically():
+    # the contrast: the engine's own join of two stars on A alone
+    from polyalg import natural_join
+    from polyalg.bench import fit_slope
+
+    points = []
+    for n in (125, 250, 500):
+        out = natural_join([_binary_relation("AB", _star(n)), _binary_relation("AC", _star(n))])
+        count = len(out.rows())
+        assert count == n * n + n - 1
+        points.append((n, count))
+    assert fit_slope(points) >= 1.85, points
+
+
+@pytest.mark.parametrize("shape", ["4-cycle", "4-clique"])
+def test_cyclic_join_edges_stay_within_the_agm_bound(shape):
+    # for N tuples per relation the fractional edge cover {AB: 1, CD: 1}
+    # gives both shapes the AGM bound N²
+    cols = ("AB", "BC", "CD", "AD") if shape == "4-cycle" else ("AB", "AC", "AD", "BC", "BD", "CD")
+    rng = random.Random(4)
+    instances = [_star(n) for n in (32, 64, 128)]
+    instances += [list({(rng.randrange(d), rng.randrange(d)) for _ in range(n)})
+                  for n, d in ((64, 16), (256, 32), (512, 48))]
+    for pairs in instances:
+        atoms = [(c, pairs) for c in cols]
+        e, rows = _joined([_binary_relation(c, pairs) for c, _ in atoms])
+        assert rows == dict.fromkeys(_dict_join(atoms), 1)
+        assert e <= 2.5 * len(pairs) ** 2, (shape, len(pairs), e)
+
+
 def test_all_baseline_product_cost_follows_its_deviations():
     # in a full outer join every factor carries a baseline at every level;
     # the product visits only the factors' deviations, so each doubling of

@@ -202,6 +202,28 @@ def test_gf2_ring_load(tmp_path):
     assert rows(r) == {("b",): True}  # the two a's cancel mod 2
 
 
+@pytest.mark.parametrize("ring, weights", [
+    (Z, ["3", "-3", "2", "5", "1"]),
+    (GF2, ["1", "true", "0", "1", "false"]),
+    (REAL, ["0.5", "-0.5", "2.25", "1e300", "-7"]),
+])
+def test_csv_load_builds_the_form_of_its_rows(tmp_path, ring, weights):
+    # cells and weights are checked once, as they are parsed; the form is
+    # the one `relation_from_rows` builds from the same values, to the bit
+    keys = [(1, "a", True), (1, "a", True), (-(2**63), "", False), (2**63 - 1, "é", True),
+            (1, "b", False)]
+    p = tmp_path / "w.csv"
+    lines = [f"{k},{s},{str(b).lower()},{w}" for (k, s, b), w in zip(keys, weights)]
+    p.write_text("\n".join(["K,S,B,#weight", *lines]) + "\n")
+    sch = parse_schema("K:int,S:str,B:bool")
+    with polyalg.metrics.fresh() as m:
+        got = load_csv(p, sch, ring)
+    with polyalg.metrics.fresh() as n:
+        want = relation_from_rows(sch, ring, zip(keys, map(ring.parse, weights)))
+    assert [(k, repr(c)) for k, c in got.rows()] == [(k, repr(c)) for k, c in want.rows()]
+    assert m.trie_edges == n.trie_edges
+
+
 # --- CLI -------------------------------------------------------------------------
 
 # The directory that holds the imported package: a source checkout's src/, or
@@ -672,6 +694,58 @@ def test_cli_bench_small(tmp_path):
     assert "slope" in out.stdout
     # correctness gate rows: 8 and 27
     assert " 8 " in out.stdout and " 27 " in out.stdout
+
+
+BENCH_GOLDEN = """\
+    k        n       rows   seconds   trie_edges   ring_mults
+    2        4          8     S.SSS           82            8
+    3        9         27     S.SSS          198           27
+    4       16         64     S.SSS          392           64
+log-log slope of trie edges vs n: 1.126
+
+    k        n       rows   seconds  pair_products
+    2        4          8     S.SSS             92
+    3        9         27     S.SSS            456
+    4       16         64     S.SSS           1576
+log-log slope of pair products vs n: 2.044
+"""
+
+
+def test_cli_bench_output_is_pinned(tmp_path):
+    # every counter and slope, byte for byte; only the seconds column varies
+    out = run_cli(
+        ["bench", "triangle", "--sizes", "2,3,4", "--repeats", "1", "--with-naive"],
+        tmp_path,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    masked = re.sub(r"^((?: +\d+){3} +)\d+\.\d{3}(?= )", r"\1S.SSS", out.stdout, flags=re.M)
+    assert masked == BENCH_GOLDEN
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sizes", "8"], "need at least two sizes to fit a slope"),
+    (["--sizes", ""], "need at least two sizes to fit a slope"),
+    (["--sizes", "8,8"], "sizes must be strictly increasing"),
+    (["--sizes", "3,2"], "sizes must be strictly increasing"),
+    (["--sizes", "1,2"], "sizes must be at least 2"),
+    (["--sizes", "a,b"], "--sizes expects a comma-separated list of integers"),
+    (["--sizes", "2,32", "--with-naive"], "the naive contrast needs two sizes of at most 16"),
+    (["--sizes", "2,3", "--repeats", "0"], "repeats must be at least 1"),
+    (["--sizes", "2,3", "--repeats", "-5"], "repeats must be at least 1"),
+])
+def test_cli_bench_rejects_bad_arguments_before_running(argv, message, capsys):
+    assert main(["bench", "triangle", *argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_bench_failed_correctness_gate_exits_2(monkeypatch, capsys):
+    import polyalg.bench as bench
+
+    triangle, edge = bench.triangle, bench.bipartite_relation(1)
+    # a third input of one edge leaves k of the k^3 rows
+    monkeypatch.setattr(bench, "triangle", lambda x, y, z: triangle(x, y, edge))
+    assert main(["bench", "triangle", "--sizes", "2,3", "--repeats", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: triangle correctness gate: 2 rows, expected 8\n")
 
 
 def test_in_process_main(tmp_path, capsys):
