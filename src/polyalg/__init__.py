@@ -7,6 +7,8 @@ trie-backed canonical forms; intersections and joins are evaluated by a
 jointly scheduled product that is worst-case optimal on cyclic joins.
 """
 
+from importlib import import_module
+
 from .metrics import Counters, fresh
 from .normal import (
     STAR,
@@ -46,7 +48,6 @@ from .prims import (
     left,
     right,
 )
-from .query import QueryError, parse_sexpr, run
 from .relational import (
     BoolPred,
     ColumnWhere,
@@ -113,17 +114,19 @@ from .terms import (
 )
 
 
+#: names served from a module imported on first use: no command of the CLI
+#: runs the isomorphism catalogue, only joins, intersections and products of
+#: terms run the product engine, only `query` parses, and each `polyalg`
+#: process compiles what it imports, so `load` compiles none of the three
+_ON_FIRST_USE = {
+    "isos": ("ISOS", "iso"),
+    "product": ("embed", "multiply", "naive_multiply", "nf_product", "triangle"),
+    "query": ("QueryError", "parse_sexpr", "run"),
+}
+
+
 def __getattr__(name):
-    # the isomorphism catalogue and the product engine are imported on first
-    # use: no command of the CLI runs the catalogue, only joins, intersections
-    # and products of terms run the engine, and each `polyalg` process
-    # compiles what it imports, so `load` and most queries compile neither
-    if name in ("ISOS", "iso"):
-        from . import isos
-
-        return getattr(isos, name)
-    if name in ("embed", "multiply", "naive_multiply", "nf_product", "triangle"):
-        from . import product
-
-        return getattr(product, name)
+    for module, names in _ON_FIRST_USE.items():
+        if name in names:
+            return getattr(import_module(f"{__name__}.{module}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,7 +20,6 @@ from . import metrics
 from .catalog import Catalog, CatalogError
 from .normal import STAR
 from .prims import PrimSet
-from .query import run as run_query
 from .relational import Relation, type_name
 
 
@@ -97,6 +96,8 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_query(args) -> int:
+    from .query import run as run_query
+
     cat = Catalog.open(args.catalog)
     with metrics.fresh() as m:
         r = run_query(args.expr, cat)

@@ -7,7 +7,7 @@ order. Relations built from rows are born as forms, in one pass over the
 rows that fills one trie per node. Set operations, joins, products and
 single-column selection work on forms, so an update visits the
 entries of its delta and copies, in C, only the trie levels it changes.
-Aggregation folds the rows `enumerate_nf` lists, one total per group.
+Aggregation folds the form's levels, in row order per group, listing no rows.
 Every relation over a schema and ring lives in one chain, the compact
 chain of its column types: finite relations with no baselines, outer
 joins with wildcard ones. So set operations use both forms as they
@@ -22,8 +22,9 @@ ordinary data (deletions), and wildcard baselines are ordinary data too,
 flagged at rendering time.
 """
 
+from functools import reduce
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import metrics, normal, tries
 from .normal import (
@@ -197,7 +198,10 @@ def relation_from_rows(sch: Schema, ring: Ring, rows) -> Relation:
             for p, v in zip(prims, row):
                 p.check(v)
             ring.coerce(coeff)
-    return _built(sch, ring, zip(keys, map(ring.coerce, [c for _, c in rows])))
+    coeffs = [c for _, c in rows]
+    if not set(map(type, coeffs)) <= {type(ring.one)}:  # int, not bool, over Z
+        coeffs = list(map(ring.coerce, coeffs))
+    return _built(sch, ring, zip(keys, coeffs))
 
 
 def _built(sch: Schema, ring: Ring, rows) -> Relation:
@@ -247,14 +251,6 @@ def _built(sch: Schema, ring: Ring, rows) -> Relation:
     metrics.current.trie_edges += edges + len(root)
     base = root.pop(STAR, None)
     return Relation(sch, ring, nf=MapNF(spaces[0], root or None, base))
-
-
-def _finite_rows(r: Relation, what: str):
-    """`r`'s rows; a relation with wildcard rows has no finite `what`."""
-    try:
-        return enumerate_nf(r.nf())
-    except InfiniteSupport:
-        raise RelationError(f"cannot {what} a relation with wildcard rows") from None
 
 
 # core operations ----------------------------------------------------------------
@@ -319,9 +315,13 @@ def select(r: Relation, pred) -> Relation:
 
 
 def _kept_rows(r: Relation, keep, what: str) -> Relation:
-    """`r`'s rows for which `keep(row, coefficient)` holds."""
-    kept = [(row, c) for row, c in _finite_rows(r, what) if keep(row, c)]
-    return _built(r.schema, r.ring, kept)
+    """`r`'s rows for which `keep(row, coefficient)` holds; a relation with
+    wildcard rows has no finite `what`."""
+    try:
+        rows = enumerate_nf(r.nf())
+    except InfiniteSupport:
+        raise RelationError(f"cannot {what} a relation with wildcard rows") from None
+    return _built(r.schema, r.ring, [(row, c) for row, c in rows if keep(row, c)])
 
 
 def _select_level(nf, pos, keep, col):
@@ -440,11 +440,12 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
 def aggregate(r: Relation, group, target, fold: str) -> Relation:
     """Group by the named columns and fold the target column.
 
-    Sum, minimum and maximum fold the rows `enumerate_nf` lists into one
-    total per group, keyed in the order of `group`. A sum is the linear map
-    e_(k,s,v) ↦ v·e_s: each row adds its coefficient times its target value
-    in the ring, in row order, as a row-by-row fold does. Minimum and
-    maximum keep each group's extreme value, in a column with an adjoined
+    Sum, minimum and maximum are one frontier fold over the form's levels
+    (`_group_totals`), which lists no rows, into one total per group, keyed
+    in the order of `group`. A sum is the linear map e_(k,s,v) ↦ v·e_s:
+    each row adds its coefficient times its target value in the ring, in
+    row order per group, as a row-by-row fold does. Minimum and maximum
+    keep each group's extreme value, in a column with an adjoined
     infinity. Count is projection's multiplicity bookkeeping under another
     name. A relation with wildcard rows has no finite fold."""
     if fold not in ("sum", "min", "max", "count"):
@@ -463,24 +464,62 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
     if fold == "sum" and isinstance(r.ring, GF2Ring):
         raise RelationError("sum aggregation is meaningless over gf2; use count")
 
-    ring = r.ring
-    key = _getter(gpos)
-    summing = fold == "sum"
-    # the target is an Int64 column, so its values are non-bool ints: over Z
-    # they are already ring elements, and over REAL `c * v` converts v exactly
-    # as float(v) does, so the sum needs no per-row coercion
-    mul = ring.mul
-    merge = ring.add if summing else min if fold == "min" else max
-    acc = {}
-    for row, c in _finite_rows(r, "aggregate"):
-        g, v = key(row), mul(c, row[tpos]) if summing else row[tpos]
-        got = acc.get(g)
-        acc[g] = v if got is None else merge(got, v)
     cols = tuple(r.schema.columns[p] for p in gpos)
-    if summing:
-        return _built(Schema(cols), ring, acc.items())
+    ordered = sorted(gpos)
+    key = _getter([ordered.index(p) for p in gpos])
+    totals = [(key(g), v) for g, v in _group_totals(r, ordered, tpos, fold).items()]
+    if fold == "sum":
+        return _built(Schema(cols), r.ring, totals)
     cols += ((target, INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF),)
-    return _built(Schema(cols), ring, [(g + (v,), ring.one) for g, v in acc.items()])
+    return _built(Schema(cols), r.ring, [(g + (v,), r.ring.one) for g, v in totals])
+
+
+def _group_totals(r: Relation, grouping, tpos, fold):
+    """Each group's total, keyed in column order, by one frontier fold over
+    `r`'s levels. The frontier maps each group key seen so far to its
+    sub-forms in row order and, from the target column on, a parallel list
+    of their target values. A grouping level extends a key by each entry's
+    key; any other level replaces a key's sub-forms by their children, in
+    C. Each coefficient c gives its row's share, c·v (sum) or v (min, max),
+    and a group folds its shares in row order. Keys are ordered, and
+    `trie_edges` charged, as `enumerate_nf` orders and charges them."""
+    nf, ring, last = r.nf(), r.ring, len(r.schema) - 1
+    front, edges = {} if nf.is_zero() else {(): (None, [nf])}, 0
+    base_of, trie_of = attrgetter("base"), attrgetter("trie")
+    for d, prim in enumerate(r.schema.prims):
+        order, nxt = tries.key_order(prim), {}
+        for g, (vs, xs) in front.items():
+            if set(map(base_of, xs)) != {None}:
+                metrics.current.trie_edges += edges
+                raise RelationError("cannot aggregate a relation with wildcard rows")
+            ts = list(map(trie_of, xs))
+            ys = list(chain.from_iterable(map(dict.values, ts)))
+            if len(ys) > len(ts):  # put each trie's entries in key order
+                ts = [t if len(t) == 1 else {k: t[k] for k in sorted(t, key=order)} for t in ts]
+                ys = list(chain.from_iterable(map(dict.values, ts)))
+            edges += len(ys)
+            if d == tpos or d > tpos and len(ys) > len(xs):  # each child's target value
+                vs = list(chain.from_iterable(ts if d == tpos else map(repeat, vs, map(len, ts))))
+            if d == last:
+                # v is an Int64 value: a ring element over Z, and over REAL
+                # `c * v` converts it exactly as float(v) does
+                ys = list(map(ring.mul, ys, vs)) if fold == "sum" else vs
+            if d not in grouping:
+                nxt[g] = vs, ys
+                continue
+            at = {}  # each key's entries, in row order
+            for i, k in enumerate(chain.from_iterable(ts)):
+                if k in at:
+                    at[k].append(i)
+                else:
+                    at[k] = [i]
+            for k, where in at.items():
+                pick = _getter(where)
+                nxt[g + (k,)] = None if vs is None else pick(vs), pick(ys)
+        front = nxt
+    metrics.current.trie_edges += edges
+    merge = ring.add if fold == "sum" else min if fold == "min" else max
+    return {g: reduce(merge, ys) for g, (_, ys) in front.items()}
 
 
 def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Relation:

@@ -291,17 +291,25 @@ def test_cli_end_to_end(tmp_path):
 def test_cli_start_up_imports_only_what_load_and_query_run(tmp_path):
     # each `polyalg` process compiles the modules it imports, so importing
     # the CLI must not load dataclasses, the product engine, the isomorphism
-    # catalogue or the benchmark; modules the interpreter itself loads at
-    # start-up do not count
+    # catalogue or the benchmark, and a `load` must not load the query
+    # language or the product engine either; modules the interpreter itself
+    # loads at start-up do not count
     def loaded(code):
         r = run_python(["-c", code + "import sys; print('\\n'.join(sys.modules))"], tmp_path)
         assert r.returncode == 0, r.stderr
         return set(r.stdout.split())
 
+    at_start = loaded("")
     after = loaded("import polyalg.cli; ")
     assert "polyalg.cli" in after
-    unwanted = {"dataclasses", "inspect", "polyalg.product", "polyalg.isos", "polyalg.bench"}
-    assert sorted((unwanted - loaded("")) & after) == []
+    unwanted = {"dataclasses", "inspect", "polyalg.product", "polyalg.isos", "polyalg.bench",
+                "polyalg.query"}
+    assert sorted((unwanted - at_start) & after) == []
+    (tmp_path / "x.csv").write_text(X_CSV)
+    after = loaded("from polyalg.cli import main; "
+                   "assert main(['load', 'x.csv', '--as', 'x', '--schema', 'A:str,B:int']) == 0; ")
+    assert "polyalg.catalog" in after
+    assert sorted((unwanted - at_start) & after) == []
 
 
 def test_cli_json_schema(tmp_path):

@@ -38,7 +38,7 @@ from polyalg import (
     union,
     weight,
 )
-from polyalg.prims import PrimValueError
+from polyalg.prims import INT64_MAX, INT64_MIN, PrimValueError
 
 
 def rel(cols, rows, ring=Z):
@@ -430,6 +430,65 @@ def test_aggregate_real_sum_is_a_row_order_fold_bit_for_bit(rows):
         assert struct.pack("<d", t) == struct.pack("<d", want[g])
 
 
+# few keys a column, so that groups hold several rows
+_AGG_KEYS = {
+    INT: st.sampled_from([7, 2**53 + 1, INT64_MIN, INT64_MAX]),
+    STRING: st.sampled_from(["", "a\x00", "é", "日本\U0001f600"]),
+}
+
+
+@st.composite
+def _aggregate_cases(draw):
+    """A relation of 2 to 4 columns over Z or REAL, its target column at any
+    position, and a group of other columns in any order."""
+    n = draw(st.integers(2, 4))
+    tpos = draw(st.integers(0, n - 1))
+    prims = [INT if i == tpos else draw(st.sampled_from([INT, STRING])) for i in range(n)]
+    group = draw(st.permutations([i for i in range(n) if i != tpos]))
+    group = group[:draw(st.integers(1, len(group)))]
+    ring = draw(st.sampled_from([Z, REAL]))
+    # over REAL, weights whose sums round differently in another order
+    coeff = (st.integers(-(2**80), 2**80) if ring is Z
+             else st.sampled_from([1.0, -1.0, 0.1, 0.2, -0.3, 1e-3, 3.7, 2.0**-40, 1e16]))
+    rows = draw(st.lists(st.tuples(st.tuples(*(_AGG_KEYS[p] for p in prims)), coeff),
+                         min_size=4, max_size=24))
+    # deletions that cancel some of the rows outright
+    rows += [(row, -c) for row, c in rows if draw(st.booleans())]
+    names = [f"C{i}" for i in range(n)]
+    return weighted(list(zip(names, prims)), rows, ring=ring), [names[p] for p in group], names[tpos]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_aggregate_cases())
+def test_aggregate_equals_a_row_by_row_fold(case):
+    for fold in ("sum", "min", "max"):
+        _check_aggregate_against_rows(*case, fold)
+
+
+def _check_aggregate_against_rows(r, group, target, fold):
+    import struct
+
+    ring, names = r.ring, r.schema.names
+    gpos, tpos = [names.index(g) for g in group], names.index(target)
+    merge = {"sum": lambda a, b: a + b, "min": min, "max": max}[fold]
+    want = {}
+    for row, c in r.rows():  # row order
+        g, v = tuple(row[p] for p in gpos), row[tpos]
+        w = (c * float(v) if ring is REAL else c * v) if fold == "sum" else v
+        want[g] = merge(want[g], w) if g in want else w
+    out = aggregate(r, group, target, fold)
+    got = rowdict(out)
+    if fold != "sum":
+        assert out.schema.names == group + [target]
+        assert got == {g + (v,): ring.one for g, v in want.items()}
+        return
+    assert out.schema.names == group
+    assert got.keys() == {g for g, t in want.items() if not ring.is_zero(t)}
+    for g, t in got.items():
+        assert type(t) is type(want[g])
+        assert struct.pack("<d", t) == struct.pack("<d", want[g]) if ring is REAL else t == want[g]
+
+
 def test_aggregate_integer_sums_are_exact_and_gf2_sums_refused():
     big = [2**62, 2**62 - 1, -(2**63), 2**53 + 1]
     r = weighted([("S", STRING), ("V", INT)],
@@ -442,10 +501,11 @@ def test_aggregate_integer_sums_are_exact_and_gf2_sums_refused():
         aggregate(g, ["S"], "V", "sum")
 
 
-def test_aggregate_folds_one_row_walk_per_call(monkeypatch):
-    # each aggregate lists its input's rows once, with `enumerate_nf`, and
-    # builds its output from rows, never through a term
-    from polyalg import normal, product, relational
+def test_aggregate_folds_without_listing_rows(monkeypatch):
+    # each aggregate folds its input's levels in place: it lists no rows with
+    # `enumerate_nf`, builds its output from totals, never through a term,
+    # and charges the trie edges that listing the input's rows would
+    from polyalg import metrics, normal, product, relational
 
     calls = []
 
@@ -456,14 +516,21 @@ def test_aggregate_folds_one_row_walk_per_call(monkeypatch):
 
         return counted
 
+    r = weighted([("K", INT), ("S", STRING), ("V", INT)],
+                 [((1, "a", 5), 2), ((2, "b", 7), -1), ((3, "a", 4), 1)])
+    with metrics.fresh() as listed:
+        normal.enumerate_nf(r.nf())
     for mod in (normal, product, relational):
         for name in ("normalize", "readback", "enumerate_nf"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
-    r = weighted([("K", INT), ("S", STRING), ("V", INT)],
-                 [((1, "a", 5), 2), ((2, "b", 7), -1), ((3, "a", 4), 1)])
+    for fold in ("sum", "min", "max"):  # `_built` charges the output's own edges
+        with metrics.fresh() as m:
+            relational._group_totals(r, [1], 2, fold)
+        assert m.trie_edges == listed.trie_edges
+    assert calls == []
     out = {fold: aggregate(r, ["S"], "V", fold) for fold in ("sum", "min", "max")}
-    assert calls == ["enumerate_nf"] * 3
+    assert calls == []
     assert rowdict(out["sum"]) == {("a",): 14, ("b",): -7}
     assert rowdict(out["min"]) == {("a", 4): 1, ("b", 7): 1}
     assert rowdict(out["max"]) == {("a", 5): 1, ("b", 7): 1}
@@ -919,6 +986,22 @@ def test_rows_that_do_not_fit_fail_at_the_first_bad_row(rows, error, message):
     with pytest.raises(error) as e:
         relation_from_rows(schema(("K", INT), ("S", STRING)), Z, rows)
     assert type(e.value) is error and str(e.value) == message
+
+
+@pytest.mark.parametrize("ring, given, stored", [
+    (Z, [2**70, -3, 5], [2**70, -3, 5]),
+    (REAL, [1.5, -0.25, 0.1], [1.5, -0.25, 0.1]),
+    (REAL, [1.5, 2, -(2**60)], [1.5, 2.0, -(2.0**60)]),
+    (GF2, [True, True], [True, True]),
+    (GF2, [True, 1, 0], [True, True]),
+])
+def test_building_from_rows_keeps_ring_elements_and_coerces_the_rest(ring, given, stored):
+    # coefficients of the ring's element type are used as they are; a list
+    # with any other type is coerced a coefficient at a time
+    r = relation_from_rows(schema(("K", INT)), ring, [((i,), c) for i, c in enumerate(given)])
+    got = [c for _, c in r.rows()]
+    assert got == stored
+    assert [type(c) for c in got] == [type(c) for c in stored]
 
 
 def test_building_from_rows_needs_the_same_frames_at_any_width():
