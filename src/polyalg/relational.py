@@ -4,43 +4,41 @@ A relation is a named, typed schema plus its data in the tensor chain of
 free modules over the column types, with coefficients in the session ring.
 The data is held as one canonical form, a nested keyed trie in attribute
 order. Relations built from rows are born as forms, in one pass over the
-rows that fills one trie per node. Set operations, joins, products and
-single-column selection work on forms, so an update visits the
-entries of its delta and copies, in C, only the trie levels it changes.
-Aggregation folds the form's levels, in row order per group, listing no rows.
-Every relation over a schema and ring lives in one chain, the compact
-chain of its column types: finite relations with no baselines, outer
-joins with wildcard ones. So set operations use both forms as they
-are, and every join and intersection is one joint product of the inputs'
-own forms, an outer join's each padded with its own chain's unit; the
-product is the output. Reordering, projection, column maps, clamping
-and multi-column selection rebuild a form from its rows, rearranged,
-mapped or filtered. A Cartesian product is the left input's form with
-the right input's form grafted under each of its coefficients, shared
-unchanged wherever the coefficient is one. Negative multiplicities are
-ordinary data (deletions), and wildcard baselines are ordinary data too,
-flagged at rendering time.
+rows that fills one trie per node. Set operations, joins, products,
+selection and clamping work on forms, so an update visits the entries of
+its delta and copies, in C, only the trie levels it changes. Aggregation,
+counting and projection fold the form's levels, in row order per group,
+listing no rows; selection and clamping filter them, sharing every
+sub-form they keep. Every relation over a schema and ring lives in one
+chain, the compact chain of its column types: finite relations with no
+baselines, outer joins with wildcard ones. So set operations use both
+forms as they are, and every join and intersection is one joint product of
+the inputs' own forms, an outer join's each padded with its own chain's
+unit; the product is the output. Reordering and column maps rebuild a form
+from its rows, rearranged or mapped. A Cartesian product is the left
+input's form with the right input's form grafted under each of its
+coefficients, shared unchanged wherever the coefficient is one. Negative
+multiplicities are ordinary data (deletions), and wildcard baselines are
+ordinary data too, flagged at rendering time.
 """
 
-from functools import reduce
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from bisect import bisect_left
+from functools import partial, reduce
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt, ne
 
 from . import metrics, normal, tries
 from .normal import (
     STAR,
-    InfiniteSupport,
     MapNF,
     enumerate_nf,
     has_baseline,
-    map_payloads,
     nf_add,
     nf_equal,
     nf_sub,
     nf_tensor,
     nf_weight,
     normalize,
-    payload_ops,
     readback,
     strip_space,
     unit_nf,
@@ -70,8 +68,10 @@ TYPE_NAMES = {"int": INT, "str": STRING, "bool": BOOL}
 #: widest schema: widening (`product.embed`), adding (`nf_add`, as an outer
 #: join pads its inputs) and reading back forms recurse per column, and 100
 #: columns under a query nested `query.MAX_DEPTH` deep still fit the default
-#: recursion limit; building from rows and joining do not recurse
+#: recursion limit; building, filtering, folding and joining do not recurse
 MAX_COLUMNS = 100
+
+trie_of, base_of = attrgetter("trie"), attrgetter("base")
 
 
 def type_name(prim: PrimSet) -> str:
@@ -300,52 +300,69 @@ def cartesian(r: Relation, s: Relation) -> Relation:
 
 
 def select(r: Relation, pred) -> Relation:
-    """Keep tuples satisfying the predicate, multiplicities intact.
-
-    Single-column comparisons filter the keys of that column's level of
-    the form; predicates reading several columns go through the expanded
-    rows. A wildcard in a filtered column has no finite selection."""
-    col = pred.single_column()
-    if col is not None:
-        pos = r.schema.position(col)
-        keep = pred.value_test(r.schema.prims[pos])
-        return Relation(r.schema, r.ring, nf=_select_level(r.nf(), pos, keep, col))
-    row_test = pred.row_test(r.schema)
-    return _kept_rows(r, lambda row, c: row_test(row), "select on")
+    """Keep tuples satisfying the predicate, multiplicities intact, by one
+    filter of the form's levels down to the last column it reads
+    (`_filtered`). A wildcard in a column it reads has no finite selection."""
+    test, reads = pred.row_test(r.schema), {r.schema.position(c) for c in pred.columns()}
+    return _filtered(r, reads, lambda row, _: test(row),
+                     "cannot select on wildcard-bearing column {!r}")
 
 
-def _kept_rows(r: Relation, keep, what: str) -> Relation:
-    """`r`'s rows for which `keep(row, coefficient)` holds; a relation with
-    wildcard rows has no finite `what`."""
-    try:
-        rows = enumerate_nf(r.nf())
-    except InfiniteSupport:
-        raise RelationError(f"cannot {what} a relation with wildcard rows") from None
-    return _built(r.schema, r.ring, [(row, c) for row, c in rows if keep(row, c)])
-
-
-def _select_level(nf, pos, keep, col):
-    """`nf` with the keys at chain level `pos` filtered by `keep`."""
-    space = nf.space
-    if pos:
-        return map_payloads(nf, lambda v: _select_level(v, pos - 1, keep, col), space)
-    if nf.base is not None:
-        raise RelationError(f"cannot select on wildcard-bearing column {col!r}")
-    kept = [(k, v) for k, v in tries.items(space.prim, nf.trie) if keep(k)]
-    return MapNF(space, tries.from_items(kept, payload_ops(space)), None)
+def _filtered(r: Relation, reads, keep, refusal: str) -> Relation:
+    """`r` keeping the entries of its last read column's level where
+    `keep(row, payload)` holds, `row[i]` being the key of read column i.
+    The walk goes down a level at a time, all of a level's nodes at once; a
+    baseline in a read column refuses with `refusal`, formatted with the
+    column's name, and one in another column is a `STAR` entry. Going back
+    up, a node that lost or changed an entry is built again from the rest;
+    every other node, and every sub-form below a kept entry, is shared. One
+    trie edge per entry iterated and per entry of a level built."""
+    nf, last = r.nf(), max(reads)
+    if nf.is_zero():
+        return r
+    nodes, cols, down, edges = [nf], {}, [], 0
+    for d in range(last + 1):
+        ts = list(map(trie_of, nodes))
+        edges += sum(map(len, filter(None, ts)))
+        if set(map(base_of, nodes)) != {None}:
+            if d in reads:
+                metrics.current.trie_edges += edges
+                raise RelationError(refusal.format(r.schema.names[d]))
+            ts = [({} if x.base is None else {STAR: x.base}) | (x.trie or {}) for x in nodes]
+        keys = list(chain.from_iterable(ts))
+        owner = list(chain.from_iterable(map(repeat, range(len(ts)), map(len, ts))))
+        cols = {c: list(map(col.__getitem__, owner)) for c, col in cols.items() if c in reads}
+        cols[d] = keys
+        down.append((nodes, keys, owner))
+        nodes = list(chain.from_iterable(map(dict.values, ts)))
+    rows = zip(*[cols.get(c, repeat(None)) for c in range(last + 1)])
+    outs = [v if ok else None for v, ok in zip(nodes, map(keep, rows, nodes))]
+    for xs, keys, owner in reversed(down):  # `nodes` are the payloads of `xs`
+        changed = set(compress(owner, map(is_not, outs, nodes)))
+        rebuilt = changed.intersection(compress(owner, map(is_not, outs, repeat(None))))
+        new = [None if i in changed else x for i, x in enumerate(xs)]
+        for i in rebuilt:
+            a, b = bisect_left(owner, i), bisect_left(owner, i + 1)
+            t = {k: v for k, v in zip(keys[a:b], outs[a:b]) if v is not None}
+            edges += len(t)
+            base = t.pop(STAR, None)
+            new[i] = MapNF(xs[i].space, t or None, base)
+        outs, nodes = new, xs
+    metrics.current.trie_edges += edges
+    return Relation(r.schema, r.ring, nf=outs[0] or MapNF(nf.space, None, None))
 
 
 def project(r: Relation, names) -> Relation:
-    """Keep the named columns, in the order named; each discarded key or
-    wildcard weighs one, so multiplicities are preserved rather than
-    collapsed."""
+    """Keep the named columns, in the order named: the count fold of
+    `_group_totals` grouped by them, so each discarded key or wildcard
+    weighs one and multiplicities are preserved rather than collapsed."""
     if not names:
         raise RelationError("projection needs at least one attribute")
     positions = [r.schema.position(n) for n in names]
     if len(set(positions)) != len(positions):
         raise RelationError(f"repeated attributes in projection {names}")
     sch = Schema(tuple(r.schema.columns[p] for p in positions))
-    return _rebuilt(r, sch, _getter(positions))
+    return _built(sch, r.ring, _group_totals(r, positions, None, "count"))
 
 
 def rename(r: Relation, perm) -> Relation:
@@ -355,12 +372,12 @@ def rename(r: Relation, perm) -> Relation:
         raise RelationError(f"{perm} is not a permutation of the columns")
     if list(perm) == list(range(len(r.schema))):
         return r
-    return project(r, [r.schema.columns[p][0] for p in perm])
+    return _rebuilt(r, Schema(tuple(r.schema.columns[p] for p in perm)), _getter(perm))
 
 
 def _rebuilt(r: Relation, sch: Schema, row_map) -> Relation:
     """`r`'s rows, wildcard slots included, each sent through `row_map` and
-    built into the chain of `sch`."""
+    built into the chain of `sch`: the one operator that lists rows."""
     return _built(sch, r.ring, [(row_map(row), c) for row, c in r.rows()])
 
 
@@ -380,22 +397,15 @@ def relabel(r: Relation, new_names) -> Relation:
 
 
 def _join_target(rs):
-    cols = []
-    seen = {}
+    seen = {}  # each attribute's type, in first-appearance order
     for r in rs:
         if r.ring is not rs[0].ring:
             raise RelationError("join needs matching rings")
         for n, p in r.schema.columns:
-            if n in seen:
-                if seen[n] != p:
-                    raise RelationError(
-                        f"attribute {n!r} has conflicting types "
-                        f"{type_name(seen[n])} and {type_name(p)}"
-                    )
-            else:
-                seen[n] = p
-                cols.append((n, p))
-    return Schema(tuple(cols))
+            if seen.setdefault(n, p) != p:
+                raise RelationError(f"attribute {n!r} has conflicting types "
+                                    f"{type_name(seen[n])} and {type_name(p)}")
+    return Schema(tuple(seen.items()))
 
 
 def _joined(rs, padded=()) -> Relation:
@@ -440,14 +450,14 @@ def outer_join(kind: str, r: Relation, s: Relation) -> Relation:
 def aggregate(r: Relation, group, target, fold: str) -> Relation:
     """Group by the named columns and fold the target column.
 
-    Sum, minimum and maximum are one frontier fold over the form's levels
+    Every fold is one frontier fold over the form's levels
     (`_group_totals`), which lists no rows, into one total per group, keyed
     in the order of `group`. A sum is the linear map e_(k,s,v) ↦ v·e_s:
     each row adds its coefficient times its target value in the ring, in
     row order per group, as a row-by-row fold does. Minimum and maximum
     keep each group's extreme value, in a column with an adjoined
-    infinity. Count is projection's multiplicity bookkeeping under another
-    name. A relation with wildcard rows has no finite fold."""
+    infinity. Count is projection under another name. A relation with
+    wildcard rows has no finite sum, minimum or maximum."""
     if fold not in ("sum", "min", "max", "count"):
         raise RelationError(f"unknown aggregate {fold!r}")
     if not group:
@@ -465,42 +475,49 @@ def aggregate(r: Relation, group, target, fold: str) -> Relation:
         raise RelationError("sum aggregation is meaningless over gf2; use count")
 
     cols = tuple(r.schema.columns[p] for p in gpos)
-    ordered = sorted(gpos)
-    key = _getter([ordered.index(p) for p in gpos])
-    totals = [(key(g), v) for g, v in _group_totals(r, ordered, tpos, fold).items()]
+    totals = _group_totals(r, gpos, tpos, fold)
     if fold == "sum":
         return _built(Schema(cols), r.ring, totals)
     cols += ((target, INT_WITH_INF if fold == "min" else INT_WITH_NEG_INF),)
     return _built(Schema(cols), r.ring, [(g + (v,), r.ring.one) for g, v in totals])
 
 
-def _group_totals(r: Relation, grouping, tpos, fold):
-    """Each group's total, keyed in column order, by one frontier fold over
-    `r`'s levels. The frontier maps each group key seen so far to its
-    sub-forms in row order and, from the target column on, a parallel list
-    of their target values. A grouping level extends a key by each entry's
-    key; any other level replaces a key's sub-forms by their children, in
-    C. Each coefficient c gives its row's share, c·v (sum) or v (min, max),
-    and a group folds its shares in row order. Keys are ordered, and
-    `trie_edges` charged, as `enumerate_nf` orders and charges them."""
+def _group_totals(r: Relation, group, tpos, fold):
+    """Each group's (key, total), keyed in the order of `group`, by one
+    frontier fold over `r`'s levels. The frontier maps each group key seen
+    so far to its sub-forms in row order and, from the target column on, a
+    parallel list of their target values. A grouping level extends a key by
+    each entry's key; any other level replaces a key's sub-forms by their
+    children, in C. Each coefficient c gives its row's share, c·v (sum), v
+    (min, max) or c (count), and a group folds its shares in row order, a
+    count's by `tries.add_all` as `_built` adds a repeated row's. Keys are
+    ordered, and `trie_edges` charged, as `enumerate_nf` orders and charges
+    them; only a count reads baselines, each as a `STAR` key."""
     nf, ring, last = r.nf(), r.ring, len(r.schema) - 1
+    grouping = sorted(group)
     front, edges = {} if nf.is_zero() else {(): (None, [nf])}, 0
-    base_of, trie_of = attrgetter("base"), attrgetter("trie")
     for d, prim in enumerate(r.schema.prims):
         order, nxt = tries.key_order(prim), {}
         for g, (vs, xs) in front.items():
-            if set(map(base_of, xs)) != {None}:
+            ts = list(map(trie_of, xs))
+            if set(map(base_of, xs)) == {None}:
+                ys = list(chain.from_iterable(map(dict.values, ts)))
+                if len(ys) > len(ts):  # put each trie's entries in key order
+                    ts = [t if len(t) == 1 else {k: t[k] for k in sorted(t, key=order)}
+                          for t in ts]
+                    ys = list(chain.from_iterable(map(dict.values, ts)))
+                edges += len(ys)
+            elif fold != "count":
                 metrics.current.trie_edges += edges
                 raise RelationError("cannot aggregate a relation with wildcard rows")
-            ts = list(map(trie_of, xs))
-            ys = list(chain.from_iterable(map(dict.values, ts)))
-            if len(ys) > len(ts):  # put each trie's entries in key order
-                ts = [t if len(t) == 1 else {k: t[k] for k in sorted(t, key=order)} for t in ts]
+            else:  # each baseline is a STAR key before its trie's keys in key order
+                edges += sum(map(len, filter(None, ts)))
+                ts = [({} if x.base is None else {STAR: x.base})
+                      | {k: t[k] for k in sorted(t or (), key=order)} for x, t in zip(xs, ts)]
                 ys = list(chain.from_iterable(map(dict.values, ts)))
-            edges += len(ys)
-            if d == tpos or d > tpos and len(ys) > len(xs):  # each child's target value
+            if d == tpos or vs is not None and len(ys) > len(xs):  # each child's target value
                 vs = list(chain.from_iterable(ts if d == tpos else map(repeat, vs, map(len, ts))))
-            if d == last:
+            if d == last and vs is not None:
                 # v is an Int64 value: a ring element over Z, and over REAL
                 # `c * v` converts it exactly as float(v) does
                 ys = list(map(ring.mul, ys, vs)) if fold == "sum" else vs
@@ -518,8 +535,10 @@ def _group_totals(r: Relation, grouping, tpos, fold):
                 nxt[g + (k,)] = None if vs is None else pick(vs), pick(ys)
         front = nxt
     metrics.current.trie_edges += edges
-    merge = ring.add if fold == "sum" else min if fold == "min" else max
-    return {g: reduce(merge, ys) for g, (_, ys) in front.items()}
+    key = _getter([grouping.index(p) for p in group])
+    total = {"sum": partial(reduce, ring.add), "min": min, "max": max,
+             "count": partial(tries.add_all, vops=ring)}[fold]  # None: the shares cancel
+    return [(key(g), c) for g, (_, ys) in front.items() if (c := total(ys)) is not None]
 
 
 def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Relation:
@@ -559,22 +578,18 @@ def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Rela
 
 
 def clamp_nonneg(r: Relation) -> Relation:
-    """Drop rows with negative multiplicity; the explicit non-linear
-    barrier between update batches."""
+    """Drop rows with negative multiplicity, the explicit non-linear barrier
+    between update batches: a filter of the free level reading every column."""
     if r.ring.name != "z":
         raise RelationError("clamp is defined for integer multiplicities")
-    return _kept_rows(r, lambda row, c: c > 0, "clamp")
+    return _filtered(r, range(len(r.schema)), lambda row, c: c > 0,
+                     "cannot clamp a relation with wildcard rows")
 
 
 # predicate and function registries ---------------------------------------------
 
 _COMPARES = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
     "prefix": lambda a, b: isinstance(a, str) and a.startswith(b),
     "contains": lambda a, b: isinstance(a, str) and b in a,
 }
@@ -587,37 +602,25 @@ class Compare(Record):
     literal = None
     other_column = None
 
-    def single_column(self):
-        return self.column if self.other_column is None else None
-
-    def value_test(self, prim):
-        fn = _COMPARES[self.op]
-        lit = self.literal
-        if self.op in ("prefix", "contains"):
-            if not isinstance(prim, Str) or not isinstance(lit, str):
-                raise RelationError(f"{self.op} applies to string columns only")
-        elif not prim.contains(lit):
-            raise RelationError(
-                f"literal {lit!r} does not match the type of column {self.column!r}"
-            )
-        return lambda a: fn(a, lit)
+    def columns(self):
+        return (self.column,) if self.other_column is None else (self.column, self.other_column)
 
     def row_test(self, sch: Schema):
-        i = sch.position(self.column)
-        if self.other_column is None:
-            test = self.value_test(sch.prims[i])
-            return lambda row: test(row[i])
-        fn = _COMPARES[self.op]
-        j = sch.position(self.other_column)
-        pi, pj = sch.prims[i], sch.prims[j]
+        fn, i, lit = _COMPARES[self.op], sch.position(self.column), self.literal
+        j = None if self.other_column is None else sch.position(self.other_column)
+        pi, pj = sch.prims[i], None if j is None else sch.prims[j]
         if self.op in ("prefix", "contains"):
-            if not (isinstance(pi, Str) and isinstance(pj, Str)):
+            other = isinstance(lit, str) if j is None else isinstance(pj, Str)
+            if not (isinstance(pi, Str) and other):
                 raise RelationError(f"{self.op} applies to string columns only")
-        elif pi != pj:
+        elif j is None and not pi.contains(lit):
             raise RelationError(
-                f"cannot compare column {self.column!r} ({type_name(pi)}) "
-                f"with column {self.other_column!r} ({type_name(pj)})"
-            )
+                f"literal {lit!r} does not match the type of column {self.column!r}")
+        elif j is not None and pi != pj:
+            raise RelationError(f"cannot compare column {self.column!r} ({type_name(pi)}) "
+                                f"with column {self.other_column!r} ({type_name(pj)})")
+        if j is None:
+            return lambda row: fn(row[i], lit)
         return lambda row: fn(row[i], row[j])
 
 
@@ -627,11 +630,8 @@ class ColumnWhere(Record):
 
     _fields = ("column", "test")  # test: value -> bool
 
-    def single_column(self):
-        return self.column
-
-    def value_test(self, prim):
-        return self.test
+    def columns(self):
+        return (self.column,)
 
     def row_test(self, sch: Schema):
         i = sch.position(self.column)
@@ -641,8 +641,8 @@ class ColumnWhere(Record):
 class BoolPred(Record):
     _fields = ("kind", "parts")  # kind: and | or | not
 
-    def single_column(self):
-        return None
+    def columns(self):
+        return [c for p in self.parts for c in p.columns()]
 
     def row_test(self, sch: Schema):
         tests = [p.row_test(sch) for p in self.parts]

@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyalg
 from polyalg import GF2, REAL, Z, QueryError, parse_sexpr, run
@@ -378,6 +380,18 @@ def test_cli_exit_codes(tmp_path):
     assert wild.returncode == 2
     assert wild.stderr.startswith("error: cannot aggregate a relation with wildcard rows")
     assert len(wild.stderr.splitlines()) == 1
+    # a selection refuses a wildcard only in a column it reads; clamp reads all
+    for query, message in (("(select (< A C) (outer left x y))",
+                            "cannot select on wildcard-bearing column 'C'"),
+                           ("(clamp (outer left x y))", "cannot clamp a relation with wildcard rows")):
+        wild = run_cli(["query", query], tmp_path)
+        assert wild.returncode == 2
+        assert wild.stderr.startswith(f"error: {message}"), wild.stderr
+        assert len(wild.stderr.splitlines()) == 1
+    kept = run_cli(["query", '(select (and (= A "b") (> B 1)) (outer left x y))', "--format",
+                    "csv"], tmp_path)
+    assert kept.returncode == 0, kept.stderr[-2000:]
+    assert kept.stdout.splitlines() == ["A,B,C,#weight", "b,2,*,1", "b,2,p,1"]
     # a union of a chain mixing compact and plain factors with a plain one
     (tmp_path / "r.csv").write_text("K,S\n1,a\n2,b\n")
     (tmp_path / "s.csv").write_text("K,X\n1,x\n")
@@ -594,9 +608,10 @@ def test_cli_column_bound(tmp_path, capsys):
 def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
     # a 100-column join under MAX_DEPTH - 1 clamps runs within 650 frames
     # above the caller: evaluation takes a frame per level of the query;
-    # `clamp` rebuilds its 100-column input from rows, and the builder and
-    # the joint product take the same few frames at any width. Padding the
-    # inputs of a full outer join adds forms, which recurses per column
+    # `clamp`, like a `select` on the last column, filters its 100-column
+    # input a level at a time, and the filter and the joint product take the
+    # same few frames at any width. Padding the inputs of a full outer join
+    # adds forms, which recurses per column
     catalog = str(tmp_path / "c.json")
     cols = [f"C{i}" for i in range(MAX_COLUMNS)]
     half = MAX_COLUMNS // 2
@@ -621,6 +636,15 @@ def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == ",".join(cols) + ",#weight"
     assert out[1:] == [",".join(["1"] * MAX_COLUMNS) + ",1", ",".join(["2"] * MAX_COLUMNS) + ",1"]
+    pairs = (MAX_DEPTH - 1) // 2
+    deep = f"(select (>= C{MAX_COLUMNS - 1} 2) (clamp " * pairs + "(join a b)" + "))" * pairs
+    sys.setrecursionlimit(depth + 650)
+    try:
+        code = main(["--catalog", catalog, "query", deep, "--format", "csv"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [",".join(["2"] * MAX_COLUMNS) + ",1"]
     # the same columns as a full outer join, whose every level carries a
     # baseline; `clamp` refuses wildcard rows, so nest it under `map`
     deep = "(map abs C0 " * (MAX_DEPTH - 1) + "(outer full a b)" + ")" * (MAX_DEPTH - 1)
@@ -775,3 +799,69 @@ def test_in_process_main(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "loaded x" in out and "(3 rows)" in out
+
+
+# --- no query ends in a traceback ------------------------------------------------
+
+def _query_catalog():
+    """Z, GF2 and REAL relations over A:str,B:int and B:int,C:str, an empty
+    one and an outer join's, with Int64-edge keys."""
+    from polyalg import INT, STRING, outer_join, schema
+
+    ab, bc = schema(("A", STRING), ("B", INT)), schema(("B", INT), ("C", STRING))
+    rels = {}
+    for ring, tag, c in ((Z, "z", -1), (GF2, "g", True), (REAL, "r", 0.5)):
+        r = relation_from_rows(ab, ring, [(("a", INT64_MAX), ring.one), (("b", 0), c),
+                                          (("a", INT64_MIN), ring.one)])
+        s = relation_from_rows(bc, ring, [((0, "x"), ring.one), ((INT64_MAX, "a"), c)])
+        rels |= {"R" + tag: r, "S" + tag: s, "O" + tag: outer_join("full", r, s)}
+    rels["E"] = relation_from_rows(ab, Z, [(("a", 1), 1), (("a", 1), -1)])
+    return rels
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# an unknown relation, column or form, one among many known ones
+_NAMES = ["Rz", "Sz", "Oz", "Rz", "Sz", "Oz", "Rg", "Sg", "Og", "Rr", "Sr", "Or", "E", "Nope",
+          "(clamp Rz Sz)"]
+_COLS = ["A", "B", "C", "A", "B", "C", "Q"]
+_LITERALS = [str(INT64_MAX), str(INT64_MIN), str(INT64_MAX + 1), "0", '"a"', '""', "true"]
+
+
+def _queries():
+    col = st.sampled_from(_COLS)
+    cols = st.lists(col, max_size=3).map(lambda cs: "[" + " ".join(cs) + "]")
+    compare = st.builds("({} {} {})".format, st.sampled_from(
+        ["=", "!=", "<", "<=", ">", ">=", "prefix", "contains"]),
+        col, st.one_of(col, st.sampled_from(_LITERALS)))
+    pred = st.recursive(compare, lambda p: st.one_of(
+        st.builds("(and {} {})".format, p, p), st.builds("(or {} {})".format, p, p),
+        st.builds("(not {})".format, p)), max_leaves=3)
+    return st.recursive(st.sampled_from(_NAMES), lambda q: st.one_of(
+        st.builds("({} {} {})".format, st.sampled_from(
+            ["union", "diff", "intersect", "product", "join"]), q, q),
+        st.builds("(join {})".format, q),
+        st.builds("(outer {} {} {})".format, st.sampled_from(["left", "right", "full", "inner"]),
+                  q, q),
+        st.builds("(select {} {})".format, pred, q),
+        st.builds("({} {} {})".format, st.sampled_from(["project", "rename"]), cols, q),
+        st.builds("(agg {} {} {} {})".format, st.sampled_from(["sum", "min", "max", "count",
+                                                               "avg"]), cols, col, q),
+        st.builds("(map {} {} {})".format, st.sampled_from(
+            ["upper", "length", "abs", "neg", "inc", "dec", "bogus"]), col, q),
+        st.builds("(clamp {})".format, q)), max_leaves=4)
+
+
+_CATALOG = _query_catalog()
+
+
+@settings(max_examples=250, deadline=None)
+@given(_queries())
+def test_no_query_ends_in_a_traceback(text):
+    # each query either evaluates and renders in every format, or fails
+    # with a `ValueError` subclass, which the CLI turns into exit code 2
+    try:
+        r = run(text, _CATALOG)
+    except ValueError:
+        return
+    for fmt in ("table", "csv", "json"):
+        render_relation(r, fmt)

@@ -502,9 +502,12 @@ def test_aggregate_integer_sums_are_exact_and_gf2_sums_refused():
 
 
 def test_aggregate_folds_without_listing_rows(monkeypatch):
-    # each aggregate folds its input's levels in place: it lists no rows with
-    # `enumerate_nf`, builds its output from totals, never through a term,
-    # and charges the trie edges that listing the input's rows would
+    # each aggregate, count and projection folds its input's levels in
+    # place, and each selection and clamp filters them: none lists rows with
+    # `enumerate_nf` or goes through a term. A fold charges the trie edges
+    # that listing the input's rows would, and builds its output from
+    # totals; a filter charges the entries it iterates and the levels it
+    # builds. Only `rename` and `map_col` list rows
     from polyalg import metrics, normal, product, relational
 
     calls = []
@@ -518,22 +521,47 @@ def test_aggregate_folds_without_listing_rows(monkeypatch):
 
     r = weighted([("K", INT), ("S", STRING), ("V", INT)],
                  [((1, "a", 5), 2), ((2, "b", 7), -1), ((3, "a", 4), 1)])
+    left = outer_join("left", r, rel([("S", STRING), ("L", INT)], [("a", 9)]))
     with metrics.fresh() as listed:
         normal.enumerate_nf(r.nf())
     for mod in (normal, product, relational):
         for name in ("normalize", "readback", "enumerate_nf"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
-    for fold in ("sum", "min", "max"):  # `_built` charges the output's own edges
+    for fold in ("sum", "min", "max", "count"):  # `_built` charges the output's own edges
         with metrics.fresh() as m:
-            relational._group_totals(r, [1], 2, fold)
+            relational._group_totals(r, [1], None if fold == "count" else 2, fold)
         assert m.trie_edges == listed.trie_edges
+    # K < V keeps every row: the input's form is shared and nothing is built
+    with metrics.fresh() as m:
+        every = select(r, Compare("<", "K", other_column="V"))
+    assert every.nf() is r.nf() and m.trie_edges == listed.trie_edges
+    with metrics.fresh() as m:  # the root's 3 entries iterated, the 2 kept built
+        picked = select(r, Compare("!=", "K", 2))
+    assert m.trie_edges == 3 + 2
+    with metrics.fresh() as m:  # K = 2 loses its only row, so only the root is built
+        clamped = clamp_nonneg(r)
+    assert m.trie_edges == listed.trie_edges + 2
     assert calls == []
-    out = {fold: aggregate(r, ["S"], "V", fold) for fold in ("sum", "min", "max")}
+    out = {fold: aggregate(r, ["S"], "V", fold) for fold in ("sum", "min", "max", "count")}
+    kept = {"VS": project(r, ["V", "S"]), "LK": project(left, ["L", "K"]),
+            "SL": select(left, Compare("<", "S", "b")), "KV": select(r, BoolPred(
+                "or", (Compare("<", "K", other_column="V"), Compare("=", "S", "b"))))}
     assert calls == []
+    rename(r, [2, 0, 1])
+    map_col(r, "V", "inc")
+    assert calls == ["enumerate_nf", "enumerate_nf"]
     assert rowdict(out["sum"]) == {("a",): 14, ("b",): -7}
     assert rowdict(out["min"]) == {("a", 4): 1, ("b", 7): 1}
     assert rowdict(out["max"]) == {("a", 5): 1, ("b", 7): 1}
+    assert rowdict(out["count"]) == {("a",): 3, ("b",): -1}
+    assert rowdict(picked) == {(1, "a", 5): 2, (3, "a", 4): 1}
+    assert rowdict(clamped) == {(1, "a", 5): 2, (3, "a", 4): 1}
+    assert rowdict(kept["VS"]) == {(4, "a"): 1, (5, "a"): 2, (7, "b"): -1}
+    assert rowdict(kept["LK"]) == {(9, 1): 2, (9, 3): 1, (STAR, 1): 2, (STAR, 2): -1, (STAR, 3): 1}
+    assert rowdict(kept["SL"]) == {(1, "a", 5, STAR): 2, (1, "a", 5, 9): 2,
+                                   (3, "a", 4, STAR): 1, (3, "a", 4, 9): 1}
+    assert rowdict(kept["KV"]) == rowdict(r)
 
 
 def test_aggregate_of_wildcards_and_of_nothing():
@@ -655,6 +683,34 @@ def test_clamp():
     g = rel([("A", STRING)], [("a",)], ring=GF2)
     with pytest.raises(RelationError):
         clamp_nonneg(g)
+
+
+def test_select_over_wildcard_rows_reads_only_its_columns():
+    # a selection filters the form's levels down to the last column it
+    # reads: a wildcard in a column it does not read is kept, one in a
+    # column it reads has no finite selection, whatever the predicate's
+    # shape. Clamp reads every column
+    middle = outer_join("right", rel([("A", STRING), ("X", INT), ("B", INT)], [("a", 0, 1)]),
+                        rel([("A", STRING), ("B", INT), ("D", INT)], [("a", 1, 4), ("b", 2, 5)]))
+    assert middle.schema.names == ["A", "X", "B", "D"]
+    assert select(middle, Compare("<", "B", other_column="D")).nf() is middle.nf()
+    both = BoolPred("and", (Compare("=", "A", "a"), Compare("<", "B", other_column="D")))
+    assert rowdict(select(middle, both)) == {("a", 0, 1, 4): 1, ("a", STAR, 1, 4): 1}
+    either = BoolPred("or", (Compare("=", "A", "b"), Compare("=", "X", 0)))
+    for pred in (Compare("=", "X", other_column="B"), either, Compare("=", "X", 0)):
+        with pytest.raises(RelationError) as e:
+            select(middle, pred)
+        assert str(e.value) == "cannot select on wildcard-bearing column 'X'"
+    left = outer_join("left", rel(AB, X3), rel([("B", INT), ("C", STRING)], Y3))
+    below = BoolPred("and", (Compare("=", "A", "b"), Compare(">", "B", 1)))
+    assert rowdict(select(left, below)) == {("b", 2, STAR): 1, ("b", 2, "p"): 1}
+    with pytest.raises(RelationError) as e:
+        select(left, Compare("<", "A", other_column="C"))
+    assert str(e.value) == "cannot select on wildcard-bearing column 'C'"
+    for r in (middle, left):
+        with pytest.raises(RelationError) as e:
+            clamp_nonneg(r)
+        assert str(e.value) == "cannot clamp a relation with wildcard rows"
 
 
 def test_clamp_rejects_baselines():
