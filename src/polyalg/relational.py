@@ -4,22 +4,21 @@ A relation is a named, typed schema plus its data in the tensor chain of
 free modules over the column types, with coefficients in the session ring.
 The data is held as one canonical form, a nested keyed trie in attribute
 order. Relations built from rows are born as forms, in one pass over the
-rows that fills one trie per node. Set operations, joins, products,
-selection and clamping work on forms, so an update visits the entries of
-its delta and copies, in C, only the trie levels it changes. Aggregation,
-counting and projection fold the form's levels, in row order per group,
-listing no rows; selection and clamping filter them, sharing every
-sub-form they keep. Every relation over a schema and ring lives in one
+rows that fills one trie per node. Every operator works on forms and none
+lists rows, so an update visits the entries of its delta and copies, in C,
+only the trie levels it changes. Aggregation, counting and projection fold
+the form's levels, in row order per group; selection and clamping filter
+them, sharing every sub-form they keep; reordering and column maps rebuild
+them from their keys. Every relation over a schema and ring lives in one
 chain, the compact chain of its column types: finite relations with no
-baselines, outer joins with wildcard ones. So set operations use both
-forms as they are, and every join and intersection is one joint product of
-the inputs' own forms, an outer join's each padded with its own chain's
-unit; the product is the output. Reordering and column maps rebuild a form
-from its rows, rearranged or mapped. A Cartesian product is the left
-input's form with the right input's form grafted under each of its
-coefficients, shared unchanged wherever the coefficient is one. Negative
-multiplicities are ordinary data (deletions), and wildcard baselines are
-ordinary data too, flagged at rendering time.
+baselines, outer joins with wildcard ones. So set operations use both forms
+as they are, and every join and intersection is one joint product of the
+inputs' own forms, an outer join's each padded with its own chain's unit;
+the product is the output. A Cartesian product is the left input's form
+with the right input's form grafted under each of its coefficients, shared
+unchanged wherever the coefficient is one. Negative multiplicities are
+ordinary data (deletions), and wildcard baselines are ordinary data too,
+flagged at rendering time.
 """
 
 from bisect import bisect_left
@@ -68,7 +67,7 @@ TYPE_NAMES = {"int": INT, "str": STRING, "bool": BOOL}
 #: widest schema: widening (`product.embed`), adding (`nf_add`, as an outer
 #: join pads its inputs) and reading back forms recurse per column, and 100
 #: columns under a query nested `query.MAX_DEPTH` deep still fit the default
-#: recursion limit; building, filtering, folding and joining do not recurse
+#: recursion limit; building, folding, joining and `_walk` do not recurse
 MAX_COLUMNS = 100
 
 trie_of, base_of = attrgetter("trie"), attrgetter("base")
@@ -309,34 +308,14 @@ def select(r: Relation, pred) -> Relation:
 
 
 def _filtered(r: Relation, reads, keep, refusal: str) -> Relation:
-    """`r` keeping the entries of its last read column's level where
-    `keep(row, payload)` holds, `row[i]` being the key of read column i.
-    The walk goes down a level at a time, all of a level's nodes at once; a
-    baseline in a read column refuses with `refusal`, formatted with the
-    column's name, and one in another column is a `STAR` entry. Going back
-    up, a node that lost or changed an entry is built again from the rest;
-    every other node, and every sub-form below a kept entry, is shared. One
-    trie edge per entry iterated and per entry of a level built."""
-    nf, last = r.nf(), max(reads)
-    if nf.is_zero():
+    """`r` keeping its last read column's entries where `keep(row, payload)`
+    holds, `row[i]` being read column i's key, after one `_walk`. Going back
+    up, a node that lost or changed an entry is built anew, one trie edge per
+    entry; every other node, and every sub-form below a kept entry, is shared."""
+    if r.nf().is_zero():
         return r
-    nodes, cols, down, edges = [nf], {}, [], 0
-    for d in range(last + 1):
-        ts = list(map(trie_of, nodes))
-        edges += sum(map(len, filter(None, ts)))
-        if set(map(base_of, nodes)) != {None}:
-            if d in reads:
-                metrics.current.trie_edges += edges
-                raise RelationError(refusal.format(r.schema.names[d]))
-            ts = [({} if x.base is None else {STAR: x.base}) | (x.trie or {}) for x in nodes]
-        keys = list(chain.from_iterable(ts))
-        owner = list(chain.from_iterable(map(repeat, range(len(ts)), map(len, ts))))
-        cols = {c: list(map(col.__getitem__, owner)) for c, col in cols.items() if c in reads}
-        cols[d] = keys
-        down.append((nodes, keys, owner))
-        nodes = list(chain.from_iterable(map(dict.values, ts)))
-    rows = zip(*[cols.get(c, repeat(None)) for c in range(last + 1)])
-    outs = [v if ok else None for v, ok in zip(nodes, map(keep, rows, nodes))]
+    down, nodes, cols = _walk(r, reads, refusal)
+    outs = [v if ok else None for v, ok in zip(nodes, map(keep, zip(*cols), nodes))]
     for xs, keys, owner in reversed(down):  # `nodes` are the payloads of `xs`
         changed = set(compress(owner, map(is_not, outs, nodes)))
         rebuilt = changed.intersection(compress(owner, map(is_not, outs, repeat(None))))
@@ -344,12 +323,53 @@ def _filtered(r: Relation, reads, keep, refusal: str) -> Relation:
         for i in rebuilt:
             a, b = bisect_left(owner, i), bisect_left(owner, i + 1)
             t = {k: v for k, v in zip(keys[a:b], outs[a:b]) if v is not None}
-            edges += len(t)
+            metrics.current.trie_edges += len(t)
             base = t.pop(STAR, None)
             new[i] = MapNF(xs[i].space, t or None, base)
         outs, nodes = new, xs
-    metrics.current.trie_edges += edges
-    return Relation(r.schema, r.ring, nf=outs[0] or MapNF(nf.space, None, None))
+    return Relation(r.schema, r.ring, nf=outs[0] or MapNF(r.nf().space, None, None))
+
+
+def _walk(r: Relation, reads, refusal=None, ordered=False):
+    """Down `r`'s form to its last read column, charging each level as
+    `_level` reads it; `refusal`, formatted with a read column's name,
+    refuses its baselines. Returns each level's nodes, keys and each key's
+    node index, the last level's payloads and the read columns' keys."""
+    nf, prims, last = r.nf(), r.schema.prims, max(reads)
+    nodes, down = [] if nf.is_zero() else [nf], []
+    for d in range(last + 1):
+        ts, ys, edges = _level(nodes, ordered and partial(sorted, key=tries.key_order(prims[d])),
+                               refusal and d in reads and refusal.format(r.schema.names[d]))
+        metrics.current.trie_edges += edges
+        owner = list(chain.from_iterable(map(repeat, range(len(ts)), map(len, ts))))
+        down.append((nodes, list(chain.from_iterable(ts)), owner))
+        nodes = ys
+    cols, at = [repeat(None)] * (last + 1), None  # each payload's entry in level d, if not its own
+    for d, (_, keys, owner) in zip(range(last, min(reads) - 1, -1), reversed(down)):
+        if d in reads:
+            cols[d] = keys if at is None else list(map(keys.__getitem__, at))
+        at = owner if at is None else list(map(owner.__getitem__, at))
+    return down, nodes, cols
+
+
+def _level(xs, ordered, refusal):
+    """The one read of a level: a dict per node of `xs`, a baseline first as
+    a `STAR` entry or, if `refusal` is given, raising it as a RelationError;
+    all their payloads, in that order; one trie edge per trie entry. Tries
+    are in key order by `ordered` where the caller's result depends on it."""
+    ts = list(map(trie_of, xs))
+    if set(map(base_of, xs)) <= {None}:
+        ys = list(chain.from_iterable(map(dict.values, ts)))
+        if ordered and len(ys) > len(ts):  # put each trie's entries in key order
+            ts = [t if len(t) == 1 else {k: t[k] for k in ordered(t)} for t in ts]
+            ys = list(chain.from_iterable(map(dict.values, ts)))
+        return ts, ys, len(ys)
+    if refusal:
+        raise RelationError(refusal)
+    edges = sum(map(len, filter(None, ts)))
+    ts = [({} if x.base is None else {STAR: x.base})
+          | ({k: t[k] for k in ordered(t)} if ordered and t else t or {}) for x, t in zip(xs, ts)]
+    return ts, list(chain.from_iterable(map(dict.values, ts))), edges
 
 
 def project(r: Relation, names) -> Relation:
@@ -366,19 +386,15 @@ def project(r: Relation, names) -> Relation:
 
 
 def rename(r: Relation, perm) -> Relation:
-    """Permute column order; output column i is input column perm[i]: a
-    projection that keeps every column."""
+    """Permute column order; output column i is input column perm[i]: the
+    key columns of one `_walk`, permuted, and its payloads, built."""
     if sorted(perm) != list(range(len(r.schema))):
         raise RelationError(f"{perm} is not a permutation of the columns")
     if list(perm) == list(range(len(r.schema))):
         return r
-    return _rebuilt(r, Schema(tuple(r.schema.columns[p] for p in perm)), _getter(perm))
-
-
-def _rebuilt(r: Relation, sch: Schema, row_map) -> Relation:
-    """`r`'s rows, wildcard slots included, each sent through `row_map` and
-    built into the chain of `sch`: the one operator that lists rows."""
-    return _built(sch, r.ring, [(row_map(row), c) for row, c in r.rows()])
+    _, coeffs, cols = _walk(r, range(len(r.schema)))
+    sch = Schema(tuple(r.schema.columns[p] for p in perm))
+    return _built(sch, r.ring, zip(zip(*[cols[p] for p in perm]), coeffs))
 
 
 def _getter(positions):
@@ -419,8 +435,7 @@ def _joined(rs, padded=()) -> Relation:
     factors = []
     for r, pad in zip(rs, padded or repeat(False)):
         order = [n for n in target.names if n in r.schema.names]
-        if order != r.schema.names:
-            r = rename(r, [r.schema.position(n) for n in order])
+        r = rename(r, [r.schema.position(n) for n in order])
         x = r.nf()
         if pad:
             x = nf_add(x, unit_nf(x.space))
@@ -490,31 +505,17 @@ def _group_totals(r: Relation, group, tpos, fold):
     each entry's key; any other level replaces a key's sub-forms by their
     children, in C. Each coefficient c gives its row's share, c·v (sum), v
     (min, max) or c (count), and a group folds its shares in row order, a
-    count's by `tries.add_all` as `_built` adds a repeated row's. Keys are
-    ordered, and `trie_edges` charged, as `enumerate_nf` orders and charges
-    them; only a count reads baselines, each as a `STAR` key."""
+    count's by `tries.add_all` as `_built` adds a repeated row's. `_level`
+    reads each group's level in key order; only a count reads baselines."""
     nf, ring, last = r.nf(), r.ring, len(r.schema) - 1
     grouping = sorted(group)
-    front, edges = {} if nf.is_zero() else {(): (None, [nf])}, 0
+    front = {} if nf.is_zero() else {(): (None, [nf])}
+    refusal = None if fold == "count" else "cannot aggregate a relation with wildcard rows"
     for d, prim in enumerate(r.schema.prims):
-        order, nxt = tries.key_order(prim), {}
+        ordered, nxt, edges = partial(sorted, key=tries.key_order(prim)), {}, 0
         for g, (vs, xs) in front.items():
-            ts = list(map(trie_of, xs))
-            if set(map(base_of, xs)) == {None}:
-                ys = list(chain.from_iterable(map(dict.values, ts)))
-                if len(ys) > len(ts):  # put each trie's entries in key order
-                    ts = [t if len(t) == 1 else {k: t[k] for k in sorted(t, key=order)}
-                          for t in ts]
-                    ys = list(chain.from_iterable(map(dict.values, ts)))
-                edges += len(ys)
-            elif fold != "count":
-                metrics.current.trie_edges += edges
-                raise RelationError("cannot aggregate a relation with wildcard rows")
-            else:  # each baseline is a STAR key before its trie's keys in key order
-                edges += sum(map(len, filter(None, ts)))
-                ts = [({} if x.base is None else {STAR: x.base})
-                      | {k: t[k] for k in sorted(t or (), key=order)} for x, t in zip(xs, ts)]
-                ys = list(chain.from_iterable(map(dict.values, ts)))
+            ts, ys, n = _level(xs, ordered, refusal)
+            edges += n
             if d == tpos or vs is not None and len(ys) > len(xs):  # each child's target value
                 vs = list(chain.from_iterable(ts if d == tpos else map(repeat, vs, map(len, ts))))
             if d == last and vs is not None:
@@ -533,8 +534,8 @@ def _group_totals(r: Relation, group, tpos, fold):
             for k, where in at.items():
                 pick = _getter(where)
                 nxt[g + (k,)] = None if vs is None else pick(vs), pick(ys)
+        metrics.current.trie_edges += edges
         front = nxt
-    metrics.current.trie_edges += edges
     key = _getter([grouping.index(p) for p in group])
     total = {"sum": partial(reduce, ring.add), "min": min, "max": max,
              "count": partial(tries.add_all, vops=ring)}[fold]  # None: the shares cancel
@@ -568,13 +569,11 @@ def map_col(r: Relation, name: str, fn, out_prim: PrimSet | None = None) -> Rela
                                 f"in column {name!r} outside {type_name(cod)}")
         return b
 
-    def row_map(row):
-        a = row[pos]
-        return row[:pos] + (a if a is STAR else checked(a),) + row[pos + 1:]
-
-    cols = list(r.schema.columns)
-    cols[pos] = (name, cod)
-    return _rebuilt(r, Schema(tuple(cols)), row_map)
+    _, coeffs, cols = _walk(r, range(len(r.schema)), ordered=True)  # in row order, as outputs add
+    cols[pos] = [a if a is STAR else checked(a) for a in cols[pos]]
+    columns = list(r.schema.columns)
+    columns[pos] = (name, cod)
+    return _built(Schema(tuple(columns)), r.ring, zip(zip(*cols), coeffs))
 
 
 def clamp_nonneg(r: Relation) -> Relation:

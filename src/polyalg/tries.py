@@ -20,20 +20,20 @@ wildcard baseline's shares as entries under `normal.STAR` and pops that
 entry from the new level before the level is shared, so the shares add in
 the same rounds. `relational._built` fills every level of a relation's form
 from rows in one pass, by the same rules. `items` lists one level in order,
-for readback and rendering; the row walk `normal.enumerate_nf` and
-`relational`'s fold and filter read each level in place, the walk and the
-fold ordered and charged as `items` would. `map_values` maps payloads, and
-`walk` and `keep` intersect the levels of many nodes at once, a column of
-keys at a time. `walk` flattens one chosen level of every node into one key
-list, in that level's order, and probes each of the node's other levels for
-the keys still standing with `dict.get` in C, dropping misses with
-`compress`; the caller chooses each node's smallest level, so the work is
-bounded by the smallest input, as Generic Join needs for worst-case
-optimality. `keep` turns the caller's outputs at those keys into one level
-per node: an input level of the node whose payloads are `==` to its outputs
-is returned as it is, with its index, and only otherwise is a new level
-built. `==` compares coefficients exactly, never within a ring's tolerance,
-and forms, which define no `__eq__`, by identity.
+for readback and rendering; the row walk `normal.enumerate_nf` and, for
+every relational operator, `relational._level` read each level in place,
+ordered where it matters and charged as `items` would. `map_values` maps
+payloads, and `walk` and `keep` intersect the levels of many nodes at once,
+a column of keys at a time. `walk` flattens one chosen level of every node
+into one key list, in that level's order, and probes each of the node's
+other levels for the keys still standing with `dict.get` in C, dropping
+misses with `compress`; the caller chooses each node's smallest level, so
+the work is bounded by the smallest input, as Generic Join needs for
+worst-case optimality. `keep` turns the caller's outputs at those keys into
+one level per node: an input level of the node whose payloads are `==` to
+its outputs is returned as it is, with its index, and only otherwise is a
+new level built. `==` compares coefficients exactly, never within a ring's
+tolerance, and forms, which define no `__eq__`, by identity.
 
 Counting rule: each entry iterated, built or probed costs one
 `metrics.current.trie_edges`. `walk` charges each node's iterated level's
@@ -43,7 +43,8 @@ it builds, not one it returns. A level built by `from_items` or from rows
 costs one edge per entry it keeps, a `STAR` entry like any other. The C
 copy of the larger level in `merge` is not counted. The row walk charges
 each level it lists as `items` does, in one update per level of the walk.
-`relational`'s filter, like `keep`, charges no level it shares.
+`relational` charges a level once all of it is read, so a refusal charges
+none of its level; its filter, like `keep`, charges no level it shares.
 """
 
 import operator

@@ -1,15 +1,16 @@
 """The level operators against the row-list definitions they replaced.
 
-`project`, `aggregate(..., "count")`, `select` and `clamp_nonneg` work on a
-relation's form a level at a time. The reference below is the earlier
-definition of each: list the rows, keep or regroup them, and build the
-result from the rows with `_built`; a one-column selection filtered that
-column's level, a copy of the level at a time. Both must give the same
-rows in the same order, real coefficients equal to the bit, and the same
-`RelationError` wherever the reference raises one. The one exception is a
-selection reading several columns of a relation with `*` rows: the
-reference refused every such relation, while a level filter refuses only a
-wildcard in a column the predicate reads, naming the first such column.
+`project`, `aggregate(..., "count")`, `select`, `clamp_nonneg`, `rename`
+and `map_col` work on a relation's form a level at a time. The reference
+below is the earlier definition of each: list the rows, keep, regroup,
+permute or map them, and build the result from the rows with `_built`; a
+one-column selection filtered that column's level, a copy of the level at a
+time. Both must give the same rows in the same order, real coefficients
+equal to the bit, and the same `RelationError` wherever the reference
+raises one. The one exception is a selection reading several columns of a
+relation with `*` rows: the reference refused every such relation, while a
+level filter refuses only a wildcard in a column the predicate reads,
+naming the first such column.
 """
 
 from itertools import permutations
@@ -30,16 +31,18 @@ from polyalg import (
     RelationError,
     aggregate,
     clamp_nonneg,
+    map_col,
     outer_join,
     project,
     relation_from_rows,
+    rename,
     schema,
     select,
     tries,
 )
 from polyalg.normal import InfiniteSupport, MapNF, enumerate_nf, map_payloads, payload_ops
 from polyalg.prims import INT64_MAX, INT64_MIN
-from polyalg.relational import Relation, _built, _getter
+from polyalg.relational import FUNCTIONS, Relation, _built, _getter, type_name
 
 # the reference: the row-list definitions ------------------------------------
 
@@ -98,6 +101,29 @@ def ref_clamp(r):
     if r.ring.name != "z":
         raise RelationError("clamp is defined for integer multiplicities")
     return ref_kept_rows(r, lambda row, c: c > 0, "clamp")
+
+
+def ref_rename(r, perm):
+    sch = schema(*(r.schema.columns[p] for p in perm))
+    return _built(sch, r.ring, [(_getter(perm)(row), c) for row, c in r.rows()])
+
+
+def ref_map_col(r, name, fn):
+    pos = r.schema.position(name)
+    _, cod, f = FUNCTIONS[fn]
+
+    def row_map(row):
+        a = row[pos]
+        if a is STAR:
+            return row
+        b = f(a)
+        if not cod.contains(b):
+            raise RelationError(f"{fn} maps {a!r} in column {name!r} outside {type_name(cod)}")
+        return row[:pos] + (b,) + row[pos + 1:]
+
+    cols = list(r.schema.columns)
+    cols[pos] = (name, cod)
+    return _built(schema(*cols), r.ring, [(row_map(row), c) for row, c in r.rows()])
 
 
 # inputs -----------------------------------------------------------------------
@@ -199,3 +225,14 @@ def test_select_and_clamp_equal_the_row_list_definitions(data):
                                           [(row, c) for row, c in r.rows() if test(row)]))
     assert got == want
     assert outcome(clamp_nonneg, r) == outcome(ref_clamp, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rename_and_map_col_equal_the_row_list_definitions(data):
+    r = relations(data)
+    for perm in permutations(range(len(r.schema))):  # a wildcard anywhere
+        assert outcome(rename, r, list(perm)) == outcome(ref_rename, r, list(perm))
+    for name, prim in r.schema.columns:  # colliding outputs add, in row order
+        for fn in [fn for fn, (dom, _, _) in FUNCTIONS.items() if dom == prim]:
+            assert outcome(map_col, r, name, fn) == outcome(ref_map_col, r, name, fn)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyalg
-from polyalg import GF2, REAL, Z, QueryError, parse_sexpr, run
+from polyalg import GF2, INT, REAL, Z, QueryError, natural_join, parse_sexpr, rename, run, schema
 from polyalg.catalog import Catalog, CatalogError, load_csv, parse_schema
 from polyalg.cli import main, render_relation
 from polyalg.query import MAX_DEPTH
@@ -645,6 +645,28 @@ def test_cli_wide_join_under_deep_query_fits_the_stack(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert code == 0
     assert capsys.readouterr().out.splitlines()[1:] == [",".join(["2"] * MAX_COLUMNS) + ",1"]
+    # `map` walks every column of its input and builds its output from them,
+    # neither recursing
+    deep = f"(map inc C{MAX_COLUMNS - 1} " * (MAX_DEPTH - 1) + "(join a b)" + ")" * (MAX_DEPTH - 1)
+    sys.setrecursionlimit(depth + 650)
+    try:
+        code = main(["--catalog", catalog, "query", deep, "--format", "csv"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        ",".join([v] * (MAX_COLUMNS - 1) + [str(int(v) + MAX_DEPTH - 1)]) + ",1" for v in "12"]
+    # so does `rename`, alone and as a join reorders an input out of order
+    wide = relation_from_rows(schema(*[(c, INT) for c in cols]), Z,
+                              [((1,) * MAX_COLUMNS, 1), ((2,) * MAX_COLUMNS, 1)])
+    sys.setrecursionlimit(depth + 650)
+    try:
+        backwards = rename(wide, list(range(MAX_COLUMNS))[::-1])
+        joined = natural_join([wide, backwards])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert backwards.schema.names == cols[::-1]
+    assert joined.schema == wide.schema and joined.rows() == wide.rows()
     # the same columns as a full outer join, whose every level carries a
     # baseline; `clamp` refuses wildcard rows, so nest it under `map`
     deep = "(map abs C0 " * (MAX_DEPTH - 1) + "(outer full a b)" + ")" * (MAX_DEPTH - 1)

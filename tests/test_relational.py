@@ -507,7 +507,8 @@ def test_aggregate_folds_without_listing_rows(monkeypatch):
     # `enumerate_nf` or goes through a term. A fold charges the trie edges
     # that listing the input's rows would, and builds its output from
     # totals; a filter charges the entries it iterates and the levels it
-    # builds. Only `rename` and `map_col` list rows
+    # builds. `rename` and `map_col` read every level as listing the rows
+    # would, and build their output from the key columns they read
     from polyalg import metrics, normal, product, relational
 
     calls = []
@@ -548,9 +549,13 @@ def test_aggregate_folds_without_listing_rows(monkeypatch):
             "SL": select(left, Compare("<", "S", "b")), "KV": select(r, BoolPred(
                 "or", (Compare("<", "K", other_column="V"), Compare("=", "S", "b"))))}
     assert calls == []
-    rename(r, [2, 0, 1])
-    map_col(r, "V", "inc")
-    assert calls == ["enumerate_nf", "enumerate_nf"]
+    with metrics.fresh() as m:  # the input's levels read, the output's 3 + 3 + 3 entries built
+        kept["VKS"] = rename(r, [2, 0, 1])
+    assert m.trie_edges == listed.trie_edges + 9
+    with metrics.fresh() as m:
+        kept["inc"] = map_col(r, "V", "inc")
+    assert m.trie_edges == listed.trie_edges + 9
+    assert calls == []
     assert rowdict(out["sum"]) == {("a",): 14, ("b",): -7}
     assert rowdict(out["min"]) == {("a", 4): 1, ("b", 7): 1}
     assert rowdict(out["max"]) == {("a", 5): 1, ("b", 7): 1}
@@ -562,6 +567,8 @@ def test_aggregate_folds_without_listing_rows(monkeypatch):
     assert rowdict(kept["SL"]) == {(1, "a", 5, STAR): 2, (1, "a", 5, 9): 2,
                                    (3, "a", 4, STAR): 1, (3, "a", 4, 9): 1}
     assert rowdict(kept["KV"]) == rowdict(r)
+    assert rowdict(kept["VKS"]) == {(5, 1, "a"): 2, (7, 2, "b"): -1, (4, 3, "a"): 1}
+    assert rowdict(kept["inc"]) == {(1, "a", 6): 2, (2, "b", 8): -1, (3, "a", 5): 1}
 
 
 def test_aggregate_of_wildcards_and_of_nothing():
@@ -584,6 +591,25 @@ def test_aggregate_of_wildcards_and_of_nothing():
         out = aggregate(empty, ["C", "A"], "B", fold)
         assert out.rows() == []
         assert out.schema.names[:2] == ["C", "A"]
+
+
+def test_a_refused_read_charges_the_levels_above_it():
+    # a filter or a fold refused at a level charges every level above it and
+    # nothing of the refusing level, whatever the order of its groups: here
+    # the K, S and V levels' 2 + 2 + 2 entries, and not the L entry of
+    # group "a", which the fold reads before group "b"'s wildcard
+    from polyalg import metrics
+    from polyalg.relational import _built
+
+    sch = schema(("K", INT), ("S", STRING), ("V", INT), ("L", INT))
+    r = _built(sch, Z, [((1, "a", 5, 9), 1), ((2, "b", 7, STAR), 1)])
+    for refused, message in (
+            (lambda: select(r, Compare("=", "L", 9)), "cannot select on wildcard-bearing column 'L'"),
+            (lambda: clamp_nonneg(r), "cannot clamp a relation with wildcard rows"),
+            (lambda: aggregate(r, ["S"], "V", "sum"), "cannot aggregate a relation with wildcard rows")):
+        with metrics.fresh() as m, pytest.raises(RelationError, match=message):
+            refused()
+        assert m.trie_edges == 6, message
 
 
 def test_map_col_goldens():
