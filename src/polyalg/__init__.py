@@ -15,7 +15,6 @@ from .normal import (
     InfiniteSupport,
     NormalForm,
     enumerate_nf,
-    equal,
     has_baseline,
     nf_add,
     nf_equal,
@@ -23,8 +22,6 @@ from .normal import (
     nf_lookup_path,
     nf_scale,
     nf_weight,
-    normalize,
-    readback,
     strip_compact,
 )
 from .prims import (
@@ -48,30 +45,7 @@ from .prims import (
     left,
     right,
 )
-from .relational import (
-    BoolPred,
-    ColumnWhere,
-    Compare,
-    Relation,
-    RelationError,
-    Schema,
-    aggregate,
-    apply_update,
-    cartesian,
-    clamp_nonneg,
-    diff,
-    intersect,
-    map_col,
-    natural_join,
-    outer_join,
-    project,
-    relabel,
-    relation_from_rows,
-    rename,
-    schema,
-    select,
-    union,
-)
+from .relation import Relation, RelationError, Schema, relation_from_rows, schema
 from .rings import GF2, REAL, Z, GF2Ring, IntegerRing, RealRing, Ring, ring_by_name
 from .spaces import (
     Biproduct,
@@ -85,47 +59,33 @@ from .spaces import (
     Tensor,
     tensor_chain,
 )
-from .terms import (
-    Term,
-    add,
-    fmap,
-    fold,
-    inject,
-    inj1,
-    inj2,
-    maps_to,
-    mul,
-    one,
-    pair,
-    product as symbolic_product,
-    proj1,
-    proj2,
-    scalar,
-    scale,
-    sum_over_index,
-    sum_terms,
-    tensor,
-    tensor_map,
-    unit_one,
-    weight,
-    wild_maps_to,
-    wild_one,
-    zero,
-)
 
 
-#: names served from a module imported on first use: no command of the CLI
-#: runs the isomorphism catalogue, only joins, intersections and products of
-#: terms run the product engine, only `query` parses, and each `polyalg`
-#: process compiles what it imports, so `load` compiles none of the three
+#: names served from a module imported on first use, since each `polyalg`
+#: process compiles what it imports: no command of the CLI runs the
+#: isomorphism catalogue or builds a term, only joins and intersections run
+#: the product engine, and only `query` parses and runs operators, so a
+#: `load` compiles none of these modules and a `query` neither `terms` nor
+#: `isos`
 _ON_FIRST_USE = {
     "isos": ("ISOS", "iso"),
-    "product": ("embed", "multiply", "naive_multiply", "nf_product", "triangle"),
+    "product": ("embed", "nf_product"),
     "query": ("QueryError", "parse_sexpr", "run"),
+    "relational": ("BoolPred", "ColumnWhere", "Compare", "aggregate", "apply_update",
+                   "cartesian", "clamp_nonneg", "diff", "intersect", "map_col",
+                   "natural_join", "outer_join", "project", "relabel", "rename", "select",
+                   "union"),
+    "terms": ("Term", "add", "equal", "fmap", "fold", "inj1", "inj2", "inject", "maps_to",
+              "mul", "multiply", "naive_multiply", "normalize", "one", "pair", "proj1",
+              "proj2", "readback", "scalar", "scale", "sum_over_index", "sum_terms",
+              "tensor", "tensor_map", "triangle", "unit_one", "weight", "wild_maps_to",
+              "wild_one", "zero"),
 }
 
 
 def __getattr__(name):
+    if name == "symbolic_product":  # `terms.product`; `polyalg.product` is the module
+        return import_module(f"{__name__}.terms").product
     for module, names in _ON_FIRST_USE.items():
         if name in names:
             return getattr(import_module(f"{__name__}.{module}"), name)

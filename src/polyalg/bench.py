@@ -18,12 +18,12 @@ import statistics
 import time
 
 from . import metrics
-from .normal import enumerate_nf, readback
+from .normal import enumerate_nf
 from .prims import INT, Record
-from .product import embed, naive_multiply, triangle
+from .product import embed
 from .rings import Z
 from .spaces import Free
-from .terms import inject, sum_terms, tensor
+from .terms import inject, naive_multiply, readback, sum_terms, tensor, triangle
 
 
 def bipartite_relation(k: int, ring=Z):

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from .prims import BOOL, INT, INT64_MAX, INT64_MIN
-from .relational import TYPE_NAMES, Relation, Schema, _built
+from .relation import TYPE_NAMES, Relation, Schema, _built
 from .rings import Ring, ring_by_name
 
 WEIGHT_COLUMN = "#weight"

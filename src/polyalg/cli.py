@@ -20,7 +20,7 @@ from . import metrics
 from .catalog import Catalog, CatalogError
 from .normal import STAR
 from .prims import PrimSet
-from .relational import Relation, type_name
+from .relation import Relation, type_name
 
 
 class _Parser(argparse.ArgumentParser):

@@ -19,7 +19,6 @@ structure: `free_prod` backward turns a product of sums into a
 quadratically larger sum over pairs. Forward directions are linear.
 """
 
-from .normal import normalize
 from .prims import Prod, Sum, Unit, left, right
 from .spaces import (
     Biproduct,
@@ -38,6 +37,7 @@ from .terms import (
     inject,
     linear_map,
     maps_to,
+    normalize,
     one,
     pair,
     proj1,

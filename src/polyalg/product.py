@@ -10,7 +10,7 @@ attribute is that level gives its trie and its baseline; a factor that
 lacks the level is trie-less, its baseline at every key the factor
 itself, passed down unchanged; and a factor whose attributes have all
 been read is trie-less, its baseline its coefficient. A same-space
-product (`nf_product`: symbolic products and `multiply`) splits pairs,
+product (`nf_product`: symbolic products and `terms.multiply`) splits pairs,
 multiplies scalars and hands keyed forms to `nf_join` with positions
 None, each in the output space and holding every level.
 
@@ -55,11 +55,15 @@ the coefficient one: a one-factor join is its factor.
 it lacks with wildcard levels: `Relation` widens a plain chain's form with
 it, and the tests and the naive triangle benchmark use it as the
 reference that joins are checked against; no join calls it.
-`naive_multiply` is the deliberately blunt alternative, full expansion by
-distributivity, kept as the differential-testing oracle.
+
+This module reads forms alone. The products of terms (`multiply`, the
+triangle query and `naive_multiply`, the deliberately blunt alternative by
+full distributivity kept as the differential-testing oracle) live with the
+terms in `terms`, and `embed` imports it only when handed a term.
 """
 
 from functools import reduce
+from importlib import import_module
 from operator import attrgetter
 
 from . import metrics, tries
@@ -68,47 +72,13 @@ from .normal import (
     NormalForm,
     PairNF,
     ScalarNF,
-    force_product,
     map_payloads,
     nf_tensor,
-    normalize,
     payload_ops,
-    readback,
     unit_nf,
     zero_nf,
 )
-from .spaces import CompactFree, Free, SpaceError, Tensor, tensor_chain
-from .terms import (
-    GenTerm,
-    InjGen,
-    MapsToGen,
-    MulGen,
-    OneGen,
-    PairGen,
-    Term,
-    TensorGen,
-    WildMapsToGen,
-    WildOneGen,
-    linear_combination,
-    maps_to,
-    pair,
-    scaled,
-    sum_terms,
-    tensor,
-    wild_maps_to,
-)
-
-
-def multiply(factors) -> NormalForm:
-    """Simplified product of same-space terms, scheduled jointly."""
-    factors = list(factors)
-    if not factors:
-        raise SpaceError("a product needs at least one factor")
-    space = factors[0].space
-    for f in factors[1:]:
-        if f.space != space:
-            raise SpaceError(f"product factors live in {space} and {f.space}")
-    return nf_product([normalize(f) for f in factors])
+from .spaces import SpaceError, tensor_chain
 
 
 def nf_product(nfs) -> NormalForm:
@@ -315,71 +285,7 @@ def _frontier(rows, space, here, live):
 _TRIE, _BASE = attrgetter("trie"), attrgetter("base")
 
 
-# the blunt oracle -------------------------------------------------------------
-
-def naive_multiply(x: Term, y: Term) -> NormalForm:
-    """Product by full distributivity; exponential blow-ups accepted.
-
-    Every cross pair of generators is expanded, simplified by the delta
-    rules and componentwise tensor multiplication, and the pile of results
-    is normalised at the end. Differential-testing oracle only.
-    """
-    if x.space != y.space:
-        raise SpaceError(f"product factors live in {x.space} and {y.space}")
-    return normalize(_naive_term(x, y))
-
-
-def _naive_term(x: Term, y: Term) -> Term:
-    space = x.space
-    ring = space.ring
-    m = metrics.current
-    parts = []
-    ys = list(linear_combination(y))
-    for cx, gx in linear_combination(x):
-        for cy, gy in ys:
-            m.pair_products += 1
-            t = _gen_pair(gx, gy, space)
-            if t is None:
-                continue
-            c = ring.mul(cx, cy)
-            m.ring_mults += 1
-            parts.append(scaled(c, t))
-    return sum_terms(space, parts)
-
-
-def _gen_pair(gx, gy, space):
-    if isinstance(gx, MulGen):
-        return _naive_term(force_product(gx), GenTerm(space, gy))
-    if isinstance(gy, MulGen):
-        return _naive_term(GenTerm(space, gx), force_product(gy))
-    if isinstance(gx, OneGen):
-        return GenTerm(space, gy)
-    if isinstance(gy, OneGen):
-        return GenTerm(space, gx)
-    if isinstance(gx, WildOneGen):
-        return GenTerm(space, gy)
-    if isinstance(gy, WildOneGen):
-        return GenTerm(space, gx)
-    if isinstance(gx, InjGen):
-        return GenTerm(space, gx) if gx.value == gy.value else None
-    if isinstance(gx, WildMapsToGen):
-        if isinstance(gy, WildMapsToGen):
-            return wild_maps_to(_naive_term(gx.body, gy.body), space)
-        return maps_to(gy.key, _naive_term(gx.body, gy.body), space)
-    if isinstance(gx, MapsToGen):
-        if isinstance(gy, WildMapsToGen):
-            return maps_to(gx.key, _naive_term(gx.body, gy.body), space)
-        if gx.key != gy.key:
-            return None
-        return maps_to(gx.key, _naive_term(gx.body, gy.body), space)
-    if isinstance(gx, TensorGen):
-        return tensor(_naive_term(gx.lhs, gy.lhs), _naive_term(gx.rhs, gy.rhs))
-    if isinstance(gx, PairGen):
-        return pair(_naive_term(gx.lhs, gy.lhs), _naive_term(gx.rhs, gy.rhs))
-    raise SpaceError(f"cannot multiply generators of {space}")
-
-
-# embeddings and the triangle query --------------------------------------------
+# embeddings -------------------------------------------------------------------
 
 def embed(x, source, target):
     """Send a chain over the attributes `source` into the compact chain over
@@ -388,7 +294,9 @@ def embed(x, source, target):
     attributes must appear in the target in the same order (reorder
     upstream). A form embeds as a form, keeping every trie whose level only
     widens; a term is normalised, embedded and read back."""
-    if isinstance(x, Term):
+    if not isinstance(x, NormalForm):
+        from .terms import normalize, readback
+
         return readback(embed(normalize(x), source, target))
     src = list(source)
     tgt = list(target)
@@ -427,17 +335,12 @@ def _embed(nf, src, tgt, out):
     return map_payloads(nf, lambda v: _embed(v, src, tgt, out.rhs), out)
 
 
-def triangle(x: Term, y: Term, z: Term) -> NormalForm:
-    """Cyclic three-way join over attributes (A, B), (A, C), (B, C): each
-    input a positioned factor of the compact chain over (A, B, C)."""
-    prims = []
-    for s in (x.space, y.space, z.space):
-        if not (isinstance(s, Tensor) and isinstance(s.lhs, (Free, CompactFree))
-                and isinstance(s.rhs, (Free, CompactFree))):
-            raise SpaceError(f"{s} is not a chain of two free factors")
-        prims.append((s.lhs.prim, s.rhs.prim))
-    (pa, pb), (pa2, pc), (pb2, pc2) = prims
-    if pa != pa2 or pb != pb2 or pc != pc2:
-        raise SpaceError("triangle inputs do not share attribute types")
-    out = tensor_chain(x.space.ring, [pa, pb, pc], compact=True)
-    return nf_join([(normalize(x), (0, 1)), (normalize(y), (0, 2)), (normalize(z), (1, 2))], out)
+
+
+
+def __getattr__(name):
+    # `triangle` lives in `terms`; perfbench still reads it here, and this
+    # forwarding goes when ROADMAP item 1 moves perfbench
+    if name == "triangle":
+        return getattr(import_module(f"{__package__}.terms"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,7 +26,8 @@ Forms and [...] lists nest at most MAX_DEPTH deep; a deeper query is a
 
 from . import relational as rel
 from .prims import Record
-from .relational import BoolPred, Compare, Relation, RelationError
+from .relation import Relation, RelationError
+from .relational import BoolPred, Compare
 
 
 #: deepest nesting of forms and [...] lists a query may have

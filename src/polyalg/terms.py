@@ -10,9 +10,34 @@ Products are a generator node of their own (`MulGen`); nested products
 flatten into one n-ary factor list at construction so that later
 simplification can schedule all factors jointly instead of folding
 pairwise.
+
+Terms are the library's input language, and this module is their bridge
+to the engine: `normalize` simplifies a term into the one canonical form
+of its space, `readback` reads a form back as a term, and `multiply`,
+`triangle` and the blunt `naive_multiply` evaluate products of terms. The
+engine itself (`normal`, `product`, `relation`, `relational`) builds forms
+from rows and never imports this module, so no command of the CLI
+compiles it.
 """
 
+from . import metrics, tries
+from .normal import (
+    NF_VOPS,
+    STAR,
+    MapNF,
+    NormalForm,
+    PairNF,
+    ScalarNF,
+    enumerate_nf,
+    nf_equal,
+    nf_scale,
+    nf_tensor,
+    nf_weight,
+    payload_ops,
+    zero_nf,
+)
 from .prims import PrimSet
+from .product import nf_join, nf_product
 from .spaces import (
     Biproduct,
     CompactFree,
@@ -23,6 +48,7 @@ from .spaces import (
     Space,
     SpaceError,
     Tensor,
+    tensor_chain,
 )
 
 
@@ -357,8 +383,6 @@ def linear_map(t: Term, out: Space, gen_fn) -> Term:
     parts = []
     for c, g in linear_combination(t):
         if isinstance(g, MulGen):
-            from .normal import force_product
-
             img = linear_map(force_product(g), out, gen_fn)
         else:
             img = gen_fn(g)
@@ -389,9 +413,6 @@ def _gen_weight(g, space, ring):
     if isinstance(g, TensorGen):
         return ring.mul(weight(g.lhs), weight(g.rhs))
     # product: weigh its simplified value
-    from .normal import nf_weight
-    from .product import multiply
-
     return nf_weight(multiply(g.factors))
 
 
@@ -491,3 +512,234 @@ def proj2(t: Term) -> Term:
     if not isinstance(t.space, Biproduct):
         raise SpaceError(f"projection needs a biproduct, not {t.space}")
     return linear_map(t, t.space.rhs, lambda g: g.rhs)
+
+
+# forms of terms: normalisation and read-back --------------------------------
+
+def normalize(t: Term) -> NormalForm:
+    """Simplify a term to the one canonical form of its space.
+
+    Spaces of free or map shape, tensors keyed by their left factor
+    included, become keyed forms (`_keyed_nf`); scalars are pushed to the
+    leaves, pairs add pointwise, a tensor generator is built by `nf_tensor`
+    in its left factor's form, and symbolic products are evaluated by the
+    product engine. Idempotent: normalising a read-back form reproduces it.
+    """
+    space = t.space
+    ring = space.ring
+    if space.shape in ("free", "map"):
+        return _keyed_nf(t)
+    pieces = [_gen_nf(c, g, space) for c, g in linear_combination(t) if not ring.is_zero(c)]
+    total = tries.add_all(pieces, NF_VOPS)
+    return zero_nf(space) if total is None else total
+
+
+def _keyed_nf(t: Term) -> NormalForm:
+    """Free, map and chain forms alike: every generator gives (key, payload)
+    entries, a share of the wildcard baseline being an entry under `STAR`,
+    and `entries_nf` builds the level. A tensor, a chain generator
+    included, or a product gives the entries and baseline of its form."""
+    space = t.space
+    ring = space.ring
+    entries = []
+    for c, g in linear_combination(t):
+        if ring.is_zero(c):
+            continue
+        if isinstance(g, InjGen):
+            entries.append((g.value, c))
+        elif isinstance(g, WildOneGen):
+            entries.append((STAR, c))
+        elif isinstance(g, MapsToGen):
+            entries.append((g.key, nf_scale(c, normalize(g.body))))
+        elif isinstance(g, WildMapsToGen):
+            entries.append((STAR, nf_scale(c, normalize(g.body))))
+        else:
+            nf = _gen_nf(c, g, space)
+            if nf.trie is not None:
+                entries.extend(nf.trie.items())
+            if nf.base is not None:
+                entries.append((STAR, nf.base))
+    return entries_nf(space, entries)
+
+
+def entries_nf(space: Space, entries) -> MapNF:
+    """The keyed form in `space` of (key, payload) entries, a share of the
+    wildcard baseline being an entry under `STAR`: one `tries.from_items`
+    call adds repeated keys and the baseline's shares in balanced rounds,
+    and the `STAR` entry is then popped into the baseline slot."""
+    trie = tries.from_items(entries, payload_ops(space))
+    base = None if trie is None else trie.pop(STAR, None)
+    return MapNF(space, trie or None, base)
+
+
+def force_product(g: MulGen) -> Term:
+    """A symbolic product evaluated by the product engine and read back as
+    a term, for `linear_map`, which acts generator by generator."""
+    return readback(multiply(g.factors))
+
+
+def _gen_nf(c, g, space) -> NormalForm:
+    if isinstance(g, OneGen):
+        return ScalarNF(space, c)
+    if isinstance(g, PairGen):
+        return PairNF(space, nf_scale(c, normalize(g.lhs)), nf_scale(c, normalize(g.rhs)))
+    if isinstance(g, TensorGen):
+        return nf_scale(c, nf_tensor(normalize(g.lhs), normalize(g.rhs), space))
+    if isinstance(g, MulGen):
+        return nf_scale(c, multiply(g.factors))
+    raise SpaceError(f"unexpected generator in {space}")
+
+
+def readback(nf: NormalForm) -> Term:
+    """Symbolic term denoting the normal form, with balanced sums. A tensor
+    whose left factor is not free reads back row by row, as tensors of
+    basis terms; a chain reads back level by level."""
+    space = nf.space
+    if isinstance(space, Tensor) and not isinstance(space.lhs, (Free, CompactFree)):
+        parts = []
+        for path, c in enumerate_nf(nf, allow_baseline=True):
+            l, i = _basis_term(space.lhs, path, 0)
+            r, _ = _basis_term(space.rhs, path, i)
+            parts.append(scaled(c, tensor(l, r)))
+        return sum_terms(space, parts)
+    if isinstance(nf, ScalarNF):
+        if nf.is_zero():
+            return zero(space)
+        return scale(nf.value, one(space.ring))
+    if isinstance(nf, MapNF):
+        items = tries.items(space.prim, nf.trie)
+        if space.shape == "free":
+            parts = [scaled(c, inject(k, space)) for k, c in items]
+            if nf.base is not None:
+                parts.append(scale(nf.base, wild_one(space)))
+        elif isinstance(space, Tensor):  # a chain
+            lhs = space.lhs
+            parts = [tensor(inject(k, lhs), readback(v)) for k, v in items]
+            if nf.base is not None:
+                parts.append(tensor(wild_one(lhs), readback(nf.base)))
+        else:
+            parts = [maps_to(k, readback(v), space) for k, v in items]
+            if nf.base is not None:
+                parts.append(wild_maps_to(readback(nf.base), space))
+        return sum_terms(space, parts)
+    if isinstance(nf, PairNF):
+        return pair(readback(nf.lhs), readback(nf.rhs))
+    raise SpaceError(f"cannot read back {type(nf).__name__}")
+
+
+def _basis_term(space, path, i):
+    """The basis term of `space` at the key path starting at `path[i]`
+    (`STAR` is the wildcard), and the index after it."""
+    if isinstance(space, Scalar):
+        return one(space.ring), i
+    key = path[i]
+    if isinstance(space, (Free, CompactFree)):
+        return (wild_one(space) if key is STAR else inject(key, space)), i + 1
+    if isinstance(space, (FinMap, CompactMap)):
+        body, j = _basis_term(space.value, path, i + 1)
+        return (wild_maps_to(body, space) if key is STAR else maps_to(key, body, space)), j
+    if isinstance(space, Biproduct):
+        side, j = _basis_term(space.lhs if key == 1 else space.rhs, path, i + 1)
+        return (pair(side, zero(space.rhs)) if key == 1 else pair(zero(space.lhs), side)), j
+    l, j = _basis_term(space.lhs, path, i)
+    r, k = _basis_term(space.rhs, path, j)
+    return tensor(l, r), k
+
+
+def equal(x: Term, y: Term) -> bool:
+    """Extensional equality of terms, decided by normalisation."""
+    if x.space != y.space:
+        raise SpaceError(f"cannot compare terms of {x.space} and {y.space}")
+    return nf_equal(normalize(x), normalize(y))
+
+
+# products of terms ----------------------------------------------------------
+
+def multiply(factors) -> NormalForm:
+    """Simplified product of same-space terms, scheduled jointly."""
+    factors = list(factors)
+    if not factors:
+        raise SpaceError("a product needs at least one factor")
+    space = factors[0].space
+    for f in factors[1:]:
+        if f.space != space:
+            raise SpaceError(f"product factors live in {space} and {f.space}")
+    return nf_product([normalize(f) for f in factors])
+
+
+def triangle(x: Term, y: Term, z: Term) -> NormalForm:
+    """Cyclic three-way join over attributes (A, B), (A, C), (B, C): each
+    input a positioned factor of the compact chain over (A, B, C)."""
+    prims = []
+    for s in (x.space, y.space, z.space):
+        if not (isinstance(s, Tensor) and isinstance(s.lhs, (Free, CompactFree))
+                and isinstance(s.rhs, (Free, CompactFree))):
+            raise SpaceError(f"{s} is not a chain of two free factors")
+        prims.append((s.lhs.prim, s.rhs.prim))
+    (pa, pb), (pa2, pc), (pb2, pc2) = prims
+    if pa != pa2 or pb != pb2 or pc != pc2:
+        raise SpaceError("triangle inputs do not share attribute types")
+    out = tensor_chain(x.space.ring, [pa, pb, pc], compact=True)
+    return nf_join([(normalize(x), (0, 1)), (normalize(y), (0, 2)), (normalize(z), (1, 2))], out)
+
+
+def naive_multiply(x: Term, y: Term) -> NormalForm:
+    """Product by full distributivity; exponential blow-ups accepted.
+
+    Every cross pair of generators is expanded, simplified by the delta
+    rules and componentwise tensor multiplication, and the pile of results
+    is normalised at the end. Differential-testing oracle only.
+    """
+    if x.space != y.space:
+        raise SpaceError(f"product factors live in {x.space} and {y.space}")
+    return normalize(_naive_term(x, y))
+
+
+def _naive_term(x: Term, y: Term) -> Term:
+    space = x.space
+    ring = space.ring
+    m = metrics.current
+    parts = []
+    ys = list(linear_combination(y))
+    for cx, gx in linear_combination(x):
+        for cy, gy in ys:
+            m.pair_products += 1
+            t = _gen_pair(gx, gy, space)
+            if t is None:
+                continue
+            c = ring.mul(cx, cy)
+            m.ring_mults += 1
+            parts.append(scaled(c, t))
+    return sum_terms(space, parts)
+
+
+def _gen_pair(gx, gy, space):
+    if isinstance(gx, MulGen):
+        return _naive_term(force_product(gx), GenTerm(space, gy))
+    if isinstance(gy, MulGen):
+        return _naive_term(GenTerm(space, gx), force_product(gy))
+    if isinstance(gx, OneGen):
+        return GenTerm(space, gy)
+    if isinstance(gy, OneGen):
+        return GenTerm(space, gx)
+    if isinstance(gx, WildOneGen):
+        return GenTerm(space, gy)
+    if isinstance(gy, WildOneGen):
+        return GenTerm(space, gx)
+    if isinstance(gx, InjGen):
+        return GenTerm(space, gx) if gx.value == gy.value else None
+    if isinstance(gx, WildMapsToGen):
+        if isinstance(gy, WildMapsToGen):
+            return wild_maps_to(_naive_term(gx.body, gy.body), space)
+        return maps_to(gy.key, _naive_term(gx.body, gy.body), space)
+    if isinstance(gx, MapsToGen):
+        if isinstance(gy, WildMapsToGen):
+            return maps_to(gx.key, _naive_term(gx.body, gy.body), space)
+        if gx.key != gy.key:
+            return None
+        return maps_to(gx.key, _naive_term(gx.body, gy.body), space)
+    if isinstance(gx, TensorGen):
+        return tensor(_naive_term(gx.lhs, gy.lhs), _naive_term(gx.rhs, gy.rhs))
+    if isinstance(gx, PairGen):
+        return pair(_naive_term(gx.lhs, gy.lhs), _naive_term(gx.rhs, gy.rhs))
+    raise SpaceError(f"cannot multiply generators of {space}")

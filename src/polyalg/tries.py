@@ -18,7 +18,7 @@ not n²/2. `from_items` builds one level from (key, payload) entries; the
 payloads of equal keys add by `add_all`. A keyed form's builder passes its
 wildcard baseline's shares as entries under `normal.STAR` and pops that
 entry from the new level before the level is shared, so the shares add in
-the same rounds. `relational._built` fills every level of a relation's form
+the same rounds. `relation._built` fills every level of a relation's form
 from rows in one pass, by the same rules. `items` lists one level in order,
 for readback and rendering; the row walk `normal.enumerate_nf` and, for
 every relational operator, `relational._level` read each level in place,

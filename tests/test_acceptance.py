@@ -39,7 +39,7 @@ from polyalg import (
 from polyalg.bench import bench_triangle
 from polyalg.catalog import Catalog
 from polyalg.query import run as run_query
-from polyalg.relational import relation_from_rows, schema
+from polyalg.relation import relation_from_rows, schema
 from polyalg.spaces import FinMap, Free, Scalar
 from polyalg.prims import Prod, Sum, left, right
 

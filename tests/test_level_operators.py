@@ -42,7 +42,8 @@ from polyalg import (
 )
 from polyalg.normal import InfiniteSupport, MapNF, enumerate_nf, map_payloads, payload_ops
 from polyalg.prims import INT64_MAX, INT64_MIN
-from polyalg.relational import FUNCTIONS, Relation, _built, _getter, type_name
+from polyalg.relation import Relation, _built, type_name
+from polyalg.relational import FUNCTIONS, _getter
 
 # the reference: the row-list definitions ------------------------------------
 

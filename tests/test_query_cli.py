@@ -16,7 +16,7 @@ from polyalg import GF2, INT, REAL, Z, QueryError, natural_join, parse_sexpr, re
 from polyalg.catalog import Catalog, CatalogError, load_csv, parse_schema
 from polyalg.cli import main, render_relation
 from polyalg.query import MAX_DEPTH
-from polyalg.relational import MAX_COLUMNS, relation_from_rows
+from polyalg.relation import MAX_COLUMNS, relation_from_rows
 
 X_CSV = "A,B\na,1\nb,2\nc,3\n"
 Y_CSV = "B,C\n2,p\n3,q\n4,r\n"
@@ -292,10 +292,11 @@ def test_cli_end_to_end(tmp_path):
 
 def test_cli_start_up_imports_only_what_load_and_query_run(tmp_path):
     # each `polyalg` process compiles the modules it imports, so importing
-    # the CLI must not load dataclasses, the product engine, the isomorphism
-    # catalogue or the benchmark, and a `load` must not load the query
-    # language or the product engine either; modules the interpreter itself
-    # loads at start-up do not count
+    # the CLI must not load dataclasses, the product engine, the relational
+    # operators, the term layer, the isomorphism catalogue or the benchmark,
+    # and a `load` must not load the query language either; a query, a join
+    # included, runs the operators and the product engine but builds no term;
+    # modules the interpreter itself loads at start-up do not count
     def loaded(code):
         r = run_python(["-c", code + "import sys; print('\\n'.join(sys.modules))"], tmp_path)
         assert r.returncode == 0, r.stderr
@@ -304,14 +305,36 @@ def test_cli_start_up_imports_only_what_load_and_query_run(tmp_path):
     at_start = loaded("")
     after = loaded("import polyalg.cli; ")
     assert "polyalg.cli" in after
-    unwanted = {"dataclasses", "inspect", "polyalg.product", "polyalg.isos", "polyalg.bench",
-                "polyalg.query"}
+    termless = {"dataclasses", "inspect", "polyalg.isos", "polyalg.bench", "polyalg.terms",
+                "polyalg.render"}
+    unwanted = termless | {"polyalg.product", "polyalg.query", "polyalg.relational"}
     assert sorted((unwanted - at_start) & after) == []
     (tmp_path / "x.csv").write_text(X_CSV)
+    (tmp_path / "y.csv").write_text(Y_CSV)
     after = loaded("from polyalg.cli import main; "
-                   "assert main(['load', 'x.csv', '--as', 'x', '--schema', 'A:str,B:int']) == 0; ")
+                   "assert main(['load', 'x.csv', '--as', 'x', '--schema', 'A:str,B:int']) == 0; "
+                   "assert main(['load', 'y.csv', '--as', 'y', '--schema', 'B:int,C:str']) == 0; ")
     assert "polyalg.catalog" in after
     assert sorted((unwanted - at_start) & after) == []
+    after = loaded("from polyalg.cli import main; "
+                   "assert main(['query', '(join x y)']) == 0; ")
+    assert {"polyalg.query", "polyalg.relational", "polyalg.product"} <= after
+    assert sorted((termless - at_start) & after) == []
+
+
+def test_moved_names_forward_to_their_new_homes():
+    # perfbench reads these names at their old homes until it moves
+    from polyalg import normal, product, relation, relational, terms
+
+    for old, new, name in ((normal, terms, "normalize"), (normal, terms, "readback"),
+                           (product, terms, "triangle"), (relational, relation, "schema"),
+                           (relational, relation, "relation_from_rows")):
+        assert getattr(old, name) is getattr(new, name)
+        assert name not in vars(old)
+    assert relational.Relation is relation.Relation
+    for mod in (normal, product, relational):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            mod.no_such_name
 
 
 def test_cli_json_schema(tmp_path):
@@ -566,7 +589,7 @@ def test_cli_csv_contract(tmp_path, capsys, text, sch, error):
 
 def test_cli_column_bound(tmp_path, capsys):
     # every schema, loaded or built by an operator, has at most
-    # relational.MAX_COLUMNS columns; past the bound is one error line
+    # relation.MAX_COLUMNS columns; past the bound is one error line
     catalog = str(tmp_path / "c.json")
 
     def load(name, cols):

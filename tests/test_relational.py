@@ -509,7 +509,7 @@ def test_aggregate_folds_without_listing_rows(monkeypatch):
     # totals; a filter charges the entries it iterates and the levels it
     # builds. `rename` and `map_col` read every level as listing the rows
     # would, and build their output from the key columns they read
-    from polyalg import metrics, normal, product, relational
+    from polyalg import metrics, normal, product, relation, relational, terms
 
     calls = []
 
@@ -525,9 +525,9 @@ def test_aggregate_folds_without_listing_rows(monkeypatch):
     left = outer_join("left", r, rel([("S", STRING), ("L", INT)], [("a", 9)]))
     with metrics.fresh() as listed:
         normal.enumerate_nf(r.nf())
-    for mod in (normal, product, relational):
+    for mod in (normal, product, relation, relational, terms):
         for name in ("normalize", "readback", "enumerate_nf"):
-            if hasattr(mod, name):
+            if name in vars(mod):
                 monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
     for fold in ("sum", "min", "max", "count"):  # `_built` charges the output's own edges
         with metrics.fresh() as m:
@@ -599,7 +599,7 @@ def test_a_refused_read_charges_the_levels_above_it():
     # the K, S and V levels' 2 + 2 + 2 entries, and not the L entry of
     # group "a", which the fold reads before group "b"'s wildcard
     from polyalg import metrics
-    from polyalg.relational import _built
+    from polyalg.relation import _built
 
     sch = schema(("K", INT), ("S", STRING), ("V", INT), ("L", INT))
     r = _built(sch, Z, [((1, "a", 5, 9), 1), ((2, "b", 7, STAR), 1)])
@@ -985,7 +985,7 @@ def _rows_nf(space, rows, i):
     from column `i` on, the rows grouped by that column and each group's
     form built recursively below its key, one `entries_nf` per node."""
     from polyalg import Tensor
-    from polyalg.normal import entries_nf
+    from polyalg.terms import entries_nf
 
     if not isinstance(space, Tensor):
         return entries_nf(space, [(row[i], c) for row, c in rows])
@@ -1029,7 +1029,7 @@ BUILD_COEFFS = {Z: st.integers(-2, 2), GF2: st.booleans(),
 @given(st.data())
 def test_rows_build_the_form_the_recursive_builder_builds(data):
     from polyalg import metrics
-    from polyalg.relational import _built
+    from polyalg.relation import _built
 
     ring = data.draw(st.sampled_from([Z, GF2, REAL]))
     sch = schema(*data.draw(st.sampled_from(BUILD_SCHEMAS)))
@@ -1049,6 +1049,22 @@ def test_rows_build_the_form_the_recursive_builder_builds(data):
     # bit and so the same rows, for the same trie edges
     assert layout(got) == layout(want)
     assert n.trie_edges == m.trie_edges
+
+
+def test_built_levels_live_in_the_tails_of_the_schema_chain():
+    # `_built` walks the schema's chain down by `.rhs`, and `tensor_chain`
+    # holds one chain per prim list, so every node of level d is in the very
+    # chain of the columns from d on, as the joint product's `is` tests need
+    from polyalg.relation import _built
+
+    prims = [INT, STRING] * 50
+    sch = schema(*((f"C{i}", p) for i, p in enumerate(prims)))
+    rows = [(tuple(i if p is INT else str(i) for p in prims), 1) for i in range(2)]
+    nodes = [_built(sch, Z, rows).nf()]
+    for d in range(len(prims)):
+        assert all(x.space is tensor_chain(Z, prims[d:], compact=True) for x in nodes)
+        nodes = [y for x in nodes for y in x.trie.values()]
+    assert nodes == [1, 1]
 
 
 @pytest.mark.parametrize("rows, error, message", [
@@ -1116,7 +1132,7 @@ def test_nested_prefix_column_deeper_than_the_recursion_limit():
 
 
 def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
-    from polyalg import normal, product, relational
+    from polyalg import normal, product, relation, relational, terms
 
     calls = []
 
@@ -1127,9 +1143,9 @@ def test_form_held_inputs_join_and_select_without_terms(monkeypatch):
 
         return counted
 
-    for mod in (normal, product, relational):
+    for mod in (normal, product, relation, relational, terms):
         for name in ("normalize", "readback", "strip_compact"):
-            if hasattr(mod, name):
+            if name in vars(mod):
                 monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
     x = rel(AB, X3)
     y = rel([("B", INT), ("C", STRING)], Y3)
