@@ -19,16 +19,20 @@ keys it the same way, (A ⇒ V) ⊗ W ≅ A ⇒ (V ⊗ W); a biproduct splits it
 into a `PairNF`, (U ⊕ V) ⊗ W ≅ (U ⊗ W) ⊕ (V ⊗ W); a scalar leaves the
 right factor's form, K ⊗ W ≅ W; and a tensor reassociates.
 
-A form's rows are the expansion of its tries; `enumerate_nf` lists them a
-level at a time, so its depth does not grow with the column count. Forms
-are built from rows (`relation._built`) or from terms: the simplification
-of a term into its form, and the read-back of a form as a term, live with
-the terms, in `terms`, which this module does not import.
+Keyed levels are read and built here alone: `read_level` reads a level
+of many nodes, a baseline first as a `STAR` key or the caller's refusal,
+for every relational operator and for `enumerate_nf`, whose depth does not
+grow with the column count; `_at` reads one key, baseline and deviation,
+for `nf_lookup` and `nf_lookup_path`; `keyed_nf` builds a keyed form from a
+level dict whose `STAR` entry is the baseline. Forms are built from rows
+(`relation._built`) or from terms: the simplification of a term into its
+form, and its read-back, live in `terms`, which this module does not import.
 """
 
 import operator
 from functools import reduce
 from importlib import import_module
+from itertools import chain
 
 from . import metrics, tries
 from .spaces import (
@@ -246,52 +250,52 @@ def nf_lookup(nf: NormalForm, key):
     if not isinstance(nf, MapNF):
         raise SpaceError(f"lookup needs a keyed form, not {type(nf).__name__}")
     space = nf.space
-    if key is not STAR:
-        space.prim.check(key)
-        dev = tries.lookup(nf.trie, key)
-        if dev is not None:
-            return dev if nf.base is None else payload_ops(space).add(nf.base, dev)
-    if nf.base is not None:
-        return nf.base
+    parts = _at([nf], key, space)
+    if parts:
+        return reduce(payload_ops(space).add, parts)
     return space.ring.zero if space.shape == "free" else zero_nf(space.value)
 
 
 def nf_lookup_path(nf: NormalForm, path):
-    """Coefficient at a full key path; `STAR` components read baselines."""
-    value, consumed = _lookup_path(nf, tuple(path), 0)
-    if consumed != len(path):
-        raise SpaceError(f"path of length {len(path)} does not fit {nf.space}")
-    return value
+    """Coefficient at a full key path; `STAR` components read baselines.
+    The path is read a component at a time over every form it reaches, a
+    key by `_at`, a side tag 1 or 2 by taking that half; where the path
+    ends is read from the space, so a key with no entry reads on."""
+    metrics.current.lookups += 1
+    path = tuple(path)
+    space, xs, ring = nf.space, [nf], nf.space.ring
+    for key in path:
+        shape = None if space is None else space.shape
+        if shape == "pair":
+            if type(key) is not int or key not in (1, 2):
+                raise SpaceError(f"path {path!r} has {key!r} where {space} needs a side tag 1 or 2")
+            xs = [x.lhs if key == 1 else x.rhs for x in xs]
+            space = space.halves[key - 1]
+        elif shape in ("free", "map"):
+            xs = _at(xs, key, space)
+            space = space.value if shape == "map" else None  # None: xs are coefficients
+        else:
+            raise SpaceError(f"path of length {len(path)} does not fit {nf.space}")
+    if space is not None and space.shape != "scalar":
+        raise SpaceError(f"path {path!r} ends before a coefficient of {space}")
+    return reduce(ring.add, xs if space is None else [x.value for x in xs], ring.zero)
 
 
-def _lookup_path(nf, path, i):
-    ring = nf.space.ring
-    if isinstance(nf, ScalarNF):
-        return nf.value, i
-    if i == len(path):
-        raise SpaceError(f"path {path!r} ends before a coefficient of {nf.space}")
-    if isinstance(nf, MapNF):
-        if nf.space.shape == "free":
-            return nf_lookup(nf, path[i]), i + 1
-        key = path[i]
-        parts = [nf.base]
-        if key is not STAR:
-            nf.space.prim.check(key)
-            parts.append(tries.lookup(nf.trie, key))
-        # with no entry, the zero form of the value space reads the rest of
-        # the path, side tags included, to find where it ends
-        parts = [p for p in parts if p is not None] or [zero_nf(nf.space.value)]
-        total = ring.zero
-        for part in parts:
-            v, j = _lookup_path(part, path, i + 1)
-            total = ring.add(total, v)
-        return total, j
-    if isinstance(nf, PairNF):
-        tag = path[i]
-        if type(tag) is not int or tag not in (1, 2):
-            raise SpaceError(f"path {path!r} has {tag!r} where {nf.space} needs a side tag 1 or 2")
-        return _lookup_path(nf.lhs if tag == 1 else nf.rhs, path, i + 1)
-    raise SpaceError(f"cannot look up in {type(nf).__name__}")
+def _at(xs, key, space):
+    """The one point read of a keyed level: the baseline and the deviation
+    at `key`, where present, of each form of `xs` in `space`, in that
+    order; `STAR` reads baselines alone. Each trie probed costs a trie edge."""
+    if key is STAR:
+        return [x.base for x in xs if x.base is not None]
+    space.prim.check(key)
+    parts = []
+    for x in xs:
+        if x.base is not None:
+            parts.append(x.base)
+        dev = tries.lookup(x.trie, key)
+        if dev is not None:
+            parts.append(dev)
+    return parts
 
 
 # enumeration and equality ---------------------------------------------------
@@ -307,49 +311,71 @@ def enumerate_nf(nf: NormalForm, allow_baseline: bool = False):
     key order.
 
     The walk goes a level at a time: each keyed level replaces every
-    (path, form) pair, all in one space, by its baseline and entries.
-    Only a level of pairs recurses, into each pair's halves, so the depth
-    follows the nesting of biproducts, not the column count. Each node's
-    trie is read in place, ordered by `tries.key_order` as `tries.items`
-    orders it (a one-entry trie is not sorted), and charged as `items`
-    charges it, in one `trie_edges` update per level.
+    (path, form) pair, all in one space, by its baseline and entries, as
+    `read_level` reads them in key order. Only a level of pairs recurses,
+    into each pair's halves, so the depth follows the nesting of
+    biproducts, not the column count.
     """
-    return _rows([((), nf)], nf.space, allow_baseline)
+    return _rows((), nf, nf.space, allow_baseline)
 
 
-def _rows(level, space, allow):
-    """The rows below `level`, a list of (path, form) pairs in `space`."""
-    shape = space.shape
+def _rows(path, x, space, allow):
+    """The rows below the form `x` in `space`, at `path`."""
+    if x.is_zero():
+        return []
+    paths, xs, shape = [path], [x], space.shape
+    refusal = None if allow else lambda: InfiniteSupport(f"{space} form has infinite support")
     while shape in ("free", "map"):
-        order = tries.key_order(space.prim)
-        below, edges = [], 0
-        for path, x in level:
-            if x.base is not None:
-                if not allow:
-                    metrics.current.trie_edges += edges
-                    raise InfiniteSupport(f"{space} form has infinite support")
-                below.append((path + (STAR,), x.base))
-            t = x.trie
-            if t is None:
-                continue
-            edges += len(t)
-            for k in sorted(t, key=order) if len(t) > 1 else t:
-                below.append((path + (k,), t[k]))
+        ks, xs, edges = read_level(xs, space.prim, refusal)
         metrics.current.trie_edges += edges
-        level = below
+        paths = [path + (k,) for path, keys in zip(paths, ks) for k in keys]
+        del ks  # the level's key lists go before its rows are built
         if shape == "free":
-            return level
+            return list(zip(paths, xs))
         space = space.value
         shape = space.shape
     if shape == "scalar":
         is_zero = space.ring.is_zero
-        return [(path, x.value) for path, x in level if not is_zero(x.value)]
+        return [(path, x.value) for path, x in zip(paths, xs) if not is_zero(x.value)]
     lhs, rhs = space.halves
     rows = []
-    for path, x in level:
-        rows += _rows([(path + (1,), x.lhs)], lhs, allow)
-        rows += _rows([(path + (2,), x.rhs)], rhs, allow)
+    for path, x in zip(paths, xs):
+        rows += _rows(path + (1,), x.lhs, lhs, allow)
+        rows += _rows(path + (2,), x.rhs, rhs, allow)
     return rows
+
+
+def read_level(xs, prim=None, refusal=None):
+    """The one read of a keyed level of many nonzero forms `xs`: the keys
+    of each, a baseline first as a `STAR` key, and all their payloads, in
+    that order, with the level's trie edges, one per trie entry, for the
+    caller to charge once all of it is read. A baseline raises `refusal()`,
+    if one is given, before any of the level is read. Given the level's
+    `prim`, each trie of more than one entry is put in `tries.key_order`."""
+    ts = [x.trie for x in xs]
+    wild = not {x.base for x in xs} <= {None}
+    if wild:
+        if refusal:
+            raise refusal()
+        ts = [t or {} for t in ts]  # a baseline alone has no trie
+    edges = sum(map(len, ts))
+    if not wild and (prim is None or edges == len(ts)):  # nothing to order or prepend
+        return ts, list(chain.from_iterable(map(dict.values, ts))), edges
+    ks = ts
+    if prim is not None:
+        order = tries.key_order(prim)
+        ks = [t if len(t) < 2 else sorted(t, key=order) for t in ts]
+    if wild:
+        ts = [t if x.base is None else {STAR: x.base} | t for x, t in zip(xs, ts)]
+        ks = [k if x.base is None else [STAR, *k] for x, k in zip(xs, ks)]
+    return ks, [t[k] for t, keys in zip(ts, ks) for k in keys], edges
+
+
+def keyed_nf(space: Space, t) -> MapNF:
+    """The keyed form of a level dict, or None, whose `STAR` entry, popped
+    from the dict before it is shared, is the baseline."""
+    base = t.pop(STAR, None) if t else None
+    return MapNF(space, t or None, base)
 
 
 def nf_equal(x: NormalForm, y: NormalForm) -> bool:

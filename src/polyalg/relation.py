@@ -14,10 +14,9 @@ from itertools import chain
 
 from . import metrics, tries
 from .normal import (
-    STAR,
-    MapNF,
     enumerate_nf,
     has_baseline,
+    keyed_nf,
     nf_equal,
     nf_lookup_path,
     nf_weight,
@@ -181,8 +180,8 @@ def _built(sch: Schema, ring: Ring, rows) -> Relation:
     pairs. Each row walks a path of dicts, one per node, and enters a
     nonzero coefficient in the last; a repeated row's coefficients add by
     `tries.add_all`, in row order. Then, from the last column up, each dict
-    becomes its node's trie in place, `STAR` popped into the baseline, and
-    an empty node is deleted."""
+    becomes its node's form in place by `normal.keyed_nf`, and an empty node
+    is deleted."""
     last = len(sch) - 1
     spaces = [sch.chain(ring)]  # each level's space, the chain's tails
     for _ in range(last):
@@ -215,12 +214,10 @@ def _built(sch: Schema, ring: Ring, rows) -> Relation:
         for t in levels[d - 1]:
             for k, u in t.items():
                 if u:
-                    base = u.pop(STAR, None)
-                    t[k] = MapNF(space, u or None, base)
+                    t[k] = keyed_nf(space, u)
                 else:
                     gone.append((t, k))
         for t, k in gone:
             del t[k]
     metrics.current.trie_edges += edges + len(root)
-    base = root.pop(STAR, None)
-    return Relation(sch, ring, nf=MapNF(spaces[0], root or None, base))
+    return Relation(sch, ring, nf=keyed_nf(spaces[0], root))

@@ -22,16 +22,13 @@ from bisect import bisect_left
 from functools import partial, reduce
 from importlib import import_module
 from itertools import chain, compress, repeat
-from operator import attrgetter, eq, ge, gt, is_not, itemgetter, le, lt, ne
+from operator import eq, ge, gt, is_not, itemgetter, le, lt, ne
 
 from . import metrics, tries
-from .normal import STAR, MapNF, nf_add, nf_sub, nf_tensor, unit_nf
+from .normal import STAR, MapNF, keyed_nf, nf_add, nf_sub, nf_tensor, read_level, unit_nf
 from .prims import INT, INT_WITH_INF, INT_WITH_NEG_INF, STRING, Int64, PrimSet, Record, Str
 from .relation import Relation, RelationError, Schema, _built, type_name
 from .rings import GF2Ring
-
-trie_of, base_of = attrgetter("trie"), attrgetter("base")
-
 
 # core operations ----------------------------------------------------------------
 
@@ -105,25 +102,24 @@ def _filtered(r: Relation, reads, keep, refusal: str) -> Relation:
             a, b = bisect_left(owner, i), bisect_left(owner, i + 1)
             t = {k: v for k, v in zip(keys[a:b], outs[a:b]) if v is not None}
             metrics.current.trie_edges += len(t)
-            base = t.pop(STAR, None)
-            new[i] = MapNF(xs[i].space, t or None, base)
+            new[i] = keyed_nf(xs[i].space, t)
         outs, nodes = new, xs
     return Relation(r.schema, r.ring, nf=outs[0] or MapNF(r.nf().space, None, None))
 
 
 def _walk(r: Relation, reads, refusal=None, ordered=False):
     """Down `r`'s form to its last read column, charging each level as
-    `_level` reads it; `refusal`, formatted with a read column's name,
+    `read_level` reads it; `refusal`, formatted with a read column's name,
     refuses its baselines. Returns each level's nodes, keys and each key's
     node index, the last level's payloads and the read columns' keys."""
     nf, prims, last = r.nf(), r.schema.prims, max(reads)
     nodes, down = [] if nf.is_zero() else [nf], []
     for d in range(last + 1):
-        ts, ys, edges = _level(nodes, ordered and partial(sorted, key=tries.key_order(prims[d])),
-                               refusal and d in reads and refusal.format(r.schema.names[d]))
+        refuse = refusal and d in reads and partial(RelationError, refusal.format(r.schema.names[d]))
+        ks, ys, edges = read_level(nodes, prims[d] if ordered else None, refuse)
         metrics.current.trie_edges += edges
-        owner = list(chain.from_iterable(map(repeat, range(len(ts)), map(len, ts))))
-        down.append((nodes, list(chain.from_iterable(ts)), owner))
+        owner = list(chain.from_iterable(map(repeat, range(len(ks)), map(len, ks))))
+        down.append((nodes, list(chain.from_iterable(ks)), owner))
         nodes = ys
     cols, at = [repeat(None)] * (last + 1), None  # each payload's entry in level d, if not its own
     for d, (_, keys, owner) in zip(range(last, min(reads) - 1, -1), reversed(down)):
@@ -131,26 +127,6 @@ def _walk(r: Relation, reads, refusal=None, ordered=False):
             cols[d] = keys if at is None else list(map(keys.__getitem__, at))
         at = owner if at is None else list(map(owner.__getitem__, at))
     return down, nodes, cols
-
-
-def _level(xs, ordered, refusal):
-    """The one read of a level: a dict per node of `xs`, a baseline first as
-    a `STAR` entry or, if `refusal` is given, raising it as a RelationError;
-    all their payloads, in that order; one trie edge per trie entry. Tries
-    are in key order by `ordered` where the caller's result depends on it."""
-    ts = list(map(trie_of, xs))
-    if set(map(base_of, xs)) <= {None}:
-        ys = list(chain.from_iterable(map(dict.values, ts)))
-        if ordered and len(ys) > len(ts):  # put each trie's entries in key order
-            ts = [t if len(t) == 1 else {k: t[k] for k in ordered(t)} for t in ts]
-            ys = list(chain.from_iterable(map(dict.values, ts)))
-        return ts, ys, len(ys)
-    if refusal:
-        raise RelationError(refusal)
-    edges = sum(map(len, filter(None, ts)))
-    ts = [({} if x.base is None else {STAR: x.base})
-          | ({k: t[k] for k in ordered(t)} if ordered and t else t or {}) for x, t in zip(xs, ts)]
-    return ts, list(chain.from_iterable(map(dict.values, ts))), edges
 
 
 def project(r: Relation, names) -> Relation:
@@ -286,19 +262,20 @@ def _group_totals(r: Relation, group, tpos, fold):
     each entry's key; any other level replaces a key's sub-forms by their
     children, in C. Each coefficient c gives its row's share, c·v (sum), v
     (min, max) or c (count), and a group folds its shares in row order, a
-    count's by `tries.add_all` as `_built` adds a repeated row's. `_level`
-    reads each group's level in key order; only a count reads baselines."""
+    count's by `tries.add_all` as `_built` adds a repeated row's. Levels
+    are read in key order by `read_level`; only a count reads baselines."""
     nf, ring, last = r.nf(), r.ring, len(r.schema) - 1
     grouping = sorted(group)
     front = {} if nf.is_zero() else {(): (None, [nf])}
-    refusal = None if fold == "count" else "cannot aggregate a relation with wildcard rows"
+    refusal = None if fold == "count" else partial(
+        RelationError, "cannot aggregate a relation with wildcard rows")
     for d, prim in enumerate(r.schema.prims):
-        ordered, nxt, edges = partial(sorted, key=tries.key_order(prim)), {}, 0
+        nxt, edges = {}, 0
         for g, (vs, xs) in front.items():
-            ts, ys, n = _level(xs, ordered, refusal)
+            ks, ys, n = read_level(xs, prim, refusal)
             edges += n
             if d == tpos or vs is not None and len(ys) > len(xs):  # each child's target value
-                vs = list(chain.from_iterable(ts if d == tpos else map(repeat, vs, map(len, ts))))
+                vs = list(chain.from_iterable(ks if d == tpos else map(repeat, vs, map(len, ks))))
             if d == last and vs is not None:
                 # v is an Int64 value: a ring element over Z, and over REAL
                 # `c * v` converts it exactly as float(v) does
@@ -307,7 +284,7 @@ def _group_totals(r: Relation, group, tpos, fold):
                 nxt[g] = vs, ys
                 continue
             at = {}  # each key's entries, in row order
-            for i, k in enumerate(chain.from_iterable(ts)):
+            for i, k in enumerate(chain.from_iterable(ks)):
                 if k in at:
                     at[k].append(i)
                 else:

@@ -29,6 +29,7 @@ from .normal import (
     PairNF,
     ScalarNF,
     enumerate_nf,
+    keyed_nf,
     nf_equal,
     nf_scale,
     nf_tensor,
@@ -566,10 +567,8 @@ def entries_nf(space: Space, entries) -> MapNF:
     """The keyed form in `space` of (key, payload) entries, a share of the
     wildcard baseline being an entry under `STAR`: one `tries.from_items`
     call adds repeated keys and the baseline's shares in balanced rounds,
-    and the `STAR` entry is then popped into the baseline slot."""
-    trie = tries.from_items(entries, payload_ops(space))
-    base = None if trie is None else trie.pop(STAR, None)
-    return MapNF(space, trie or None, base)
+    and `keyed_nf` makes the `STAR` entry the baseline."""
+    return keyed_nf(space, tries.from_items(entries, payload_ops(space)))
 
 
 def force_product(g: MulGen) -> Term:

@@ -194,3 +194,39 @@ def test_a_missing_baseline_is_only_none():
         for line in baseline_zero_tests(p.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def level_rule_breaches(module: str, source: str):
+    """Lines where a module other than `normal` pops `STAR` from a dict, or
+    one other than `normal` and `tries` calls `key_order`: a level is read
+    in key order and built with its baseline by `normal` alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if _named(node.func, "key_order") and module not in ("normal", "tries"):
+            found.append(node.lineno)
+        elif _named(node.func, "pop") and node.args and _named(node.args[0], "STAR") \
+                and module != "normal":
+            found.append(node.lineno)
+    return found
+
+
+def test_level_rule_check_sees_pops_and_orders():
+    source = (
+        "def f(t, prim):\n"
+        "    base = t.pop(STAR, None)\n"
+        "    return sorted(t, key=tries.key_order(prim)), t.pop(1), key_order(prim)\n"
+    )
+    assert level_rule_breaches("relational", source) == [2, 3, 3]
+    assert level_rule_breaches("tries", source) == [2]
+    assert level_rule_breaches("normal", source) == []
+
+
+def test_levels_are_read_and_built_in_one_place():
+    found = [
+        f"{p.name}:{line}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for line in level_rule_breaches(p.stem, p.read_text(encoding="utf-8"))
+    ]
+    assert found == []

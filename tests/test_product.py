@@ -574,6 +574,22 @@ def test_skewed_pairwise_intermediate_grows_quadratically():
     assert fit_slope(points) >= 1.85, points
 
 
+def test_skewed_four_clique_edges_grow_linearly():
+    # every pair of the six stars shares a column, so a plan that joins two
+    # of them first builds the quadratic intermediate; the joint product
+    # touches about as many edges as the inputs hold
+    from polyalg.bench import fit_slope
+
+    points = []
+    for n in (32, 64, 128, 256):
+        atoms = [(cols, _star(n)) for cols in ("AB", "AC", "AD", "BC", "BD", "CD")]
+        e, rows = _joined([_binary_relation(cols, pairs) for cols, pairs in atoms])
+        assert rows == dict.fromkeys(_dict_join(atoms), 1)
+        points.append((n, e))
+    slope = fit_slope(points)
+    assert slope <= 1.3, f"edge slope {slope:.3f} over {points}"
+
+
 @pytest.mark.parametrize("shape", ["4-cycle", "4-clique"])
 def test_cyclic_join_edges_stay_within_the_agm_bound(shape):
     # for N tuples per relation the fractional edge cover {AB: 1, CD: 1}

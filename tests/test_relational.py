@@ -287,6 +287,30 @@ def test_outer_joins_with_wildcards():
     assert ("a", 1, STAR) not in rrows
 
 
+def test_lookups_under_wildcards_sum_the_covering_rows():
+    # outer joins carry baselines at several levels; at every path of keys,
+    # wildcards and keys missing at any level, a lookup is the sum of the
+    # rows whose path covers it (a row's `STAR` covers any component, a
+    # probe's `STAR` only a `STAR`), and it counts one lookup per call
+    import itertools
+
+    from polyalg import metrics
+
+    x = weighted([("A", STRING), ("B", INT)], [(("a", 1), 2), (("b", 2), -1), (("c", 3), 1)])
+    y = weighted([("B", INT), ("C", STRING)], [((2, "p"), 3), ((3, "q"), 1), ((4, "r"), 1)])
+    for kind in ("left", "right", "full"):
+        out = outer_join(kind, x, y)
+        rows = out.rows()
+        assert sum(STAR in path for path, _ in rows) >= 3, kind
+        columns = [{path[i] for path, _ in rows} | {miss, STAR} for i, miss in enumerate(("z", 9, "z"))]
+        for probe in itertools.product(*columns):
+            want = sum(c for path, c in rows
+                       if all(p is STAR or p == k for p, k in zip(path, probe)))
+            with metrics.fresh() as m:
+                assert out.lookup(probe) == want, (kind, probe)
+            assert m.lookups == 1
+
+
 def embedded(r, target):
     """`r`'s form embedded into the compact chain of the schema `target`,
     reordered first into the target's order: the reference that joins are
@@ -594,20 +618,24 @@ def test_aggregate_of_wildcards_and_of_nothing():
 
 
 def test_a_refused_read_charges_the_levels_above_it():
-    # a filter or a fold refused at a level charges every level above it and
-    # nothing of the refusing level, whatever the order of its groups: here
-    # the K, S and V levels' 2 + 2 + 2 entries, and not the L entry of
-    # group "a", which the fold reads before group "b"'s wildcard
+    # a filter, a fold or the row walk refused at a level charges every
+    # level above it and nothing of the refusing level, whatever the order
+    # of its nodes: here the K, S and V levels' 2 + 2 + 2 entries, and not
+    # the L entry of group "a", read before group "b"'s wildcard
     from polyalg import metrics
+    from polyalg.normal import InfiniteSupport, enumerate_nf
     from polyalg.relation import _built
 
     sch = schema(("K", INT), ("S", STRING), ("V", INT), ("L", INT))
     r = _built(sch, Z, [((1, "a", 5, 9), 1), ((2, "b", 7, STAR), 1)])
-    for refused, message in (
-            (lambda: select(r, Compare("=", "L", 9)), "cannot select on wildcard-bearing column 'L'"),
-            (lambda: clamp_nonneg(r), "cannot clamp a relation with wildcard rows"),
-            (lambda: aggregate(r, ["S"], "V", "sum"), "cannot aggregate a relation with wildcard rows")):
-        with metrics.fresh() as m, pytest.raises(RelationError, match=message):
+    for refused, error, message in (
+            (lambda: select(r, Compare("=", "L", 9)), RelationError,
+             "cannot select on wildcard-bearing column 'L'"),
+            (lambda: clamp_nonneg(r), RelationError, "cannot clamp a relation with wildcard rows"),
+            (lambda: aggregate(r, ["S"], "V", "sum"), RelationError,
+             "cannot aggregate a relation with wildcard rows"),
+            (lambda: enumerate_nf(r.nf()), InfiniteSupport, "infinite support")):
+        with metrics.fresh() as m, pytest.raises(error, match=message):
             refused()
         assert m.trie_edges == 6, message
 
