@@ -19,10 +19,11 @@ keys it the same way, (A ⇒ V) ⊗ W ≅ A ⇒ (V ⊗ W); a biproduct splits it
 into a `PairNF`, (U ⊕ V) ⊗ W ≅ (U ⊗ W) ⊕ (V ⊗ W); a scalar leaves the
 right factor's form, K ⊗ W ≅ W; and a tensor reassociates.
 
-Keyed levels are read and built here alone: `read_level` reads a level
-of many nodes, a baseline first as a `STAR` key or the caller's refusal,
-for every relational operator and for `enumerate_nf`, whose depth does not
-grow with the column count; `_at` reads one key, baseline and deviation,
+Keyed levels are read and built here alone: `read_level`, the one ordered
+read of a level of many nodes, a baseline first as a `STAR` key or the
+caller's refusal, serves every relational operator, `terms.readback`, the
+`repr` of a keyed form and `enumerate_nf`, whose depth does not grow with
+the column count; `_at` reads one key, baseline and deviation,
 for `nf_lookup` and `nf_lookup_path`; `keyed_nf` builds a keyed form from a
 level dict whose `STAR` entry is the baseline. Forms are built from rows
 (`relation._built`) or from terms: the simplification of a term into its
@@ -74,11 +75,6 @@ class NormalForm:
     def is_zero(self) -> bool:
         raise NotImplementedError
 
-    def __repr__(self):
-        from .render import render_nf
-
-        return render_nf(self)
-
 
 class ScalarNF(NormalForm):
     __slots__ = ("value",)
@@ -89,6 +85,9 @@ class ScalarNF(NormalForm):
 
     def is_zero(self):
         return self.space.ring.is_zero(self.value)
+
+    def __repr__(self):
+        return self.space.ring.render(self.value)
 
 
 class MapNF(NormalForm):
@@ -106,6 +105,18 @@ class MapNF(NormalForm):
     def is_zero(self):
         return self.trie is None and self.base is None
 
+    def __repr__(self):
+        """`{key: payload, ...}` in key order, a baseline first as `*`."""
+        if self.is_zero():
+            return "{}"
+        space = self.space
+        (keys,), payloads, edges = read_level([self], space.prim)
+        metrics.current.trie_edges += edges
+        key = space.prim.render
+        show = space.ring.render if space.shape == "free" else repr
+        return "{" + ", ".join(f"{'*' if k is STAR else key(k)}: {show(v)}"
+                               for k, v in zip(keys, payloads)) + "}"
+
 
 class PairNF(NormalForm):
     __slots__ = ("lhs", "rhs")
@@ -117,6 +128,9 @@ class PairNF(NormalForm):
 
     def is_zero(self):
         return self.lhs.is_zero() and self.rhs.is_zero()
+
+    def __repr__(self):
+        return f"({self.lhs!r}, {self.rhs!r})"
 
 
 NF_VOPS = ValueOps(add=lambda x, y: nf_add(x, y), is_zero=operator.methodcaller("is_zero"))

@@ -64,7 +64,6 @@ terms in `terms`, and `embed` imports it only when handed a term.
 
 from functools import reduce
 from importlib import import_module
-from operator import attrgetter
 
 from . import metrics, tries
 from .normal import (
@@ -188,7 +187,7 @@ def _frontier(rows, space, here, live):
                 kinds.append(1 if x.trie is not None else 3 if free and x.base == one else 2)
         if e is not None:
             if trace is not None:
-                trace.append((tuple(tries.count(x.trie) + (x.base is not None) if h else 1
+                trace.append((tuple(len(x.trie or ()) + (x.base is not None) if h else 1
                                     for x, h in zip(row, here)), e))
             groups.setdefault((tuple(kinds), e), []).append((n, row))
             continue
@@ -215,8 +214,8 @@ def _frontier(rows, space, here, live):
         # tries and baselines
         ns, grows = zip(*members)
         xcols = list(zip(*grows))
-        tcols = [list(map(_TRIE, c)) if h else None for c, h in zip(xcols, here)]
-        bcols = [list(map(_BASE, c)) if h else c for c, h in zip(xcols, here)]
+        tcols = [[x.trie for x in c] if h else None for c, h in zip(xcols, here)]
+        bcols = [[x.base for x in c] if h else c for c, h in zip(xcols, here)]
         restricting = [j for j, k in enumerate(kinds) if k == 0]
         levels = [tcols[j] for j in restricting]
         keys, owner, found = tries.walk(levels, restricting.index(e))
@@ -282,9 +281,6 @@ def _frontier(rows, space, here, live):
     return children, finish
 
 
-_TRIE, _BASE = attrgetter("trie"), attrgetter("base")
-
-
 # embeddings -------------------------------------------------------------------
 
 def embed(x, source, target):
@@ -333,9 +329,6 @@ def _embed(nf, src, tgt, out):
         return nf_tensor(nf, unit_nf(out.rhs), out)
     src, tgt = src[1:], tgt[1:]
     return map_payloads(nf, lambda v: _embed(v, src, tgt, out.rhs), out)
-
-
-
 
 
 def __getattr__(name):

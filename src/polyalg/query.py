@@ -170,6 +170,8 @@ def parse_predicate(node):
             raise QueryError(f"({head} A value) takes two arguments", node[0].pos)
         col = _sym(node[1], "a column name")
         rhs = node[2]
+        if isinstance(rhs, list):  # a form or a [...] list
+            raise QueryError("expected a literal or a column name", node[0].pos)
         if isinstance(rhs, Symbol):
             return Compare(head, col, other_column=rhs.name)
         return Compare(head, col, literal=rhs)

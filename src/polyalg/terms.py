@@ -35,6 +35,7 @@ from .normal import (
     nf_tensor,
     nf_weight,
     payload_ops,
+    read_level,
     zero_nf,
 )
 from .prims import PrimSet
@@ -82,9 +83,8 @@ class Term:
         return scale(r, self)
 
     def __repr__(self):
-        from .render import render_term
-
-        return render_term(self)
+        """Fully parenthesised symbolic form, stable across runs."""
+        return _render(self)
 
 
 class ZeroTerm(Term):
@@ -186,6 +186,29 @@ class MulGen(Gen):
 
 _ONE = OneGen()
 _WILD = WildOneGen()
+
+
+def _render(t: Term) -> str:
+    if isinstance(t, ZeroTerm):
+        return "0"
+    if isinstance(t, AddTerm):
+        return f"({_render(t.lhs)} + {_render(t.rhs)})"
+    if isinstance(t, ScaleTerm):
+        return f"{t.space.ring.render(t.coeff)}*{_render(t.body)}"
+    g = t.gen
+    if isinstance(g, (OneGen, WildOneGen)):
+        return "1"
+    if isinstance(g, InjGen):
+        return f"<{t.space.prim.render(g.value)}>"
+    if isinstance(g, MapsToGen):
+        return f"({t.space.prim.render(g.key)} ↦ {_render(g.body)})"
+    if isinstance(g, WildMapsToGen):
+        return f"(* ↦ {_render(g.body)})"
+    if isinstance(g, PairGen):
+        return f"({_render(g.lhs)}, {_render(g.rhs)})"
+    if isinstance(g, TensorGen):
+        return f"({_render(g.lhs)} ⊗ {_render(g.rhs)})"
+    return "(" + " · ".join(map(_render, g.factors)) + ")"
 
 
 # constructors --------------------------------------------------------------
@@ -332,17 +355,14 @@ def unit_one(space: Space) -> Term:
     raise SpaceError(f"no unit in {space}")
 
 
+_TERM_VOPS = tries.ValueOps(add=add, is_zero=is_zero_term)
+
+
 def sum_terms(space: Space, ts) -> Term:
-    """Sum a list as a balanced tree, keeping nesting depth logarithmic."""
-    ts = [t for t in ts if not is_zero_term(t)]
-    if not ts:
-        return zero(space)
-    while len(ts) > 1:
-        nxt = [add(ts[i], ts[i + 1]) for i in range(0, len(ts) - 1, 2)]
-        if len(ts) % 2:
-            nxt.append(ts[-1])
-        ts = nxt
-    return ts[0]
+    """Sum a list as a balanced tree, keeping nesting depth logarithmic:
+    `tries.add_all`'s rounds, where no sum of terms vanishes."""
+    total = tries.add_all(ts, _TERM_VOPS)
+    return zero(space) if total is None else total
 
 
 # traversal ------------------------------------------------------------------
@@ -606,20 +626,21 @@ def readback(nf: NormalForm) -> Term:
             return zero(space)
         return scale(nf.value, one(space.ring))
     if isinstance(nf, MapNF):
-        items = tries.items(space.prim, nf.trie)
+        if nf.is_zero():
+            return zero(space)
+        (keys,), payloads, edges = read_level([nf], space.prim)
+        metrics.current.trie_edges += edges
+        entries = zip(keys, payloads)
         if space.shape == "free":
-            parts = [scaled(c, inject(k, space)) for k, c in items]
-            if nf.base is not None:
-                parts.append(scale(nf.base, wild_one(space)))
+            parts = [scale(c, wild_one(space)) if k is STAR else scaled(c, inject(k, space))
+                     for k, c in entries]
         elif isinstance(space, Tensor):  # a chain
             lhs = space.lhs
-            parts = [tensor(inject(k, lhs), readback(v)) for k, v in items]
-            if nf.base is not None:
-                parts.append(tensor(wild_one(lhs), readback(nf.base)))
+            parts = [tensor(wild_one(lhs) if k is STAR else inject(k, lhs), readback(v))
+                     for k, v in entries]
         else:
-            parts = [maps_to(k, readback(v), space) for k, v in items]
-            if nf.base is not None:
-                parts.append(wild_maps_to(readback(nf.base), space))
+            parts = [wild_maps_to(readback(v), space) if k is STAR
+                     else maps_to(k, readback(v), space) for k, v in entries]
         return sum_terms(space, parts)
     if isinstance(nf, PairNF):
         return pair(readback(nf.lhs), readback(nf.rhs))

@@ -5,24 +5,21 @@ never an empty dict. Keys are the prims' own hashable values: a pair is a
 flat tuple, a sum a tagged tuple `("L", x)` or `("R", x)`, an adjoined
 marker is itself. Levels are never mutated once built, apart from the
 `STAR` entry that `normal.keyed_nf` pops from a new one, so an operation
-may return an input level as it is. Only the enumeration takes the key
-family's prim, to order a level by `key_order`, the one key-order rule:
+may return an input level as it is. `key_order` is the one key-order rule:
 Int64, Str and Bool keys sort naturally (code point order, which is UTF-8
-byte order), other families by `prim.sort_key`. `items` and
-`normal.read_level` both sort by it, and neither sorts a one-entry level.
+byte order), other families by `prim.sort_key`. `normal.read_level`, the
+one ordered read of a level, alone applies it, and never to a one-entry
+level.
 
 `merge` adds two levels: it copies the larger in C and adds the smaller's
-entries to the copy. `add_all` is the one way to add many payloads, in
-balanced rounds, so a sum of n single-entry forms copies n·log₂n entries,
-not n²/2. `from_items` builds one level from (key, payload) entries; the
+entries to the copy. `add_all` is the one way to add many payloads, and
+`terms.sum_terms` adds terms by it, in balanced rounds, so a sum of n
+single-entry forms copies n·log₂n entries, not n²/2. `from_items` builds one level from (key, payload) entries; the
 payloads of equal keys add by `add_all`. A keyed form's builder passes its
 wildcard baseline's shares as entries under `normal.STAR`, so the shares
 add in the same rounds, and `normal.keyed_nf` pops that entry from the new
 level before the level is shared. `relation._built` fills every level of a
-relation's form from rows in one pass, by the same rules. `items` lists
-one level in order, for readback and rendering; `normal.read_level`, the
-one read of a level of many nodes, serves the row walk and every
-relational operator, ordered where it matters. `map_values` maps
+relation's form from rows in one pass, by the same rules. `map_values` maps
 payloads, and `walk` and `keep` intersect the levels of many nodes at once,
 a column of keys at a time. `walk` flattens one chosen level of every node
 into one key list, in that level's order, and probes each of the node's
@@ -41,10 +38,12 @@ entries plus, for each other level, the node's keys still standing when it
 is probed; a probe inside `walk` is not a lookup. `keep` charges a level
 it builds, not one it returns. A level built by `from_items` or from rows
 costs one edge per entry it keeps, a `STAR` entry like any other. The C
-copy of the larger level in `merge` is not counted. `normal.read_level`
-costs what `items` does, one edge per trie entry, and its caller charges
-a level once all of it is read, so a refusal charges none of its level;
-the relational filter, like `keep`, charges no level it shares.
+copy of the larger level in `merge` is not counted. `normal.read_level`,
+the one ordered read of a level, for the row walk, every relational
+operator, `repr` and read-back, costs one edge per trie entry, and its
+caller charges a level once all of it is read, so a refusal charges none
+of its level; the relational filter, like `keep`, charges no level it
+shares.
 """
 
 import operator
@@ -97,19 +96,6 @@ def lookup(t, key):
         return None
     metrics.current.trie_edges += 1
     return t.get(key)
-
-
-def items(prim, t):
-    """All (key, payload) entries of a level in the set's total order."""
-    if t is None:
-        return []
-    metrics.current.trie_edges += len(t)
-    ks = sorted(t, key=key_order(prim)) if len(t) > 1 else t
-    return list(zip(ks, map(t.__getitem__, ks)))
-
-
-def count(t) -> int:
-    return 0 if t is None else len(t)
 
 
 def add_all(values, vops):

@@ -123,7 +123,8 @@ def test_criterion_05_nested_map_normalisation():
         + entry(("a", left("p")))
     )
     nf = normalize(t)
-    from polyalg.tries import count, items, lookup
+    from polyalg.normal import read_level
+    from polyalg.tries import lookup
 
     prim = sp.prim
     # leaf coefficients: a -> (p: 2, 3: 1), b -> (4: 1)
@@ -132,13 +133,13 @@ def test_criterion_05_nested_map_normalisation():
         ((("a", ("R", 3)),), 1),
         ((("b", ("R", 4)),), 1),
     ]
-    # the level is flat: one entry per pair key, in the pair order
-    assert count(nf.trie) == 3
-    assert [k for k, _ in items(prim, nf.trie)] == [
+    # the level is flat: one entry per pair key, read in the pair order
+    assert len(nf.trie) == 3
+    assert read_level([nf], prim)[0] == [[
         ("a", ("L", "p")),
         ("a", ("R", 3)),
         ("b", ("R", 4)),
-    ]
+    ]]
     assert lookup(nf.trie, ("a", ("L", "p"))).value == 2
     assert lookup(nf.trie, ("a", ("R", 3))).value == 1
     assert lookup(nf.trie, ("b", ("R", 4))).value == 1

@@ -197,17 +197,15 @@ def test_a_missing_baseline_is_only_none():
 
 
 def level_rule_breaches(module: str, source: str):
-    """Lines where a module other than `normal` pops `STAR` from a dict, or
-    one other than `normal` and `tries` calls `key_order`: a level is read
-    in key order and built with its baseline by `normal` alone."""
+    """Lines where a module other than `normal` pops `STAR` from a dict or
+    calls `key_order`: a level is read in key order and built with its
+    baseline by `normal` alone."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
-        if _named(node.func, "key_order") and module not in ("normal", "tries"):
-            found.append(node.lineno)
-        elif _named(node.func, "pop") and node.args and _named(node.args[0], "STAR") \
-                and module != "normal":
+        pops_star = _named(node.func, "pop") and node.args and _named(node.args[0], "STAR")
+        if module != "normal" and (_named(node.func, "key_order") or pops_star):
             found.append(node.lineno)
     return found
 
@@ -219,7 +217,7 @@ def test_level_rule_check_sees_pops_and_orders():
         "    return sorted(t, key=tries.key_order(prim)), t.pop(1), key_order(prim)\n"
     )
     assert level_rule_breaches("relational", source) == [2, 3, 3]
-    assert level_rule_breaches("tries", source) == [2]
+    assert level_rule_breaches("tries", source) == [2, 3, 3]
     assert level_rule_breaches("normal", source) == []
 
 

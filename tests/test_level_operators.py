@@ -61,7 +61,8 @@ def ref_select_level(nf, pos, keep, col):
         return map_payloads(nf, lambda v: ref_select_level(v, pos - 1, keep, col), space)
     if nf.base is not None:
         raise RelationError(f"cannot select on wildcard-bearing column {col!r}")
-    kept = [(k, v) for k, v in tries.items(space.prim, nf.trie) if keep(k)]
+    entries = sorted((nf.trie or {}).items(), key=lambda kv: space.prim.sort_key(kv[0]))
+    kept = [(k, v) for k, v in entries if keep(k)]
     return MapNF(space, tries.from_items(kept, payload_ops(space)), None)
 
 

@@ -51,7 +51,6 @@ from polyalg import (
 )
 from polyalg import tries
 from polyalg.normal import MapNF, has_baseline, nf_lookup, nf_scale, nf_weight, strip_compact
-from polyalg.tries import count as trie_count
 
 from conftest import rand_term, sample_spaces
 
@@ -86,7 +85,7 @@ def test_nested_key_structure():
         ((("b", ("R", 4)), ), 1),
     ]
     # one entry per distinct pair
-    assert trie_count(nf.trie) == 3
+    assert len(nf.trie) == 3
     by_key = dict(enumerate_nf(nf))
     assert by_key[(("a", ("L", "p")),)] == 2
 
@@ -382,7 +381,7 @@ def test_relation_chain_normalizes_to_nested_trie():
     r = relation_from_rows(schema(("A", STRING), ("B", INT)), Z, rows)
     nf = normalize(r.chain_term())
     assert isinstance(nf, MapNF)
-    assert trie_count(nf.trie) == 2  # one entry per A value
+    assert len(nf.trie) == 2  # one entry per A value
     at_a = nf_lookup(nf, "a")
     # a coefficient level: a keyed form of the free factor holding ring elements
     assert isinstance(at_a, MapNF) and at_a.space.shape == "free"
@@ -424,7 +423,7 @@ def test_scalar_space_normal_form():
 
 
 def test_repr_renders_terms_and_forms():
-    # the one use of render.py: repr of a term and of a form
+    # repr of a term, and of a form with baselines as leading `*` keys
     ci = CompactFree(Z, INT)
     cm = CompactMap(Z, STRING, ci)
     t = 2 * wild_maps_to(inject(1, ci), cm) + mul(
@@ -440,8 +439,9 @@ def test_repr_renders_terms_and_forms():
 
 
 def _walk_by_items(nf, space, allow):
-    """The row walk written out depth-first from `tries.items`: the rows,
-    order and trie-edge charges that `enumerate_nf` must keep."""
+    """The row walk written out depth-first, each level sorted by
+    `prim.sort_key`: the rows, order and trie-edge charges, one per trie
+    entry, that `enumerate_nf` must keep."""
     shape = space.shape
     if shape == "scalar":
         return [] if space.ring.is_zero(nf.value) else [((), nf.value)]
@@ -449,7 +449,9 @@ def _walk_by_items(nf, space, allow):
         lhs, rhs = space.halves
         return ([((1,) + p, c) for p, c in _walk_by_items(nf.lhs, lhs, allow)]
                 + [((2,) + p, c) for p, c in _walk_by_items(nf.rhs, rhs, allow)])
-    entries = tries.items(space.prim, nf.trie)
+    t = nf.trie or {}
+    metrics.current.trie_edges += len(t)
+    entries = sorted(t.items(), key=lambda kv: space.prim.sort_key(kv[0]))
     if nf.base is not None:
         if not allow:
             raise InfiniteSupport("baseline")

@@ -50,7 +50,6 @@ from polyalg import (
     zero,
 )
 import polyalg
-from polyalg import tries
 from polyalg.normal import MapNF
 from polyalg.bench import bipartite_relation, run_triangle
 from polyalg.product import nf_join, nf_product
@@ -499,32 +498,30 @@ def _star(n):
     return [(0, i) for i in range(n)] + [(i, 0) for i in range(1, n)]
 
 
-def _binary_relation(cols, pairs):
+def _int_relation(cols, tuples):
     from polyalg import relation_from_rows, schema
 
-    return relation_from_rows(schema(*((c, INT) for c in cols)), Z, [(p, 1) for p in pairs])
+    return relation_from_rows(schema(*((c, INT) for c in cols)), Z, [(t, 1) for t in tuples])
 
 
 def _dict_join(atoms):
-    """Rows of the join of binary atoms, (two column names, pairs), keyed in
-    name order: columns are bound one at a time in name order, each to the
-    intersection of its neighbour sets under the atoms already bound."""
+    """Rows of the join of atoms, (column names, tuples), keyed in name
+    order: columns are bound one at a time in name order, each to the
+    intersection, over the atoms that hold it, of its values under the
+    atom's columns already bound."""
     names = sorted({c for cols, _ in atoms for c in cols})
-    steps = []  # (from column, to column, from value -> set of to values)
-    for (x, y), pairs in atoms:
-        fwd, bwd = {}, {}
-        for a, b in pairs:
-            fwd.setdefault(a, set()).add(b)
-            bwd.setdefault(b, set()).add(a)
-        steps += [(x, y, fwd), (y, x, bwd)]
+    steps = {v: [] for v in names}  # column -> (bound columns, their values -> values)
+    for cols, tuples in atoms:
+        for i, v in enumerate(cols):
+            bound = [j for j, u in enumerate(cols) if u < v]
+            index = {}
+            for t in tuples:
+                index.setdefault(tuple(t[j] for j in bound), set()).add(t[i])
+            steps[v].append(([cols[j] for j in bound], index))
     rows = [{}]
     for v in names:
-        grown = []
-        for row in rows:
-            sets = [m.get(row[u], set()) for u, w, m in steps if w == v and u in row]
-            for value in set.intersection(*(sets or [set(m) for u, _, m in steps if u == v])):
-                grown.append({**row, v: value})
-        rows = grown
+        rows = [{**row, v: value} for row in rows for value in set.intersection(
+            *(index.get(tuple(row[u] for u in bound), set()) for bound, index in steps[v]))]
     return {tuple(row[v] for v in names) for row in rows}
 
 
@@ -549,7 +546,7 @@ def test_skewed_triangle_edges_grow_linearly_in_every_input_order():
         atoms = [(cols, _star(n)) for cols in ("AB", "BC", "AC")]
         want = dict.fromkeys(_dict_join(atoms), 1)
         assert len(want) == 3 * n - 2
-        named = [(cols, _binary_relation(cols, pairs)) for cols, pairs in atoms]
+        named = [(cols, _int_relation(cols, pairs)) for cols, pairs in atoms]
         for order in itertools.permutations(named):
             e, rows = _joined([r for _, r in order])
             assert rows == want
@@ -567,7 +564,7 @@ def test_skewed_pairwise_intermediate_grows_quadratically():
 
     points = []
     for n in (125, 250, 500):
-        out = natural_join([_binary_relation("AB", _star(n)), _binary_relation("AC", _star(n))])
+        out = natural_join([_int_relation("AB", _star(n)), _int_relation("AC", _star(n))])
         count = len(out.rows())
         assert count == n * n + n - 1
         points.append((n, count))
@@ -583,7 +580,7 @@ def test_skewed_four_clique_edges_grow_linearly():
     points = []
     for n in (32, 64, 128, 256):
         atoms = [(cols, _star(n)) for cols in ("AB", "AC", "AD", "BC", "BD", "CD")]
-        e, rows = _joined([_binary_relation(cols, pairs) for cols, pairs in atoms])
+        e, rows = _joined([_int_relation(cols, pairs) for cols, pairs in atoms])
         assert rows == dict.fromkeys(_dict_join(atoms), 1)
         points.append((n, e))
     slope = fit_slope(points)
@@ -601,9 +598,43 @@ def test_cyclic_join_edges_stay_within_the_agm_bound(shape):
                   for n, d in ((64, 16), (256, 32), (512, 48))]
     for pairs in instances:
         atoms = [(c, pairs) for c in cols]
-        e, rows = _joined([_binary_relation(c, pairs) for c, _ in atoms])
+        e, rows = _joined([_int_relation(c, pairs) for c, _ in atoms])
         assert rows == dict.fromkeys(_dict_join(atoms), 1)
         assert e <= 2.5 * len(pairs) ** 2, (shape, len(pairs), e)
+
+
+def test_unequal_triangle_edges_stay_within_the_agm_bound():
+    # a 31-row star on AB beside 7,999-row stars on BC and AC: the AGM bound
+    # √(|AB|·|BC|·|AC|) = 44,537 lies far below the pairwise plan's
+    # BC ⋈ AC, quadratic in the big stars, and in every input order the
+    # edges stay within twice the bound plus the inputs
+    import itertools
+    import math
+
+    atoms = [("AB", _star(16)), ("BC", _star(4000)), ("AC", _star(4000))]
+    sizes = [len(tuples) for _, tuples in atoms]
+    agm = math.sqrt(math.prod(sizes))
+    want = dict.fromkeys(_dict_join(atoms), 1)
+    for order in itertools.permutations([_int_relation(c, tuples) for c, tuples in atoms]):
+        e, rows = _joined(list(order))
+        assert rows == want
+        assert e <= 2 * (agm + sum(sizes)), (e, agm)
+
+
+def test_loomis_whitney_join_edges_stay_within_the_agm_bound():
+    # four ternary atoms over A–D, each missing one attribute: the cover of
+    # 1/3 per atom gives the AGM bound (∏|R_e|)^(1/3), here N^(4/3)
+    rng = random.Random(3)
+    instances = [list({t for i in range(n) for t in ((0, 0, i), (0, i, 0), (i, 0, 0))})
+                 for n in (32, 128, 256)]
+    instances += [list({(rng.randrange(d), rng.randrange(d), rng.randrange(d)) for _ in range(n)})
+                  for n, d in ((64, 6), (256, 10), (512, 12))]
+    for tuples in instances:
+        atoms = [(c, tuples) for c in ("ABC", "ABD", "ACD", "BCD")]
+        e, rows = _joined([_int_relation(c, tuples) for c, _ in atoms])
+        assert rows == dict.fromkeys(_dict_join(atoms), 1)
+        n = len(tuples)
+        assert e <= 2 * (n ** (4 / 3) + 4 * n), (n, e)
 
 
 def test_all_baseline_product_cost_follows_its_deviations():
@@ -713,7 +744,7 @@ def _c_tries(nf):
     """Every non-empty coefficient trie of the innermost level of a form."""
     if nf.space.shape == "free":  # a coefficient level
         return [] if nf.trie is None else [nf.trie]
-    subs = [v for _, v in tries.items(nf.space.prim, nf.trie)]
+    subs = list((nf.trie or {}).values())
     if nf.base is not None:
         subs.append(nf.base)
     return [t for sub in subs for t in _c_tries(sub)]

@@ -19,15 +19,13 @@ from polyalg import (
     Sum,
     metrics,
 )
-from polyalg.normal import NF_VOPS, MapNF
+from polyalg.normal import NF_VOPS, MapNF, read_level
 from polyalg.prims import INT64_MAX, INT64_MIN, left, right
 from polyalg.rings import Z
 from polyalg.spaces import Free
 from polyalg.tries import (
     ValueOps,
-    count,
     from_items,
-    items,
     keep,
     lookup,
     map_values,
@@ -42,6 +40,16 @@ def build(mapping):
     return from_items(mapping.items(), VOPS)
 
 
+def items(prim, t):
+    """A level's (key, payload) entries as the engine reads them, in key
+    order by `normal.read_level`, charging its trie edges."""
+    if t is None:
+        return []
+    (keys,), payloads, edges = read_level([MapNF(None, t, None)], prim)
+    metrics.current.trie_edges += edges
+    return list(zip(keys, payloads))
+
+
 def model_merge(a, b):
     out = dict(a)
     for k, v in b.items():
@@ -50,7 +58,7 @@ def model_merge(a, b):
 
 
 def check_same(prim, trie, mapping, probes):
-    assert count(trie) == len(mapping)
+    assert len(trie or ()) == len(mapping)
     got = list(items(prim, trie))
     want = sorted(mapping.items(), key=lambda kv: prim.sort_key(kv[0]))
     assert got == want
@@ -109,7 +117,7 @@ def test_negative_ints_enumerate_first():
 
 def test_unit_and_bool_and_sum_and_prod():
     u = build({(): 3})
-    assert lookup(u, ()) == 3 and count(u) == 1
+    assert lookup(u, ()) == 3 and len(u) == 1
     assert list(items(UNIT, u)) == [((), 3)]
 
     # an adjoined infinity sorts after every int, a negative one before;
@@ -130,7 +138,7 @@ def test_unit_and_bool_and_sum_and_prod():
     pp = Prod(STRING, INT)
     p = build({("a", 2): 1, ("a", 1): 2, ("b", 0): 3})
     assert [k for k, _ in items(pp, p)] == [("a", 1), ("a", 2), ("b", 0)]
-    assert count(p) == 3
+    assert len(p) == 3
     assert lookup(p, ("a", 2)) == 1
     assert lookup(p, ("c", 2)) is None
 
@@ -139,7 +147,7 @@ def test_cancellation_prunes_structure():
     a = build({"ab": 2, "abc": 1})
     b = build({"ab": -2})
     t = merge(a, b, VOPS)
-    assert count(t) == 1
+    assert len(t) == 1
     assert list(items(STRING, t)) == [("abc", 1)]
     both = merge(a, build({"ab": -2, "abc": -1}), VOPS)
     assert both is None
@@ -160,7 +168,7 @@ def test_map_values_drops_zero_images():
         t = build({k: 3 if i == 1 else 2 for i, k in enumerate(keys)})
         halved = map_values(t, lambda v: v - 2, VOPS)
         assert list(items(prim, halved)) == [(keys[1], 1)], prim
-        assert count(halved) == 1, prim
+        assert len(halved) == 1, prim
         assert map_values(t, lambda v: 0, VOPS) is None, prim
         assert map_values(t, lambda v: None, VOPS) is None, prim
 
@@ -174,7 +182,7 @@ def test_nested_prefix_keys_deeper_than_the_recursion_limit():
     evens = from_items([(k, 1) for k in keys[1::2]], VOPS)
     odds = from_items([(k, 1) for k in keys[0::2]], VOPS)
     t = merge(evens, odds, VOPS)
-    assert count(t) == n
+    assert len(t) == n
     assert list(items(STRING, t)) == [(k, 1) for k in keys]
     assert lookup(t, keys[-1]) == 1
     assert lookup(t, keys[-1] + "a") is None
@@ -188,7 +196,7 @@ def test_merge_shares_subtrees():
     base = {rng.randint(-100, 100): 1 for _ in range(40)}
     t = build(base)
     t2 = merge(t, build({999: 5}), VOPS)
-    assert count(t2) == count(t) + 1
+    assert len(t2) == len(t) + 1
     # the original is untouched
     assert lookup(t, 999) is None
 
